@@ -87,11 +87,6 @@ class ZigzagCurve:
     def __call__(self, t: float) -> np.ndarray:
         return self.eval_many(np.array([t]))[0]
 
-    def derivative(self, t: float) -> np.ndarray:
-        idx = int(np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                          0, self.segment_directions.shape[0] - 1))
-        return self.segment_directions[idx] * self.direction_vector
-
     def as_coordinate_curve(self) -> "CoordinateCurve":
         slopes = self.segment_directions[:, None] * self.direction_vector[None, :]
         return CoordinateCurve(self.breakpoints, slopes, self.anchor)
@@ -263,10 +258,6 @@ class PiecewiseAffineMap:
     def coord_map(self) -> np.ndarray:
         return np.linalg.inv(self.basis)
 
-    @cached_property
-    def _det_coord(self) -> float:
-        return abs(float(np.linalg.det(self.coord_map)))
-
     @property
     def identity_basis(self) -> bool:
         return bool(np.allclose(self.basis, np.eye(self.n), atol=1e-14))
@@ -315,20 +306,13 @@ class PiecewiseAffineMap:
             for M in self.distinct_linears()
         )
 
-    def cell_vol_table(self):
-        """(vols, axis slope index arrays) with vols indexed by unique-slope combos."""
+    def cell_vol_table(self) -> np.ndarray:
+        """Volume of the differential on every cell, shape ``cell_shape()``."""
+        if self.n > self.m:
+            raise PreconditionError(f"vol requires n <= m, got {self.n} > {self.m}")
         uniq = [c._unique_slopes for c in self.curves]
-        shapes = [u[0].shape[0] for u in uniq]
-        if int(np.prod(shapes)) > _MAX_LINEAR_COMBOS:
-            raise NumericalFailure("cell volume table too large")
-        vols = np.empty(shapes)
-        it = np.nditer(vols, flags=["multi_index"], op_flags=["writeonly"])
-        while not it.finished:
-            combo = it.multi_index
-            cols = np.stack([uniq[d][0][combo[d]] for d in range(self.n)], axis=1)
-            it[0] = vol_matrix(cols) * self._det_coord
-            it.iternext()
-        return vols, [u[1] for u in uniq]
+        vols = np.prod(np.linalg.svd(self.distinct_linears(), compute_uv=False), axis=-1)
+        return vols.reshape([u.shape[0] for u, _ in uniq])[np.ix_(*[i for _, i in uniq])]
 
     def continuity_defect(self, samples: int = 64, seed: int = 0) -> float:
         """Largest jump across interior facets, probed at paired points."""
@@ -344,7 +328,6 @@ class PiecewiseAffineMap:
                 base = np.array([c.breakpoints[0] * (1 - s) + c.breakpoints[-1] * s
                                  for c, s in zip(self.curves, ts)])
                 base[d] = t_star
-                x = self.basis @ base
                 h = 1e-9 * max(1.0, abs(t_star))
                 lo = base.copy()
                 lo[d] = t_star - h
@@ -353,7 +336,6 @@ class PiecewiseAffineMap:
                 v_lo = self.eval_many((self.basis @ lo)[None, :])[0]
                 v_hi = self.eval_many((self.basis @ hi)[None, :])[0]
                 worst = max(worst, float(np.max(np.abs(v_hi - v_lo))) )
-                _ = x
         return worst
 
     def to_json(self) -> dict:

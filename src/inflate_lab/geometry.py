@@ -138,8 +138,3 @@ def domain_measure(domain) -> float:
 def domain_box(domain) -> np.ndarray:
     d = as_domain(domain)
     return d.box if isinstance(d, GridSubset) else d
-
-
-def domain_overlap(domain, box) -> float:
-    d = as_domain(domain)
-    return d.overlap(box) if isinstance(d, GridSubset) else box_overlap(d, box)

@@ -18,11 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normed_space as ns
-from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, inflate_on_set,
-                            pa_from_axis_slopes)
+from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, batch_call,
+                            inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
-from .geometry import (GridSubset, as_box, domain_box,
-                       domain_measure, domain_overlap, sample_box)
+from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
+                       sample_box)
 from .linear_analysis import LinearMap, operator_norm, vol_matrix
 from .maximal_volume import max_volume
 from .seeding import rng_for
@@ -40,12 +40,6 @@ class MeasureReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _call_batch(g, xs: np.ndarray) -> np.ndarray:
-    if hasattr(g, "eval_many"):
-        return np.asarray(g.eval_many(xs), dtype=float)
-    return np.asarray(g(xs), dtype=float)
 
 
 # -- Lipschitz estimation ----------------------------------------------------
@@ -86,7 +80,7 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
     ys = np.concatenate([ys, near], axis=0)
     da = ns._eval_many(a, xs - ys)
     keep = da > 1e-14
-    quot = ns._eval_many(b, _call_batch(fbatch, xs[keep]) - _call_batch(fbatch, ys[keep])) / da[keep]
+    quot = ns._eval_many(b, batch_call(fbatch, xs[keep]) - batch_call(fbatch, ys[keep])) / da[keep]
     sampled = float(np.max(quot)) if quot.size else 0.0
 
     exact = None
@@ -104,33 +98,52 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
     )
 
 
-# -- Jacobian integral -------------------------------------------------------
+# -- cell-measure integrals --------------------------------------------------
 
 
-def _pa_jacobian_over(pam: PiecewiseAffineMap, E) -> float:
-    if pam.constant_cell_vol is not None:
-        return pam.constant_cell_vol * domain_overlap(E, pam.domain)
-    if not pam.identity_basis:
-        raise PreconditionError(
-            "exact Jacobian integrals need identity basis or constant cell volume")
-    vols, _ = pam.cell_vol_table()
-    # vols is indexed by unique-slope combos; expand to per-segment grids
-    idx = [c._unique_slopes[1] for c in pam.curves]
-    full = vols[np.ix_(*idx)]
+def _cell_measure_sum(g, E, weight: Callable, what: str) -> float:
+    """Exact sum over cells of weight(cell vol) times the cell's measure inside E.
+
+    For glued maps only the inflated cores are summed; the blend bands,
+    where the map is not piecewise affine, contribute zero.
+    """
+    boxes = [cell for _, cell in E.cells()] if isinstance(E, GridSubset) else [as_box(E)]
+    if isinstance(g, PiecewiseAffineMap):
+        parts = [(g, boxes)]
+    elif isinstance(g, GluedMap):
+        parts = []
+        for core, piece in g.pieces():
+            if not isinstance(piece, PiecewiseAffineMap):
+                raise PreconditionError("glued map pieces must be piecewise affine")
+            core_box = as_box(core)
+            clipped = []
+            for box in boxes:
+                lo = np.maximum(box[:, 0], core_box[:, 0])
+                hi = np.minimum(box[:, 1], core_box[:, 1])
+                if np.all(hi > lo):
+                    clipped.append(np.stack([lo, hi], axis=1))
+            if clipped:
+                parts.append((piece, clipped))
+    else:
+        raise PreconditionError(f"{what} needs a piecewise-affine or glued map")
     total = 0.0
-    targets = [E] if not isinstance(E, GridSubset) else [cell for _, cell in E.cells()]
-    for target in targets:
-        tbox = as_box(target)
-        lens = []
-        for d, curve in enumerate(pam.curves):
-            b = curve.breakpoints
-            lo = np.maximum(b[:-1], tbox[d, 0])
-            hi = np.minimum(b[1:], tbox[d, 1])
-            lens.append(np.clip(hi - lo, 0.0, None))
-        weight = lens[0]
-        for extra in lens[1:]:
-            weight = np.multiply.outer(weight, extra)
-        total += float(np.sum(full * weight))
+    for pam, pam_boxes in parts:
+        if pam.constant_cell_vol is not None:
+            overlap = sum(box_overlap(box, pam.domain) for box in pam_boxes)
+            total += weight(pam.constant_cell_vol) * overlap
+            continue
+        if not pam.identity_basis:
+            raise PreconditionError(
+                f"exact {what} needs identity basis or constant cell volume")
+        weights = weight(pam.cell_vol_table())
+        for box in pam_boxes:
+            measure = 1.0
+            for d, curve in enumerate(pam.curves):
+                b = curve.breakpoints
+                lo = np.maximum(b[:-1], box[d, 0])
+                hi = np.minimum(b[1:], box[d, 1])
+                measure = np.multiply.outer(measure, np.clip(hi - lo, 0.0, None))
+            total += float(np.sum(weights * measure))
     return total
 
 
@@ -142,30 +155,7 @@ def jacobian_integral(g, E) -> MeasureReport:
     the value is a certified lower bound there; for plain
     piecewise-affine maps it is the exact integral.
     """
-    if isinstance(g, PiecewiseAffineMap):
-        value = _pa_jacobian_over(g, E)
-    elif isinstance(g, GluedMap):
-        value = 0.0
-        for core, piece in g.pieces():
-            if not isinstance(piece, PiecewiseAffineMap):
-                raise PreconditionError("glued map pieces must be piecewise affine")
-            core_box = as_box(core)
-            if isinstance(E, GridSubset):
-                sub_total = 0.0
-                for _, cell in E.cells():
-                    lo = np.maximum(cell[:, 0], core_box[:, 0])
-                    hi = np.minimum(cell[:, 1], core_box[:, 1])
-                    if np.all(hi > lo):
-                        sub_total += _pa_jacobian_over(piece, np.stack([lo, hi], axis=1))
-                value += sub_total
-            else:
-                e_box = as_box(E)
-                lo = np.maximum(e_box[:, 0], core_box[:, 0])
-                hi = np.minimum(e_box[:, 1], core_box[:, 1])
-                if np.all(hi > lo):
-                    value += _pa_jacobian_over(piece, np.stack([lo, hi], axis=1))
-    else:
-        raise PreconditionError("jacobian_integral needs a piecewise-affine or glued map")
+    value = _cell_measure_sum(g, E, lambda vol: vol, "jacobian_integral")
     return MeasureReport(
         quantity="jacobian_integral",
         value=float(value),
@@ -173,9 +163,6 @@ def jacobian_integral(g, E) -> MeasureReport:
         seed=0,
         error_bound=0.0,
     )
-
-
-# -- superlevel fraction -----------------------------------------------------
 
 
 def superlevel_fraction(g, E, r: float) -> MeasureReport:
@@ -186,51 +173,7 @@ def superlevel_fraction(g, E, r: float) -> MeasureReport:
     total = domain_measure(E)
     if total <= 0:
         raise PreconditionError("superlevel fraction needs a positive-measure set")
-
-    def pa_super_measure(pam: PiecewiseAffineMap, target) -> float:
-        if pam.constant_cell_vol is not None:
-            return domain_overlap(target, pam.domain) if pam.constant_cell_vol >= r else 0.0
-        if not pam.identity_basis:
-            raise PreconditionError("exact superlevel needs identity basis or constant volume")
-        vols, _ = pam.cell_vol_table()
-        idx = [c._unique_slopes[1] for c in pam.curves]
-        full = vols[np.ix_(*idx)] >= r
-        boxes = [target] if not isinstance(target, GridSubset) else [c for _, c in target.cells()]
-        acc = 0.0
-        for tb in boxes:
-            tbox = as_box(tb)
-            lens = []
-            for d, curve in enumerate(pam.curves):
-                bb = curve.breakpoints
-                lo = np.maximum(bb[:-1], tbox[d, 0])
-                hi = np.minimum(bb[1:], tbox[d, 1])
-                lens.append(np.clip(hi - lo, 0.0, None))
-            weight = lens[0]
-            for extra in lens[1:]:
-                weight = np.multiply.outer(weight, extra)
-            acc += float(np.sum(full * weight))
-        return acc
-
-    if isinstance(g, PiecewiseAffineMap):
-        meas = pa_super_measure(g, E)
-    elif isinstance(g, GluedMap):
-        meas = 0.0
-        for core, piece in g.pieces():
-            core_box = as_box(core)
-            if isinstance(E, GridSubset):
-                for _, cell in E.cells():
-                    lo = np.maximum(cell[:, 0], core_box[:, 0])
-                    hi = np.minimum(cell[:, 1], core_box[:, 1])
-                    if np.all(hi > lo):
-                        meas += pa_super_measure(piece, np.stack([lo, hi], axis=1))
-            else:
-                e_box = as_box(E)
-                lo = np.maximum(e_box[:, 0], core_box[:, 0])
-                hi = np.minimum(e_box[:, 1], core_box[:, 1])
-                if np.all(hi > lo):
-                    meas += pa_super_measure(piece, np.stack([lo, hi], axis=1))
-    else:
-        raise PreconditionError("superlevel_fraction needs a piecewise-affine or glued map")
+    meas = _cell_measure_sum(g, E, lambda vol: vol >= r, "superlevel_fraction")
     return MeasureReport(
         quantity="superlevel_fraction",
         value=float(meas / total),
@@ -246,17 +189,21 @@ def superlevel_fraction(g, E, r: float) -> MeasureReport:
 _CALIBRATION_CACHE: dict = {}
 
 
-def _box_keys(points: np.ndarray, box_size: float) -> np.ndarray:
-    d = points.shape[1]
+def _pack_keys(idx: np.ndarray) -> np.ndarray:
+    """One int64 key per row of integer box indices, by shift-and-or."""
+    d = idx.shape[1]
     bits = 63 // d
     off = 1 << (bits - 1)
-    idx = np.floor(points / box_size).astype(np.int64)
     if np.any(np.abs(idx) >= off - 1):
         raise NumericalFailure("box-count guard: image extends too far for this box size")
     key = idx[:, 0] + off
     for j in range(1, d):
         key = (key << bits) | (idx[:, j] + off)
     return key
+
+
+def _box_keys(points: np.ndarray, box_size: float) -> np.ndarray:
+    return _pack_keys(np.floor(points / box_size).astype(np.int64))
 
 
 def _direction_factor(cols: np.ndarray) -> float:
@@ -381,15 +328,7 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
             idx_cols[coord] = new_idx
             intervals[coord] = (new_idx * s, new_idx * s + s)
 
-    stack = np.stack([idx_cols[c] for c in range(m)], axis=1)
-    bits = 63 // m
-    offset = 1 << (bits - 1)
-    if np.any(np.abs(stack) >= offset - 1):
-        raise NumericalFailure("box-count guard: image extends too far for this box size")
-    key = stack[:, 0] + offset
-    for j in range(1, m):
-        key = (key << bits) | (stack[:, j] + offset)
-    return np.unique(key)
+    return np.unique(_pack_keys(np.stack([idx_cols[c] for c in range(m)], axis=1)))
 
 
 def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float,
@@ -507,8 +446,6 @@ def _calibration(n: int, m: int, box_size: float) -> float:
     key = (n, m, round(box_size, 12))
     if key in _CALIBRATION_CACHE:
         return _CALIBRATION_CACHE[key]
-    from .constructions import pa_from_axis_slopes
-
     embed = np.zeros((m, n))
     embed[:n, :n] = np.eye(n)
     box = np.stack([np.zeros(n), np.ones(n)], axis=1)
@@ -577,7 +514,7 @@ def _cloud_boxcount(fbatch: Callable, box: np.ndarray, n: int, m: int,
     fn = _as_batch(fbatch, n)
     seen = []
     if n == 1:
-        img = _call_batch(fn, axes[0][:, None])
+        img = batch_call(fn, axes[0][:, None])
         seen.append(np.unique(_box_keys(img, box_size)))
     else:
         rest = np.meshgrid(*axes[1:], indexing="ij")
@@ -588,7 +525,7 @@ def _cloud_boxcount(fbatch: Callable, box: np.ndarray, n: int, m: int,
             pts = np.concatenate(
                 [np.repeat(block, rest.shape[0])[:, None],
                  np.tile(rest, (block.shape[0], 1))], axis=1)
-            seen.append(np.unique(_box_keys(_call_batch(fn, pts), box_size)))
+            seen.append(np.unique(_box_keys(batch_call(fn, pts), box_size)))
     count = np.unique(np.concatenate(seen)).size
     return count * box_size ** n
 
@@ -599,8 +536,8 @@ def _quick_lip(g, box, seed, pairs: int = 300) -> float:
     ys = sample_box(box, pairs, rng)
     d = np.linalg.norm(xs - ys, axis=1)
     keep = d > 1e-12
-    fx = _call_batch(g, xs[keep])
-    fy = _call_batch(g, ys[keep])
+    fx = batch_call(g, xs[keep])
+    fy = batch_call(g, ys[keep])
     return float(np.max(np.linalg.norm(fx - fy, axis=1) / d[keep])) if np.any(keep) else 1.0
 
 
@@ -630,7 +567,7 @@ def coverage_check(g, radius: float, target_radius: float, grid: float,
     theta = np.linspace(0.0, 2.0 * math.pi, 4 * count, endpoint=False)
     ring = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = np.concatenate([pts, ring], axis=0)
-    img = _call_batch(_as_batch(g, 2), pts)
+    img = batch_call(_as_batch(g, 2), pts)
     if img.shape[1] != 2:
         raise PreconditionError("coverage_check is planar: map must land in R^2")
     img_keys = np.unique(_box_keys(img, grid))
@@ -639,15 +576,11 @@ def coverage_check(g, radius: float, target_radius: float, grid: float,
     TX, TY = np.meshgrid(t_ax, t_ax, indexing="ij")
     targets = np.stack([TX.ravel(), TY.ravel()], axis=1)
     targets = targets[np.linalg.norm(targets, axis=1) <= target_radius]
-    bits = 63 // 2
     covered = np.zeros(targets.shape[0], dtype=bool)
     base_idx = np.floor(targets / grid).astype(np.int64)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            idx = base_idx + np.array([dx, dy])
-            off = 1 << (bits - 1)
-            key = ((idx[:, 0] + off) << bits) | (idx[:, 1] + off)
-            covered |= np.isin(key, img_keys)
+            covered |= np.isin(_pack_keys(base_idx + np.array([dx, dy])), img_keys)
     return MeasureReport(
         quantity="coverage_ratio",
         value=float(np.mean(covered)) if targets.size else 1.0,
