@@ -122,8 +122,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     if len_a == 0.0:
         # A = 0: triangle wave; each half-mesh climbs half * |u| <= 0.9 eps
         h = 0.9 * eps / len_u
-        meshes = max(1, math.ceil(span / (2.0 * h)))
-        _guard_segments(2 * meshes)
+        meshes = _guard_segments(span, 2.0 * h)
         half = span / (2.0 * meshes)
         breaks = lo + np.arange(2 * meshes + 1) * half
         breaks[-1] = hi
@@ -144,28 +143,45 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         return ZigzagCurve(np.array([lo, hi]), np.array([sign]), u, anchor)
 
     h = 1.8 * eps * abs(kappa) / ((kappa * kappa - 1.0) * len_a)
-    meshes = max(1, math.ceil(span / h))
-    _guard_segments(2 * meshes)
+    meshes = _guard_segments(span, h)
     h = span / meshes
     alpha = h * (kappa + 1.0) / (2.0 * kappa)
-    breaks = [lo]
-    signs = []
-    for j in range(meshes):
-        start = lo + j * h
-        end = hi if j == meshes - 1 else start + h
-        turn = start + alpha
-        if turn > start + 1e-15 and turn < end - 1e-15:
-            breaks.extend([turn, end])
-            signs.extend([1.0, -1.0])
-        else:
-            breaks.append(end)
-            signs.append(1.0 if alpha >= h / 2 else -1.0)
-    return ZigzagCurve(np.asarray(breaks), np.asarray(signs), u, anchor)
+    # mesh j climbs from its start to the turn with +u, then returns to its
+    # end with -u; a turn within 1e-15 of either end drops the turn and the
+    # mesh becomes one segment with the sign of its longer half
+    starts = lo + np.arange(meshes) * h
+    ends = starts + h
+    ends[-1] = hi
+    turns = starts + alpha
+    inner = (turns > starts + 1e-15) & (turns < ends - 1e-15)
+    if inner.all():
+        breaks = np.empty(2 * meshes + 1)
+        breaks[0] = lo
+        breaks[1::2] = turns
+        breaks[2::2] = ends
+        return ZigzagCurve(breaks, np.tile([1.0, -1.0], meshes), u, anchor)
+    fallback = 1.0 if alpha >= h / 2 else -1.0
+    keep = np.ones((meshes, 2), dtype=bool)
+    keep[:, 0] = inner
+    signs = np.tile([1.0, -1.0], (meshes, 1))
+    signs[~inner, 1] = fallback
+    breaks = np.concatenate([[lo], np.stack([turns, ends], axis=1)[keep]])
+    return ZigzagCurve(breaks, signs[keep], u, anchor)
 
 
-def _guard_segments(count: int) -> None:
-    if count > _MAX_SEGMENTS:
-        raise NumericalFailure(f"zigzag resolution guard: {count} segments requested")
+def _guard_segments(span: float, h: float) -> int:
+    """Number of meshes of width about ``h`` that cover ``span``.
+
+    Raises NumericalFailure, before anything is allocated, when the mesh
+    width underflows or the zigzag would need more than _MAX_SEGMENTS
+    segments (two per mesh).
+    """
+    if not h > 0.0 or not math.isfinite(span / h):
+        raise NumericalFailure(f"zigzag resolution guard: mesh width {h} cannot cover span {span}")
+    meshes = max(1, math.ceil(span / h))
+    if 2 * meshes > _MAX_SEGMENTS:
+        raise NumericalFailure(f"zigzag resolution guard: {2 * meshes} segments requested")
+    return meshes
 
 
 # -- piecewise-affine maps ---------------------------------------------------
@@ -192,9 +208,12 @@ class CoordinateCurve:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        steps = self.slopes * np.diff(self.breakpoints)[:, None]
-        return np.concatenate([self.anchor[None, :],
-                               self.anchor[None, :] + np.cumsum(steps, axis=0)], axis=0)
+        v = np.empty((self.slopes.shape[0] + 1, self.slopes.shape[1]))
+        v[0] = self.anchor
+        np.multiply(self.slopes, np.diff(self.breakpoints)[:, None], out=v[1:])
+        np.cumsum(v[1:], axis=0, out=v[1:])
+        v[1:] += self.anchor
+        return v
 
     @cached_property
     def _unique_slopes(self):
@@ -260,7 +279,7 @@ class PiecewiseAffineMap:
 
     @property
     def identity_basis(self) -> bool:
-        return bool(np.allclose(self.basis, np.eye(self.n), atol=1e-14))
+        return bool(np.array_equal(self.basis, np.eye(self.n)))
 
     def t_coords(self, xs: np.ndarray) -> np.ndarray:
         return xs @ self.coord_map.T

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from inflate_lab import constructions as co
 from inflate_lab import linear_analysis as la
@@ -68,6 +69,114 @@ class TestZigzag:
             co.zigzag_curve(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, (0, 1))
         with pytest.raises(PreconditionError, match="not admissible"):
             co.zigzag_curve(np.array([1.0, 0.0]), np.array([0.5, 0.0]), 0.1, (0, 1))
+
+    @pytest.mark.parametrize("a, u, eps", [
+        ([0.0, 0.0], [1.0, 0.0], 1e-320),   # span / h overflows
+        ([0.0, 0.0], [1e300, 0.0], 1e-300),  # |u| overflows, so h is 0
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_mesh_width_underflow_is_typed(self, a, u, eps):
+        with pytest.raises(NumericalFailure, match="resolution guard"):
+            co.zigzag_curve(np.array(a), np.array(u), eps, (0.0, 1.0))
+
+    def test_guard_runs_before_allocation(self):
+        # about 4e7 meshes requested: the guard must trip before any array exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalFailure, match="resolution guard"):
+                co.zigzag_curve(np.array([0.5, 0.0]), np.array([1.0, 0.0]), 1e-8, (0.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def reference_zigzag(a_vec, u, eps, interval):
+    """zigzag_curve's former per-mesh loop, for Euclidean lengths and a_vec != 0.
+
+    Returns (breakpoints, segment_directions), or None where zigzag_curve's
+    segment guard trips.
+    """
+    a_vec = np.asarray(a_vec, dtype=float)
+    u = np.asarray(u, dtype=float)
+    lo, hi = float(interval[0]), float(interval[1])
+    len_a = float(np.linalg.norm(a_vec))
+    len_u = float(np.linalg.norm(u))
+    span = hi - lo
+    cos = float(a_vec @ u) / (np.linalg.norm(a_vec) * np.linalg.norm(u))
+    kappa = math.copysign(len_u / len_a, cos)
+    if abs(kappa) <= 1.0 + 1e-12 or span * (kappa * kappa - 1.0) * len_a / (2.0 * abs(kappa)) <= 0.9 * eps:
+        return np.array([lo, hi]), np.array([1.0 if kappa > 0 else -1.0])
+    h = 1.8 * eps * abs(kappa) / ((kappa * kappa - 1.0) * len_a)
+    meshes = max(1, math.ceil(span / h))
+    if 2 * meshes > co._MAX_SEGMENTS:
+        return None
+    h = span / meshes
+    alpha = h * (kappa + 1.0) / (2.0 * kappa)
+    breaks = [lo]
+    signs = []
+    for j in range(meshes):
+        start = lo + j * h
+        end = hi if j == meshes - 1 else start + h
+        turn = start + alpha
+        if turn > start + 1e-15 and turn < end - 1e-15:
+            breaks.extend([turn, end])
+            signs.extend([1.0, -1.0])
+        else:
+            breaks.append(end)
+            signs.append(1.0 if alpha >= h / 2 else -1.0)
+    return np.asarray(breaks), np.asarray(signs)
+
+
+def assert_matches_reference(a, u, eps, interval):
+    expected = reference_zigzag(a, u, eps, interval)
+    if expected is None:
+        with pytest.raises(NumericalFailure, match="resolution guard"):
+            co.zigzag_curve(a, u, eps, interval)
+        return None
+    z = co.zigzag_curve(a, u, eps, interval)
+    assert z.breakpoints.tobytes() == expected[0].tobytes()
+    assert z.segment_directions.tobytes() == expected[1].tobytes()
+    return z
+
+
+class TestZigzagOracle:
+    @given(a=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+           log_excess=st.floats(-12.0, 1.0), sign=st.sampled_from([-1.0, 1.0]),
+           log_eps=st.floats(-15.0, 0.0), lo=st.floats(-5.0, 5.0),
+           log_width=st.floats(-3.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_loop(self, a, log_excess, sign, log_eps, lo, log_width):
+        a = np.array(a)
+        assume(np.linalg.norm(a) > 1e-3)
+        kappa = sign * (1.0 + 10.0 ** log_excess)
+        assert_matches_reference(a, kappa * a, 10.0 ** log_eps, (lo, lo + 10.0 ** log_width))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_turns_at_mesh_ends_drop(self, sign):
+        # every turn lies within 1e-15 of a mesh end: one segment per mesh
+        a = np.array([1.0, 0.0])
+        z = assert_matches_reference(a, sign * (1.0 + 1e-11) * a, 1e-15, (0.0, 1.0))
+        assert len(z.segment_directions) == 11112
+        assert np.all(z.segment_directions == sign)
+
+    def test_some_turns_drop(self):
+        z = assert_matches_reference(np.array([1.0]), np.array([-1.000000000006722]),
+                                     2.7129219529829726e-15,
+                                     (0.14495879772967157, 1.1026317974327937))
+        signs = z.segment_directions
+        assert 0 < np.sum(signs > 0) < np.sum(signs < 0)
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (7, 3), (1000, 2)])
+    def test_coordinate_values_bit_identical(self, rng, k, m):
+        breaks = np.cumsum(rng.uniform(0.01, 1.0, k + 1)) - 3.0
+        slopes = rng.normal(size=(k, m))
+        anchor = rng.normal(size=m)
+        curve = co.CoordinateCurve(breaks, slopes, anchor)
+        steps = slopes * np.diff(breaks)[:, None]
+        expected = np.concatenate([anchor[None, :], anchor[None, :] + np.cumsum(steps, axis=0)],
+                                  axis=0)
+        assert curve._values.tobytes() == expected.tobytes()
 
 
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])

@@ -131,6 +131,24 @@ class TestGluedIntegrals:
                 for cell in cells), rel=1e-12)
 
 
+@pytest.mark.parametrize("integral", [
+    ml.jacobian_integral,
+    lambda g, E: ml.superlevel_fraction(g, E, 0.5),
+], ids=["jacobian_integral", "superlevel_fraction"])
+@pytest.mark.parametrize("stretch", [5e-6, 1e-13])
+def test_near_identity_basis_rejected(integral, stretch):
+    # cells live in t = basis^-1 x; only the exact identity lets them be measured in x
+    breaks = np.array([0.0, 0.5, 1.0])
+    s1 = np.array([[1.0, 0.0], [1.0, 0.0]])
+    s2 = np.array([[0.0, 1.0], [0.0, 2.0]])
+    pam = co.pa_from_axis_slopes(UNIT, [breaks, breaks], [s1, s2],
+                                 [np.zeros(2), np.zeros(2)], np.zeros(2),
+                                 ns.euclidean(2), ns.euclidean(2),
+                                 basis=np.diag([1.0 + stretch, 1.0]))
+    with pytest.raises(PreconditionError, match="identity basis"):
+        integral(pam, UNIT)
+
+
 class TestSuperlevel:
     def test_all_cells_at_one(self):
         rep = ml.superlevel_fraction(pa_identity(UNIT), UNIT, 0.5)
