@@ -153,20 +153,18 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     ends = starts + h
     ends[-1] = hi
     turns = starts + alpha
+    breaks = np.empty(2 * meshes + 1)
+    breaks[0] = lo
+    breaks[1::2] = turns
+    breaks[2::2] = ends
+    signs = np.tile([1.0, -1.0], meshes)
     inner = (turns > starts + 1e-15) & (turns < ends - 1e-15)
-    if inner.all():
-        breaks = np.empty(2 * meshes + 1)
-        breaks[0] = lo
-        breaks[1::2] = turns
-        breaks[2::2] = ends
-        return ZigzagCurve(breaks, np.tile([1.0, -1.0], meshes), u, anchor)
-    fallback = 1.0 if alpha >= h / 2 else -1.0
-    keep = np.ones((meshes, 2), dtype=bool)
-    keep[:, 0] = inner
-    signs = np.tile([1.0, -1.0], (meshes, 1))
-    signs[~inner, 1] = fallback
-    breaks = np.concatenate([[lo], np.stack([turns, ends], axis=1)[keep]])
-    return ZigzagCurve(breaks, signs[keep], u, anchor)
+    drop = np.flatnonzero(~inner)
+    if drop.size:
+        signs[2 * drop + 1] = 1.0 if alpha >= h / 2 else -1.0
+        breaks = np.delete(breaks, 2 * drop + 1)
+        signs = np.delete(signs, 2 * drop)
+    return ZigzagCurve(breaks, signs, u, anchor)
 
 
 def _guard_segments(span: float, h: float) -> int:
@@ -208,12 +206,9 @@ class CoordinateCurve:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        v = np.empty((self.slopes.shape[0] + 1, self.slopes.shape[1]))
-        v[0] = self.anchor
-        np.multiply(self.slopes, np.diff(self.breakpoints)[:, None], out=v[1:])
-        np.cumsum(v[1:], axis=0, out=v[1:])
-        v[1:] += self.anchor
-        return v
+        steps = self.slopes * np.diff(self.breakpoints)[:, None]
+        return np.concatenate([self.anchor[None, :],
+                               self.anchor[None, :] + np.cumsum(steps, axis=0)], axis=0)
 
     @cached_property
     def _unique_slopes(self):

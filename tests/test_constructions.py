@@ -167,17 +167,6 @@ class TestZigzagOracle:
         signs = z.segment_directions
         assert 0 < np.sum(signs > 0) < np.sum(signs < 0)
 
-    @pytest.mark.parametrize("k, m", [(1, 1), (7, 3), (1000, 2)])
-    def test_coordinate_values_bit_identical(self, rng, k, m):
-        breaks = np.cumsum(rng.uniform(0.01, 1.0, k + 1)) - 3.0
-        slopes = rng.normal(size=(k, m))
-        anchor = rng.normal(size=m)
-        curve = co.CoordinateCurve(breaks, slopes, anchor)
-        steps = slopes * np.diff(breaks)[:, None]
-        expected = np.concatenate([anchor[None, :], anchor[None, :] + np.cumsum(steps, axis=0)],
-                                  axis=0)
-        assert curve._values.tobytes() == expected.tobytes()
-
 
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 
