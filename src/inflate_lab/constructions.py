@@ -34,8 +34,8 @@ from .errors import DimensionMismatch, NumericalFailure, PreconditionError
 from .geometry import (GridSubset, as_box, box_overlap, domain_box,
                        domain_measure, sample_box, shrink_box)
 from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
-                              operator_norm, verify_certificate, vol_matrix,
-                              euclidean_inflation, inflation_search, _is_euclidean)
+                              operator_norm, operator_norm_report, verify_certificate,
+                              vol_matrix, euclidean_inflation, inflation_search, _is_euclidean)
 from .seeding import rng_for
 
 _MAX_SEGMENTS = 2_000_000
@@ -129,8 +129,13 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         signs = np.tile([1.0, -1.0], meshes)
         return ZigzagCurve(breaks, signs, u, np.zeros_like(u))
 
-    cos = float(a_vec @ u) / (np.linalg.norm(a_vec) * np.linalg.norm(u))
-    if abs(abs(cos) - 1.0) > 1e-9:
+    if not (math.isfinite(len_a) and math.isfinite(len_u)):
+        raise PreconditionError(f"lengths must be finite: |A(1)| = {len_a}, |u| = {len_u}")
+    # scaled copies keep the dot product and norms from overflowing
+    a_dir = a_vec / np.max(np.abs(a_vec))
+    u_dir = u / np.max(np.abs(u))
+    cos = float(a_dir @ u_dir) / (np.linalg.norm(a_dir) * np.linalg.norm(u_dir))
+    if not abs(abs(cos) - 1.0) <= 1e-9:
         raise PreconditionError("direction not admissible: u is not parallel to A(1)")
     kappa = math.copysign(len_u / len_a, cos)
     if abs(kappa) < 1.0 - 1e-12:
@@ -185,6 +190,12 @@ def _guard_segments(span: float, h: float) -> int:
 # -- piecewise-affine maps ---------------------------------------------------
 
 
+def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Values of a continuous piecewise-affine curve at its breakpoints, shape (K+1, m)."""
+    steps = slopes * np.diff(breaks)[:, None]
+    return np.concatenate([anchor[None, :], anchor[None, :] + np.cumsum(steps, axis=0)], axis=0)
+
+
 @dataclass(frozen=True)
 class CoordinateCurve:
     """Continuous piecewise-affine curve R -> R^m with arbitrary per-segment slopes."""
@@ -206,9 +217,7 @@ class CoordinateCurve:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        steps = self.slopes * np.diff(self.breakpoints)[:, None]
-        return np.concatenate([self.anchor[None, :],
-                               self.anchor[None, :] + np.cumsum(steps, axis=0)], axis=0)
+        return _node_values(self.breakpoints, self.slopes, self.anchor)
 
     @cached_property
     def _unique_slopes(self):
@@ -315,10 +324,8 @@ class PiecewiseAffineMap:
 
     def exact_lipschitz(self) -> float:
         """Largest cell operator norm: the exact Lipschitz constant of the map."""
-        return max(
-            operator_norm(LinearMap(M, self.domain_norm, self.codomain_norm))
-            for M in self.distinct_linears()
-        )
+        report = operator_norm_report(self.distinct_linears(), self.domain_norm, self.codomain_norm)
+        return float(np.max(report.values))
 
     def cell_vol_table(self) -> np.ndarray:
         """Volume of the differential on every cell, shape ``cell_shape()``."""

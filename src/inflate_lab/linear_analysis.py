@@ -95,9 +95,8 @@ def is_full_rank(A, rtol: float = RANK_RTOL) -> bool:
 
 @dataclass(frozen=True)
 class OperatorNormReport:
-    value: float
+    values: np.ndarray  # one norm per matrix of the stack
     exact: bool
-    gap: float  # upper bound minus value; 0 for exact paths
 
 
 def _is_euclidean(norm: ns.Norm) -> bool:
@@ -116,36 +115,38 @@ def _unwrap_transforms(A: np.ndarray, a: ns.Norm, b: ns.Norm):
     return A, a, b
 
 
-def operator_norm_report(map: LinearMap, samples: int = 256, seed: int = 0) -> OperatorNormReport:
-    """sup over the unit ball of |A x|_b.
+def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport:
+    """sup over the unit ball of |A x|_b for every A of a (k, m, n) stack.
 
     Exact when the domain ball is a polytope (maximum over its finitely
     many vertices, since x -> |A x|_b is convex) and when both norms are
     Euclidean (largest singular value).  Otherwise a multi-start
-    maximization over the unit sphere returns a certified lower bound
-    together with a crude upper-bound gap.
+    maximization over the unit sphere returns a lower bound per matrix.
     """
-    A, a, b = _unwrap_transforms(map.matrix, map.domain_norm, map.codomain_norm)
+    As = np.asarray(matrices, dtype=float)
+    if As.ndim != 3 or As.shape[1:] != (b.dim, a.dim):
+        raise DimensionMismatch(f"expected a (k, {b.dim}, {a.dim}) stack, got {As.shape}")
+    if not np.all(np.isfinite(As)):
+        raise PreconditionError("matrix entries must be finite")
+    As, a, b = _unwrap_transforms(As, a, b)
     verts = ns.ball_vertices(a)
     if verts is not None:
-        values = ns._eval_many(b, verts @ A.T)
-        return OperatorNormReport(float(np.max(values)), True, 0.0)
+        images = np.matmul(verts, As.transpose(0, 2, 1))
+        values = ns._eval_many(b, images.reshape(-1, b.dim)).reshape(len(As), -1)
+        return OperatorNormReport(np.max(values, axis=1), True)
     if _is_euclidean(a) and _is_euclidean(b):
-        s = np.linalg.svd(A, compute_uv=False)
-        return OperatorNormReport(float(s[0]) if s.size else 0.0, True, 0.0)
-    value = _sampled_operator_norm(A, a, b, samples, seed)
-    upper = _operator_norm_upper(A, a, b)
-    return OperatorNormReport(value, False, max(0.0, upper - value))
+        return OperatorNormReport(np.linalg.svd(As, compute_uv=False)[:, 0], True)
+    return OperatorNormReport(np.array([_sampled_operator_norm(A, a, b) for A in As]), False)
 
 
 def operator_norm(map: LinearMap) -> float:
-    return operator_norm_report(map).value
+    return float(operator_norm_report(map.matrix[None], map.domain_norm, map.codomain_norm).values[0])
 
 
-def _sampled_operator_norm(A, a, b, samples: int, seed: int) -> float:
+def _sampled_operator_norm(A, a, b) -> float:
     n = A.shape[1]
-    rng = rng_for(seed, 7001)
-    dirs = rng.standard_normal((samples, n))
+    rng = rng_for(0, 7001)
+    dirs = rng.standard_normal((256, n))
     dirs = np.concatenate([dirs, np.eye(n), -np.eye(n)], axis=0)
     lens = ns._eval_many(a, dirs)
     dirs = dirs[lens > 0] / lens[lens > 0, None]
@@ -175,34 +176,6 @@ def _sampled_operator_norm(A, a, b, samples: int, seed: int) -> float:
             if step < 1e-12:
                 break
     return best
-
-
-def _operator_norm_upper(A, a, b) -> float:
-    # ||A||_{a->b} <= c_b * sigma_max(A) * c_a with c_a = sup_{|x|_a<=1} |x|_2
-    # and c_b = sup_{|y|_2<=1} |y|_b; crude but safe equivalence constants.
-    n, m = A.shape[1], A.shape[0]
-
-    def c_into_l2(norm, dim):
-        if norm.kind == "lp":
-            if norm.p >= 2:
-                return dim ** (0.5 - 1.0 / norm.p) if norm.p != math.inf else math.sqrt(dim)
-            return 1.0
-        if norm.kind == "polytopal":
-            return float(np.max(np.linalg.norm(norm._extreme_points, axis=1)))
-        return 1.0
-
-    def c_from_l2(norm, dim):
-        if norm.kind == "lp":
-            if norm.p <= 2:
-                return dim ** (1.0 / norm.p - 0.5)
-            return 1.0
-        if norm.kind == "polytopal":
-            A_f, c_f = norm._facets
-            return float(np.max(np.linalg.norm(A_f, axis=1) / c_f))
-        return 1.0
-
-    sigma = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
-    return c_from_l2(b, m) * sigma * c_into_l2(a, n)
 
 
 # -- sign permutations and certificates ----------------------------------
@@ -299,29 +272,25 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate,
     s = np.linalg.svd(U, compute_uv=False)
     if s[-1] <= RANK_RTOL * max(s[0], 1e-300):
         raise PreconditionError("eigenbasis is not linearly independent")
+    if map.n > map.m:
+        raise PreconditionError(f"vol requires n <= m, got {map.n} > {map.m}")
 
     eigen_ok = bool(np.all(np.abs(cert.eigenvalues) >= 1.0 - 1e-12))
     matrices = sign_matrices(map, cert)
-    signs = np.array(list(product((1.0, -1.0), repeat=cert.n)))
-    worst = 0.0
-    min_vol = math.inf
+    norms = operator_norm_report(matrices, map.domain_norm, map.codomain_norm).values
+    vols = np.prod(np.linalg.svd(matrices, compute_uv=False), axis=-1)
+    lam_floor = cert.lam - tol * max(1.0, abs(cert.lam))
+    worst = float(np.max(norms))
+    min_vol = float(np.min(vols))
+    bad = np.flatnonzero((norms > 1.0 + tol) | (vols < lam_floor))
     failing = None
-    for sign_row, M in zip(signs, matrices):
-        nrm = operator_norm(LinearMap(M, map.domain_norm, map.codomain_norm))
-        v = vol_matrix(M)
-        worst = max(worst, nrm)
-        min_vol = min(min_vol, v)
-        if failing is None and (nrm > 1.0 + tol or v < cert.lam - tol * max(1.0, abs(cert.lam))):
-            failing = tuple(int(x) for x in sign_row)
-    ok = (
-        eigen_ok
-        and worst <= 1.0 + tol
-        and min_vol >= cert.lam - tol * max(1.0, abs(cert.lam))
-    )
+    if bad.size:
+        failing = tuple(int(x) for x in sign_permutations(np.ones(cert.n))[bad[0]])
+    ok = eigen_ok and worst <= 1.0 + tol and min_vol >= lam_floor
     message = "ok" if ok else (
         "non-shrinking violated" if not eigen_ok else f"sign pattern {failing} fails"
     )
-    return VerificationReport(ok, worst, float(min_vol), eigen_ok, failing, message)
+    return VerificationReport(ok, worst, min_vol, eigen_ok, failing, message)
 
 
 def _certificate_for(map: LinearMap, X: np.ndarray, kappa: np.ndarray,
@@ -366,10 +335,8 @@ def euclidean_inflation(map: LinearMap, tol: float = VERIFY_TOL) -> InflationCer
 
 def _max_sign_norm(map: LinearMap, X: np.ndarray, kappa: np.ndarray) -> float:
     draft = InflationCertificate(X, kappa, 0.0, False, math.inf)
-    worst = 0.0
-    for M in sign_matrices(map, draft):
-        worst = max(worst, operator_norm(LinearMap(M, map.domain_norm, map.codomain_norm)))
-    return worst
+    matrices = sign_matrices(map, draft)
+    return float(np.max(operator_norm_report(matrices, map.domain_norm, map.codomain_norm).values))
 
 
 def inflation_search(map: LinearMap, lam: float, restarts: int = 64,

@@ -18,12 +18,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normed_space as ns
-from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, batch_call,
-                            inflate_on_set, pa_from_axis_slopes)
+from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, _node_values,
+                            batch_call, inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
 from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
                        sample_box)
-from .linear_analysis import LinearMap, operator_norm, vol_matrix
+from .linear_analysis import LinearMap, operator_norm, operator_norm_report, vol_matrix
 from .maximal_volume import max_volume
 from .seeding import rng_for
 
@@ -787,13 +787,8 @@ class _Separable:
         return anchors
 
     def node_values(self) -> list:
-        out = []
-        for d in range(self.n):
-            steps = self.slopes[d] * np.diff(self.breaks)[:, None]
-            vals = np.concatenate([np.zeros((1, self.m)), np.cumsum(steps, axis=0)], axis=0)
-            vals += self.anchors()[d][None, :]
-            out.append(vals)
-        return out
+        return [_node_values(self.breaks, s, anchor)
+                for s, anchor in zip(self.slopes, self.anchors())]
 
     def to_map(self, a: ns.Norm, b: ns.Norm) -> PiecewiseAffineMap:
         box = np.stack([-np.ones(self.n), np.ones(self.n)], axis=1)
@@ -854,12 +849,9 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
     def worst_norm(cand: _Separable) -> float:
         if fast_norms:
             return _cell_norms_linf_to_l2(cand.slopes)
-        worst = 0.0
-        for i in range(k):
-            for j in range(k):
-                M = np.stack([cand.slopes[0][i], cand.slopes[1][j]], axis=1)
-                worst = max(worst, operator_norm(LinearMap(M, a, b)))
-        return worst
+        cols = np.broadcast_arrays(cand.slopes[0][:, None, :], cand.slopes[1][None, :, :])
+        cells = np.stack(cols, axis=-1).reshape(k * k, m, 2)
+        return float(np.max(operator_norm_report(cells, a, b).values))
 
     def project(cand: _Separable) -> None:
         w = worst_norm(cand)

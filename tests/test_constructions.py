@@ -79,6 +79,17 @@ class TestZigzag:
         with pytest.raises(NumericalFailure, match="resolution guard"):
             co.zigzag_curve(np.array(a), np.array(u), eps, (0.0, 1.0))
 
+    def test_orthogonal_huge_vectors_rejected(self):
+        # a_vec @ u and the Euclidean norms overflow to inf and NaN unscaled
+        with pytest.raises(PreconditionError, match="not parallel"):
+            co.zigzag_curve(np.array([1e200, 1e200]), np.array([1e200, -1e200]), 0.1, (0.0, 1.0),
+                            vec_len=lambda v: float(np.max(np.abs(v))))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_infinite_length_is_typed(self):
+        with pytest.raises(PreconditionError, match="finite"):
+            co.zigzag_curve(np.array([1e200, 0.0]), np.array([3e200, 0.0]), 0.1, (0.0, 1.0))
+
     def test_guard_runs_before_allocation(self):
         # about 4e7 meshes requested: the guard must trip before any array exists
         tracemalloc.start()

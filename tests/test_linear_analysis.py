@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_contraction
 from inflate_lab import linear_analysis as la
@@ -88,15 +90,69 @@ class TestOperatorNorm:
 
     def test_sampled_path_reports_gap(self, rng):
         A = rng.standard_normal((2, 2)) * 0.3
-        m = la.linear_map(A, ns.lp(2, 3.0), ns.euclidean(2))
-        report = la.operator_norm_report(m)
+        report = la.operator_norm_report(A[None], ns.lp(2, 3.0), ns.euclidean(2))
         assert not report.exact
-        assert report.gap >= 0.0
         # lower bound property against dense sampling
         xs = rng.standard_normal((2000, 2))
         xs /= ns.eval_many(ns.lp(2, 3.0), xs)[:, None]
         dense = float(np.max(np.linalg.norm(xs @ A.T, axis=1)))
-        assert report.value >= dense - 1e-6
+        assert report.values[0] >= dense - 1e-6
+
+
+def reference_operator_norm_report(A, a, b):
+    """operator_norm_report's former one-matrix form: (value, exact)."""
+    while a.kind == "transformed" or b.kind == "transformed":
+        if a.kind == "transformed":
+            A, a = A @ a.W, a.base
+        if b.kind == "transformed":
+            A, b = b._W_inv @ A, b.base
+    verts = ns.ball_vertices(a)
+    if verts is not None:
+        return float(np.max(ns._eval_many(b, verts @ A.T))), True
+    if la._is_euclidean(a) and la._is_euclidean(b):
+        return float(np.linalg.svd(A, compute_uv=False)[0]), True
+    return la._sampled_operator_norm(A, a, b), False
+
+
+def _domain(kind, n):
+    if kind == "polytopal":
+        V = np.concatenate([np.eye(n), np.full((1, n), 0.7)])
+        return ns.polytopal(np.concatenate([V, -V]))
+    if kind == "transformed":
+        return ns.transformed(ns.linf(n), np.eye(n) + np.triu(np.ones((n, n)), 1))
+    return {"linf": ns.linf, "l1": ns.l1, "l2": ns.euclidean,
+            "lp3": lambda d: ns.lp(d, 3.0)}[kind](n)
+
+
+_CODOMAINS = {"l2": ns.euclidean, "linf": ns.linf, "l1": ns.l1}
+
+
+@st.composite
+def _stacks(draw):
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, 8))
+    As = draw(hnp.arrays(np.float64, (k, m, n), elements=st.floats(-3.0, 3.0)))
+    return As, n, m
+
+
+class TestOperatorNormStack:
+    @pytest.mark.parametrize("codomain", sorted(_CODOMAINS))
+    @pytest.mark.parametrize("domain", ["linf", "l1", "l2", "lp3", "polytopal", "transformed"])
+    @given(stack=_stacks())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_per_matrix_reference(self, domain, codomain, stack):
+        As, n, m = stack
+        a, b = _domain(domain, n), _CODOMAINS[codomain](m)
+        report = la.operator_norm_report(As, a, b)
+        expected = [reference_operator_norm_report(A, a, b) for A in As]
+        assert report.values.tobytes() == np.array([v for v, _ in expected]).tobytes()
+        assert all(report.exact is exact for _, exact in expected)
+
+    def test_non_finite_entry_rejected(self):
+        As = np.zeros((3, 2, 2))
+        As[1, 0, 1] = np.inf
+        with pytest.raises(PreconditionError, match="finite"):
+            la.operator_norm_report(As, ns.linf(2), ns.euclidean(2))
 
 
 class TestSignPermutations:
@@ -190,6 +246,32 @@ class TestVerifyCertificate:
                                        np.ones(2), 1.0, True, 1.0)
         with pytest.raises(PreconditionError):
             la.verify_certificate(m, cert)
+
+    def test_wide_map_rejected(self):
+        m = eucl_map([[0.5, 0.5]])
+        cert = la.InflationCertificate(np.eye(2), np.ones(2), 0.0, True, 1.0)
+        with pytest.raises(PreconditionError, match="n <= m"):
+            la.verify_certificate(m, cert)
+
+    def test_matches_per_pattern_loop(self, rng):
+        # unit eigenvalues: the identity pattern passes and flipped ones may fail
+        a, b = ns.linf(2), ns.euclidean(3)
+        outcomes = set()
+        for _ in range(20):
+            A = rng.standard_normal((3, 2))
+            m = la.linear_map(A / la.operator_norm(la.linear_map(A, a, b)), a, b)
+            cert = la.InflationCertificate(rng.standard_normal((2, 2)), np.ones(2), 0.0, True, 1.0)
+            report = la.verify_certificate(m, cert)
+            matrices = la.sign_matrices(m, cert)
+            norms = [la.operator_norm(la.linear_map(M, a, b)) for M in matrices]
+            vols = [la.vol_matrix(M) for M in matrices]
+            fails = [s for s, nrm, v in zip(la.sign_permutations(np.ones(2)), norms, vols)
+                     if nrm > 1.0 + la.VERIFY_TOL or v < -la.VERIFY_TOL]
+            assert report.failing_sign == (tuple(int(x) for x in fails[0]) if fails else None)
+            assert report.worst_sign_norm == max(norms)
+            assert report.min_vol == min(vols)
+            outcomes.add(report.failing_sign)
+        assert len(outcomes) > 1
 
     def test_sign_flip_volume_consistency(self, rng):
         for _ in range(5):

@@ -301,6 +301,17 @@ class TestExperiments:
         for rec in report["records"]:
             assert rec["superlevel_fraction"] >= 0.8
 
+    @pytest.mark.parametrize("codomain", ["linf", "euclidean"])
+    def test_adversary_off_the_closed_form(self, codomain):
+        # an l1 domain sends every worst-cell norm through operator_norm_report
+        config = ml.NegativeConfig(
+            u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(0.25, 0.0625), seed=3,
+            domain_kind="l1", codomain_kind=codomain, restarts=3, steps=40)
+        report = ml.run_negative_experiment(config)
+        for rec in report["records"]:
+            assert rec["lip_exact"] <= 1.0 + 1e-9
+            assert rec["sup_dist"] <= rec["eps"] + 1e-9
+
     def test_csv_round_trip(self, tmp_path):
         config = ml.PositiveConfig(
             box=BOX, m=3, f={"kind": "zero"}, eta=0.3, lam=1.0,
