@@ -28,6 +28,7 @@ from .maximal_volume import max_volume
 from .seeding import rng_for
 
 _MAX_CLOUD_POINTS = 60_000_000
+_MAX_RASTER_BOXES = 120_000_000
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,7 @@ def superlevel_fraction(g, E, r: float) -> MeasureReport:
 # -- box-counting image measure ----------------------------------------------
 
 
+# read by nothing here; perfbench/tests/test_perfbench.py still clears it by name
 _CALIBRATION_CACHE: dict = {}
 
 
@@ -202,8 +204,31 @@ def _pack_keys(idx: np.ndarray) -> np.ndarray:
     return key
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys, byte for byte np.unique(keys), by sort and neighbour compare.
+
+    numpy 2's plain np.unique on int64 takes a hash-table path several
+    times slower than a sort; every box-key path goes through here instead.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _box_keys(points: np.ndarray, box_size: float) -> np.ndarray:
     return _pack_keys(np.floor(points / box_size).astype(np.int64))
+
+
+def _raster_columns(lo_x: float, hi_x: float, s: float) -> np.ndarray:
+    """Column indices floor(lo_x / s) .. floor(hi_x / s), guarded before allocating."""
+    a, b = lo_x / s, hi_x / s
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericalFailure("box-count raster guard: footprint too large")
+    u_lo, u_hi = math.floor(a), math.floor(b)
+    if u_hi - u_lo + 1 > _MAX_RASTER_BOXES:
+        raise NumericalFailure("box-count raster guard: footprint too large")
+    return np.arange(u_lo, u_hi + 1)
 
 
 def _direction_factor(cols: np.ndarray) -> float:
@@ -249,9 +274,7 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
                               [tbox[0, 1], tbox[1, 1]], [tbox[0, 0], tbox[1, 1]]])
         corners = corners_t @ cols.T + off
         quad = corners[:, list(fp)]
-        u_lo = int(np.floor(quad[:, 0].min() / s))
-        u_hi = int(np.floor(quad[:, 0].max() / s))
-        us = np.arange(u_lo, u_hi + 1)
+        us = _raster_columns(quad[:, 0].min(), quad[:, 0].max(), s)
         xa = us * s
         xb = xa + s
         vmin = np.full(us.shape, np.inf)
@@ -278,7 +301,7 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
         v_hi = np.floor(vmax / s).astype(np.int64)
         counts = v_hi - v_lo + 1
         total = int(counts.sum())
-        if total > 120_000_000:
+        if total > _MAX_RASTER_BOXES:
             raise NumericalFailure("box-count raster guard: footprint too large")
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         col_v = v_lo.repeat(counts) + (np.arange(total) - np.repeat(starts, counts))
@@ -290,8 +313,7 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
         p = int(np.argmax(np.abs(cols[:, 0])))
         ends = np.array([tbox[0, 0], tbox[0, 1]])[:, None] * cols[:, 0][None, :] + off
         lo_x, hi_x = float(ends[:, p].min()), float(ends[:, p].max())
-        u_lo, u_hi = int(math.floor(lo_x / s)), int(math.floor(hi_x / s))
-        us = np.arange(u_lo, u_hi + 1)
+        us = _raster_columns(lo_x, hi_x, s)
         xa = np.clip(us * s, lo_x, hi_x)
         xb = np.clip(us * s + s, lo_x, hi_x)
         idx_cols = {p: us}
@@ -316,7 +338,7 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
             w_hi = np.floor(z_max / s).astype(np.int64)
             spans = w_hi - w_lo + 1
             total = int(spans.sum())
-            if total > 120_000_000:
+            if total > _MAX_RASTER_BOXES:
                 raise NumericalFailure("box-count raster guard: column spans too large")
             starts = np.concatenate([[0], np.cumsum(spans)[:-1]])
             new_idx = w_lo.repeat(spans) + (np.arange(total) - np.repeat(starts, spans))
@@ -328,7 +350,7 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
             idx_cols[coord] = new_idx
             intervals[coord] = (new_idx * s, new_idx * s + s)
 
-    return np.unique(_pack_keys(np.stack([idx_cols[c] for c in range(m)], axis=1)))
+    return _distinct(_pack_keys(np.stack([idx_cols[c] for c in range(m)], axis=1)))
 
 
 def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float,
@@ -442,20 +464,24 @@ def _glued_boxcount(glued: GluedMap, box_size: float) -> float:
 
 
 def _calibration(n: int, m: int, box_size: float) -> float:
-    """Raster estimator reading for the unit n-cube isometrically embedded in R^m."""
-    key = (n, m, round(box_size, 12))
-    if key in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[key]
-    embed = np.zeros((m, n))
-    embed[:n, :n] = np.eye(n)
-    box = np.stack([np.zeros(n), np.ones(n)], axis=1)
-    breaks = np.array([0.0, 1.0])
-    pam = pa_from_axis_slopes(box, [breaks] * n, [embed[:, d:d + 1].T for d in range(n)],
-                              [np.zeros(m)] * n, np.zeros(m),
-                              ns.euclidean(n), ns.euclidean(m))
-    raw = _pa_boxcount_weighted(pam, box_size)
-    _CALIBRATION_CACHE[key] = raw
-    return raw
+    """Raster estimator reading for the unit n-cube isometrically embedded in R^m.
+
+    Closed form of the scanline raster: the axis-aligned cube [0, 1]^n
+    touches floor(1/s) + 1 boxes per axis, each of weight 1, so the
+    reading is (floor(1/s) + 1)^n s^n, bit for bit.  It raises where the
+    raster does: past the box-count limit or the key range of _pack_keys.
+    """
+    if not 1 <= n <= m:
+        raise PreconditionError(f"calibration needs 1 <= n <= m, got n = {n}, m = {m}")
+    inv = 1.0 / box_size
+    if not math.isfinite(inv):
+        raise NumericalFailure("box-count raster guard: footprint too large")
+    last = math.floor(inv)
+    if (last + 1) ** n > _MAX_RASTER_BOXES:
+        raise NumericalFailure("box-count raster guard: footprint too large")
+    if last >= (1 << (63 // m - 1)) - 1:
+        raise NumericalFailure("box-count guard: image extends too far for this box size")
+    return float((last + 1) ** n) * box_size ** n
 
 
 def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[float] = None,
@@ -515,7 +541,7 @@ def _cloud_boxcount(fbatch: Callable, box: np.ndarray, n: int, m: int,
     seen = []
     if n == 1:
         img = batch_call(fn, axes[0][:, None])
-        seen.append(np.unique(_box_keys(img, box_size)))
+        seen.append(_distinct(_box_keys(img, box_size)))
     else:
         rest = np.meshgrid(*axes[1:], indexing="ij")
         rest = np.stack([g.ravel() for g in rest], axis=1)
@@ -525,8 +551,8 @@ def _cloud_boxcount(fbatch: Callable, box: np.ndarray, n: int, m: int,
             pts = np.concatenate(
                 [np.repeat(block, rest.shape[0])[:, None],
                  np.tile(rest, (block.shape[0], 1))], axis=1)
-            seen.append(np.unique(_box_keys(batch_call(fn, pts), box_size)))
-    count = np.unique(np.concatenate(seen)).size
+            seen.append(_distinct(_box_keys(batch_call(fn, pts), box_size)))
+    count = _distinct(np.concatenate(seen)).size
     return count * box_size ** n
 
 
@@ -570,7 +596,7 @@ def coverage_check(g, radius: float, target_radius: float, grid: float,
     img = batch_call(_as_batch(g, 2), pts)
     if img.shape[1] != 2:
         raise PreconditionError("coverage_check is planar: map must land in R^2")
-    img_keys = np.unique(_box_keys(img, grid))
+    img_keys = _distinct(_box_keys(img, grid))
 
     t_ax = np.arange(-target_radius, target_radius + grid, grid)
     TX, TY = np.meshgrid(t_ax, t_ax, indexing="ij")
@@ -580,7 +606,9 @@ def coverage_check(g, radius: float, target_radius: float, grid: float,
     base_idx = np.floor(targets / grid).astype(np.int64)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            covered |= np.isin(_pack_keys(base_idx + np.array([dx, dy])), img_keys)
+            keys = _pack_keys(base_idx + np.array([dx, dy]))
+            pos = np.minimum(np.searchsorted(img_keys, keys), img_keys.size - 1)
+            covered |= img_keys[pos] == keys
     return MeasureReport(
         quantity="coverage_ratio",
         value=float(np.mean(covered)) if targets.size else 1.0,
@@ -815,20 +843,21 @@ def _cell_vols(slopes: list) -> np.ndarray:
     return np.sqrt(np.clip(np.multiply.outer(g11, g22) - g12 ** 2, 0.0, None))
 
 
-def _sup_dist_nodes(cand: _Separable) -> float:
-    """Exact sup of |g - (u|0)|_2 over the cube (attained at cell corners)."""
+def _sup_dist_nodes(cand: _Separable, b: ns.Norm) -> float:
+    """Exact sup of ||g - (u|0)||_b over the cube (attained at cell corners)."""
     vals = cand.node_values()
     dev0 = vals[0] - cand.breaks[:, None] * cand.u[None, :]
     total = dev0[:, None, :] + vals[1][None, :, :]
-    return float(np.max(np.linalg.norm(total, axis=2)))
+    return float(np.max(ns._eval_many(b, total.reshape(-1, cand.m))))
 
 
 def _exact_sup_dist(pam: PiecewiseAffineMap, u: np.ndarray) -> float:
+    """Exact sup of ||pam - (u|0)|| in the map's codomain norm, over its cell corners."""
     corners = [c.breakpoints for c in pam.curves]
     mesh = np.meshgrid(*corners, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
     target = pts[:, :1] * u[None, :]
-    return float(np.max(np.linalg.norm(pam.eval_many(pts) - target, axis=1)))
+    return float(np.max(ns._eval_many(pam.codomain_norm, pam.eval_many(pts) - target)))
 
 
 def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
@@ -858,7 +887,7 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
         if w > 1.0:
             for s in cand.slopes:
                 s /= w
-        sup = _sup_dist_nodes(cand)
+        sup = _sup_dist_nodes(cand, b)
         if sup > eps:
             psi = 0.999 * eps / sup
             for d in range(n):

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# example times swing on a loaded host; a per-example deadline only adds flakes
+settings.register_profile("lab", deadline=None)
+settings.load_profile("lab")
 
 
 @pytest.fixture

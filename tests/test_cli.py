@@ -64,6 +64,16 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["calibration"] > 0.9
 
+    @pytest.mark.parametrize("params, code, kind", [
+        ({"n": 2, "m": 1, "box_size": 1e-2}, 2, "precondition"),
+        ({"n": 2, "m": 3, "box_size": 1e-320}, 3, "numerical"),
+        ({"n": 1, "m": 2, "box_size": 1e-13}, 3, "numerical"),
+    ], ids=["m-below-n", "subnormal-box", "huge-raster"])
+    def test_calibrate_errors_are_typed(self, capsys, params, code, kind):
+        assert run(ExperimentConfig("calibrate", params)) == code
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == kind
+
     def test_probe_pair(self, capsys):
         params = {"a": EUCL2, "b": EUCL2, "lambda": 0.9, "samples": 3,
                   "restarts": 3, "steps": 30}

@@ -156,7 +156,7 @@ class TestZigzagOracle:
            log_excess=st.floats(-12.0, 1.0), sign=st.sampled_from([-1.0, 1.0]),
            log_eps=st.floats(-15.0, 0.0), lo=st.floats(-5.0, 5.0),
            log_width=st.floats(-3.0, 1.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_bit_identical_to_loop(self, a, log_excess, sign, log_eps, lo, log_width):
         a = np.array(a)
         assume(np.linalg.norm(a) > 1e-3)
@@ -352,7 +352,7 @@ class TestMargins:
             co.balls_epsilon(0.0, 0.1, 2)
 
     @given(st.integers(0, 100_000))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_balls_epsilon_contract_on_random_step_functions(self, seed):
         # random measure space: weighted atoms; psi <= K with mean >= K(1-eps)
         r = np.random.default_rng(seed)

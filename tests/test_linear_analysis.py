@@ -139,7 +139,7 @@ class TestOperatorNormStack:
     @pytest.mark.parametrize("codomain", sorted(_CODOMAINS))
     @pytest.mark.parametrize("domain", ["linf", "l1", "l2", "lp3", "polytopal", "transformed"])
     @given(stack=_stacks())
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_matches_per_matrix_reference(self, domain, codomain, stack):
         As, n, m = stack
         a, b = _domain(domain, n), _CODOMAINS[codomain](m)

@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from inflate_lab import constructions as co
 from inflate_lab import linear_analysis as la
 from inflate_lab import measure_lab as ml
 from inflate_lab import normed_space as ns
-from inflate_lab.errors import PreconditionError
+from inflate_lab.errors import NumericalFailure, PreconditionError
 from inflate_lab.geometry import GridSubset, box_measure
 
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])
@@ -218,7 +223,115 @@ class TestBoxcount:
         assert abs(box - jac) <= 0.15 * jac
 
 
+def reference_calibration(n, m, box_size):
+    """_calibration's former raster: box-count the unit n-cube embedded in R^m."""
+    embed = np.zeros((m, n))
+    embed[:n, :n] = np.eye(n)
+    box = np.stack([np.zeros(n), np.ones(n)], axis=1)
+    breaks = np.array([0.0, 1.0])
+    pam = co.pa_from_axis_slopes(box, [breaks] * n, [embed[:, d:d + 1].T for d in range(n)],
+                                 [np.zeros(m)] * n, np.zeros(m),
+                                 ns.euclidean(n), ns.euclidean(m))
+    return ml._pa_boxcount_weighted(pam, box_size)
+
+
+@st.composite
+def calibration_cases(draw):
+    """(n, m, s) with s at 1/k or a few floats away, where the two floors may disagree."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(n, 4))
+    if draw(st.booleans()):
+        s = draw(st.floats(0.005, 1.2))
+    else:
+        s = 1.0 / draw(st.integers(1, 300 if n == 2 else 3000))
+        for _ in range(draw(st.integers(-3, 3)), 0):
+            s = math.nextafter(s, 0.0)
+        for _ in range(draw(st.integers(0, 3))):
+            s = math.nextafter(s, 2.0)
+    return n, m, s
+
+
+class TestKeyKernels:
+    @settings(max_examples=300)
+    @given(calibration_cases())
+    def test_calibration_matches_raster(self, case):
+        n, m, s = case
+        assert ml._calibration(n, m, s) == reference_calibration(n, m, s)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_key_range_guard_matches_raster(self, m):
+        # for n = 1 and m >= 3 the key range of _pack_keys binds before the box limit
+        last = (1 << (63 // m - 1)) - 1
+        inside, outside = 1.0 / (last - 0.5), 1.0 / last
+        assert ml._calibration(1, m, inside) == reference_calibration(1, m, inside)
+        for calibrate in (ml._calibration, reference_calibration):
+            with pytest.raises(NumericalFailure):
+                calibrate(1, m, outside)
+
+    def test_box_limit_guard(self):
+        # 10954^2 boxes are under the 120M limit, 10955^2 are over it
+        assert ml._calibration(2, 3, 1.0 / 10953) == pytest.approx((10954 / 10953) ** 2)
+        with pytest.raises(NumericalFailure):
+            ml._calibration(2, 3, 1.0 / 10954)
+        with pytest.raises(NumericalFailure):
+            ml._calibration(1, 2, 1.0 / 120_000_000)
+
+    @given(st.one_of(
+        hnp.arrays(np.int64, st.integers(0, 300), elements=st.integers(-5, 5)),
+        hnp.arrays(np.int64, st.integers(0, 300))))
+    def test_distinct_matches_unique(self, keys):
+        assert ml._distinct(keys).tobytes() == np.unique(keys).tobytes()
+
+    @pytest.mark.parametrize("cols, off, tbox, s", [
+        (np.array([[1.0], [0.0]]), np.zeros(2), np.array([[0.0, 1.0]]), 1e-13),
+        (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3), UNIT, 1e-12),
+    ], ids=["curve", "surface"])
+    def test_patch_guard_runs_before_allocation(self, cols, off, tbox, s):
+        # 1e12 or more columns: the guard must trip before the column array exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalFailure, match="raster guard"):
+                ml._affine_patch_keys(cols, off, tbox, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def reference_coverage(g, radius, target_radius, grid, lip_hint):
+    """coverage_check's former membership test: np.unique image keys, nine np.isin calls."""
+    h = grid / (2.0 * lip_hint)
+    count = int(math.ceil(2.0 * radius / h)) + 1
+    ax = np.linspace(-radius, radius, count)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+    theta = np.linspace(0.0, 2.0 * math.pi, 4 * count, endpoint=False)
+    pts = np.concatenate([pts, radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)])
+    img_keys = np.unique(ml._box_keys(g(pts), grid))
+    t_ax = np.arange(-target_radius, target_radius + grid, grid)
+    TX, TY = np.meshgrid(t_ax, t_ax, indexing="ij")
+    targets = np.stack([TX.ravel(), TY.ravel()], axis=1)
+    targets = targets[np.linalg.norm(targets, axis=1) <= target_radius]
+    base_idx = np.floor(targets / grid).astype(np.int64)
+    covered = np.zeros(targets.shape[0], dtype=bool)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            covered |= np.isin(ml._pack_keys(base_idx + np.array([dx, dy])), img_keys)
+    return float(np.mean(covered))
+
+
 class TestCoverage:
+    @pytest.mark.parametrize("g", [
+        lambda xs: 0.5 * xs,
+        lambda xs: 0.7 * xs + np.array([0.25, -0.1]),
+        lambda xs: np.stack([xs[:, 0], 0.2 * xs[:, 1] ** 2], axis=1),
+    ], ids=["shrunk", "shifted", "folded"])
+    def test_partial_cover_matches_isin_reference(self, g):
+        rep = ml.coverage_check(g, 1.0, 0.9, 1.0 / 200, lip_hint=1.0)
+        assert 0.0 < rep.value < 1.0
+        assert rep.value == reference_coverage(g, 1.0, 0.9, 1.0 / 200, 1.0)
+
     def test_identity_full(self):
         rep = ml.coverage_check(lambda xs: xs, 1.0, 1.0, 1.0 / 200, lip_hint=1.0)
         assert rep.value == 1.0
@@ -311,6 +424,24 @@ class TestExperiments:
         for rec in report["records"]:
             assert rec["lip_exact"] <= 1.0 + 1e-9
             assert rec["sup_dist"] <= rec["eps"] + 1e-9
+
+    def test_sup_dist_in_codomain_norm(self):
+        # linf -> l1: Euclidean sup distances let the adversary leave the l1 eps-ball
+        u = np.array([1.0, 0.0])
+        config = ml.NegativeConfig(
+            u=u, r=0.3, eps_schedule=(0.25, 0.0625), seed=0, domain_kind="linf",
+            codomain_kind="l1", threshold=0.3, grid=6, restarts=3, steps=60)
+        report = ml.run_negative_experiment(config)
+        t = np.linspace(-1.0, 1.0, 7)
+        X, Y = np.meshgrid(t, t, indexing="ij")
+        corners = np.stack([X.ravel(), Y.ravel()], axis=1)
+        for i, rec in enumerate(report["records"]):
+            _, pam = ml._adversarial_search(ns.linf(2), ns.l1(2), u, rec["eps"], 0.3,
+                                            6, 3, 60, config.seed + 1000 * i)
+            dev = pam.eval_many(corners) - corners[:, :1] * u
+            l1_dist = float(np.max(np.sum(np.abs(dev), axis=1)))
+            assert rec["sup_dist"] == pytest.approx(l1_dist, rel=1e-12)
+            assert l1_dist <= rec["eps"] + 1e-9
 
     def test_csv_round_trip(self, tmp_path):
         config = ml.PositiveConfig(

@@ -115,7 +115,7 @@ class TestVolOfNorm:
 
 class TestNormAxioms:
     @given(st.integers(0, 10_000), st.sampled_from(["euclidean", "linf", "l1", "p3", "cross"]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_triangle_and_homogeneity(self, seed, kind):
         norm = {
             "euclidean": ns.euclidean(2),
