@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -86,7 +85,6 @@ _SCHEMAS = {
             "eps": {"type": "number", "exclusiveMinimum": 0},
             "lambda": {"type": "number", "minimum": 0},
             "certificate": {"type": "object"},
-            "max_cells_csv": {"type": "integer", "minimum": 1},
         },
     },
     "glue": {
@@ -160,8 +158,22 @@ _SCHEMAS = {
 COMMANDS = tuple(_SCHEMAS)
 
 
+def _config_int(data: dict, key: str, default: int) -> int:
+    value = data.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"config {key} must be an integer, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One CLI job.
+
+    ``threads`` is accepted and ignored: every command runs in one
+    thread, and old configs that set it still load.
+    """
+
     command: str
     params: dict
     seed: int = 0
@@ -184,10 +196,10 @@ class ExperimentConfig:
         return ExperimentConfig(
             command=data["command"],
             params=data.get("params", {}),
-            seed=int(data.get("seed", 0)),
+            seed=_config_int(data, "seed", 0),
             out=data.get("out"),
             format=data.get("format", "json"),
-            threads=int(data.get("threads", 1)),
+            threads=_config_int(data, "threads", 1),
         )
 
 
@@ -227,13 +239,13 @@ def _cmd_check_inflation(params: dict, seed: int) -> dict:
     }
 
 
-def _cmd_probe_pair(params: dict, seed: int, threads: int) -> dict:
+def _cmd_probe_pair(params: dict, seed: int) -> dict:
     a = ns.norm_from_json(params["a"])
     b = ns.norm_from_json(params["b"])
     report = la.inflating_pair_probe(
         a, b, float(params["lambda"]), int(params["samples"]), seed,
         restarts=int(params.get("restarts", 16)), steps=int(params.get("steps", 120)),
-        include=params.get("include"), threads=threads)
+        include=params.get("include"))
     return {
         "lambda": report.lam,
         "normalized_lambda": report.normalized_lam,
@@ -376,7 +388,7 @@ def run(config: ExperimentConfig) -> int:
         if config.command == "check-inflation":
             report = _cmd_check_inflation(config.params, config.seed)
         elif config.command == "probe-pair":
-            report = _cmd_probe_pair(config.params, config.seed, config.threads)
+            report = _cmd_probe_pair(config.params, config.seed)
         elif config.command == "mv":
             report = _cmd_mv(config.params, config.seed)
         elif config.command == "inflate":
@@ -409,9 +421,8 @@ def run(config: ExperimentConfig) -> int:
             _emit_error("precondition", PreconditionError("inflate csv needs --out"))
             return 2
         pam = co.PiecewiseAffineMap.from_json(report["map"])
-        max_cells = int(config.params.get("max_cells_csv", 100_000))
         try:
-            co.pa_cells_to_csv(pam, config.out, max_cells=max_cells)
+            co.pa_cells_to_csv(pam, config.out)
         except NumericalFailure as exc:
             _emit_error("numerical", exc)
             return 3
@@ -463,7 +474,8 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", type=str, choices=("json", "csv"), default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and ignored; every command runs in one thread")
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_help()
@@ -474,24 +486,24 @@ def main(argv: Optional[list] = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 file_config = json.load(fh)
+            if not isinstance(file_config, dict):
+                raise PreconditionError("config file must hold a JSON object")
         if "params" not in file_config:
             file_config = {"command": args.command, "params": file_config}
         if args.params is not None:
             file_config["params"] = json.loads(args.params)
-    except (OSError, json.JSONDecodeError) as exc:
+        config = ExperimentConfig(
+            command=args.command,
+            params=file_config.get("params", {}),
+            seed=args.seed if args.seed is not None else _config_int(file_config, "seed", 0),
+            out=args.out if args.out is not None else file_config.get("out"),
+            format=args.format if args.format is not None else file_config.get("format", "json"),
+            threads=(args.threads if args.threads is not None else
+                     _config_int(file_config, "threads", 1)),
+        )
+    except (OSError, json.JSONDecodeError, PreconditionError) as exc:
         _emit_error("precondition", exc)
         return 2
-
-    env_threads = os.environ.get("INFLATE_LAB_THREADS")
-    config = ExperimentConfig(
-        command=args.command,
-        params=file_config.get("params", {}),
-        seed=args.seed if args.seed is not None else int(file_config.get("seed", 0)),
-        out=args.out if args.out is not None else file_config.get("out"),
-        format=args.format if args.format is not None else file_config.get("format", "json"),
-        threads=(args.threads if args.threads is not None else
-                 int(file_config.get("threads", env_threads or 1))),
-    )
     return run(config)
 
 

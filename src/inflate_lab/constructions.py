@@ -40,6 +40,7 @@ from .seeding import rng_for
 
 _MAX_SEGMENTS = 2_000_000
 _MAX_LINEAR_COMBOS = 65_536
+_MAX_CSV_CELLS = 100_000
 
 
 # -- zigzag curves -----------------------------------------------------------
@@ -335,15 +336,15 @@ class PiecewiseAffineMap:
         vols = np.prod(np.linalg.svd(self.distinct_linears(), compute_uv=False), axis=-1)
         return vols.reshape([u.shape[0] for u, _ in uniq])[np.ix_(*[i for _, i in uniq])]
 
-    def continuity_defect(self, samples: int = 64, seed: int = 0) -> float:
+    def continuity_defect(self) -> float:
         """Largest jump across interior facets, probed at paired points."""
-        rng = rng_for(seed, 404)
+        rng = rng_for(0, 404)
         worst = 0.0
         for d, curve in enumerate(self.curves):
             interior = curve.breakpoints[1:-1]
             if interior.size == 0:
                 continue
-            picks = rng.choice(interior, size=min(samples, interior.size), replace=False)
+            picks = rng.choice(interior, size=min(64, interior.size), replace=False)
             for t_star in picks:
                 ts = rng.random(self.n)
                 base = np.array([c.breakpoints[0] * (1 - s) + c.breakpoints[-1] * s
@@ -408,11 +409,12 @@ class PiecewiseAffineMap:
             ),
         )
 
-    def cell_records(self, max_cells: int = 100_000):
+    def cell_records(self):
         """Yield (index, t_box, linear, offset) per cell, for CSV export."""
         shape = self.cell_shape()
-        if int(np.prod(shape)) > max_cells:
-            raise NumericalFailure(f"cell export guard: {int(np.prod(shape))} cells > {max_cells}")
+        if int(np.prod(shape)) > _MAX_CSV_CELLS:
+            raise NumericalFailure(
+                f"cell export guard: {int(np.prod(shape))} cells > {_MAX_CSV_CELLS}")
         from itertools import product as iproduct
 
         for index in iproduct(*[range(k) for k in shape]):
@@ -426,7 +428,7 @@ class PiecewiseAffineMap:
             yield index, t_box, linear, offset
 
 
-def pa_cells_to_csv(pam: PiecewiseAffineMap, path: str, max_cells: int = 100_000) -> None:
+def pa_cells_to_csv(pam: PiecewiseAffineMap, path: str) -> None:
     """Flat CSV of cell records (one row per cell) for external plotting."""
     import csv
 
@@ -439,7 +441,7 @@ def pa_cells_to_csv(pam: PiecewiseAffineMap, path: str, max_cells: int = 100_000
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for index, t_box, linear, offset in pam.cell_records(max_cells):
+        for index, t_box, linear, offset in pam.cell_records():
             row = ["x".join(str(i) for i in index)]
             row += [repr(float(v)) for v in t_box.ravel()]
             row += [repr(float(v)) for v in linear.ravel()]
@@ -638,13 +640,13 @@ class GluedMap:
         return list(zip(self.spec.patch_sets, self.spec.patch_maps))
 
 
-def glue_patches(spec: PatchSpec, L: float, check_samples: int = 160,
-                 seed: int = 0) -> GluedMap:
+def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
     """Merge patch maps into the base map; result is (L + 4 delta)-Lipschitz.
 
     Validates the hypotheses the bound depends on: the rho_i-neighborhoods of the
     patch sets are pairwise disjoint, and each patch stays delta*rho_i
-    close to the base map on its neighborhood (checked on samples).
+    close to the base map on its neighborhood (checked on up to 160
+    samples per patch).
     """
     k = len(spec.patch_sets)
     for i in range(k):
@@ -655,7 +657,7 @@ def glue_patches(spec: PatchSpec, L: float, check_samples: int = 160,
                     f"patch neighborhoods {i} and {j} overlap (gap {gap:.3g})")
     rng = rng_for(seed, 606)
     for i, (patch_set, rho, g_i) in enumerate(zip(spec.patch_sets, spec.radii, spec.patch_maps)):
-        pts = _sample_neighborhood(patch_set, rho, check_samples, rng, spec.domain_norm)
+        pts = _sample_neighborhood(patch_set, rho, 160, rng, spec.domain_norm)
         if pts.shape[0] == 0:
             continue
         dev = ns._eval_many(spec.codomain_norm,
@@ -740,9 +742,7 @@ class InflateReport:
 
 
 def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: float,
-                   eta: float, seed: int, sigma: float = 0.9, f_lip: Optional[float] = None,
-                   base_cells: int = 2, max_cells: int = 64,
-                   search_restarts: int = 16, search_steps: int = 120):
+                   eta: float, seed: int, f_lip: Optional[float] = None):
     """Push the Jacobian integral of f over E up to eta * lam * H^n(E).
 
     Pipeline: partition the domain box into a uniform grid; fit an
@@ -752,6 +752,12 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     patches back into f.  Returns (glued map, report); the achieved
     integral counts the inflated cores exactly and ignores the blend
     bands, so it is a certified lower bound.
+
+    The grid starts at 2 cells per axis (or the grid of a GridSubset E)
+    and doubles while the fits are too coarse, up to 64; cores keep at
+    least 0.9 of their cell's width; for a non-Euclidean pair each cell's
+    certificate search runs 16 restarts of 120 steps.  ``f_lip`` replaces
+    the sampled Lipschitz estimate of f when the caller knows it.
     """
     if not (0 <= eta < 1):
         raise PreconditionError("eta must lie in [0, 1)")
@@ -766,11 +772,11 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     measure_E = domain_measure(E)
     target = eta * lam * measure_E
     if measure_E == 0.0:
-        report = InflateReport(0.0, target, 0.0, 0.0, 0.0, 0.0, (0,) * n, sigma, 1.0,
+        report = InflateReport(0.0, target, 0.0, 0.0, 0.0, 0.0, (0,) * n, 0.9, 1.0,
                                lam, eta, eps, seed, False, 0)
         return None, report
 
-    fbatch = _as_batch(f, n)
+    fbatch = fbatch_orig = _as_batch(f, n)
     est_lip = f_lip if f_lip is not None else _sampled_lip(fbatch, box, a, b, seed)
     if est_lip > 1.0 + 1e-6:
         raise PreconditionError(f"Lip(f) ~ {est_lip} >= 1")
@@ -791,23 +797,21 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     if prescaled:
         inner = fbatch
         fbatch = lambda xs: work_scale * inner(xs)
-    sigma_eff = max(min(sigma, 0.995), target_core ** (1.0 / n) / L0)
+    sigma_eff = max(0.9, target_core ** (1.0 / n) / L0)
     if sigma_eff >= 1.0:
         sigma_eff = 0.999
     delta_glue = min(0.45 * eps, 0.245 * (1.0 - L0))
 
-    k = base_cells
+    k = 2
     if subset is not None:
         k = max(k, *subset.shape)
-    fbatch_orig = _as_batch(f, n)
     while True:
         try:
             return _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed,
                                     sigma_eff, L0, delta_glue, k, min(est_lip, L0),
-                                    prescaled, target, measure_E,
-                                    search_restarts, search_steps, fbatch_orig)
+                                    prescaled, target, measure_E, fbatch_orig)
         except _FitTooCoarse:
-            if 2 * k > max_cells:
+            if 2 * k > 64:
                 raise NumericalFailure(
                     f"affine fits do not converge at {k} cells per axis")
             k *= 2
@@ -831,10 +835,10 @@ def _as_batch(f: Callable, n: int) -> Callable:
     return lambda xs: np.stack([np.asarray(f(x), dtype=float) for x in xs], axis=0)
 
 
-def _sampled_lip(fbatch, box, a, b, seed, pairs: int = 400) -> float:
+def _sampled_lip(fbatch, box, a, b, seed) -> float:
     rng = rng_for(seed, 777)
-    xs = sample_box(box, pairs, rng)
-    ys = sample_box(box, pairs, rng)
+    xs = sample_box(box, 400, rng)
+    ys = sample_box(box, 400, rng)
     near = xs + (ys - xs) * 1e-4
     ys = np.concatenate([ys, near], axis=0)
     xs = np.concatenate([xs, xs], axis=0)
@@ -845,10 +849,7 @@ def _sampled_lip(fbatch, box, a, b, seed, pairs: int = 400) -> float:
 
 
 def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
-                     delta_glue, k, est_lip, prescaled, target, measure_E,
-                     search_restarts, search_steps, fbatch_orig=None):
-    if fbatch_orig is None:
-        fbatch_orig = fbatch
+                     delta_glue, k, est_lip, prescaled, target, measure_E, fbatch_orig):
     n, m = a.dim, b.dim
     widths = (box[:, 1] - box[:, 0]) / k
     euclid_pair = _is_euclidean(a) and _is_euclidean(b)
@@ -887,7 +888,7 @@ def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
             cert = euclidean_inflation(LinearMap(M_i / L0, a, b))
         else:
             cert = inflation_search(LinearMap(M_i / L0, a, b), lam,
-                                    restarts=search_restarts, steps=search_steps,
+                                    restarts=16, steps=120,
                                     seed=seed + 101 * lin_idx)
             if cert is None:
                 raise NumericalFailure(f"no inflation certificate for cell {idx}")

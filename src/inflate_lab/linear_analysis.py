@@ -14,7 +14,7 @@ pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, NumericalFailure, PreconditionError
 from .seeding import rng_for
 
 RANK_RTOL = 1e-10        # sigma_min > RANK_RTOL * sigma_max decides "full rank"
-VERIFY_TOL = 1e-9        # default certificate verification tolerance (relative)
+VERIFY_TOL = 1e-9        # certificate verification tolerance (relative), the only one used
 SEARCH_FEAS_TOL = 1e-7   # operator-norm slack accepted by the searches
 _KAPPA_CAP = 1e9
 
@@ -85,9 +85,9 @@ def vol(map: LinearMap) -> float:
     return vol_matrix(map.matrix)
 
 
-def is_full_rank(A, rtol: float = RANK_RTOL) -> bool:
+def is_full_rank(A) -> bool:
     s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
-    return bool(s[-1] > rtol * max(s[0], 1e-300))
+    return bool(s[-1] > RANK_RTOL * max(s[0], 1e-300))
 
 
 # -- operator norm -------------------------------------------------------
@@ -257,8 +257,7 @@ class VerificationReport:
     message: str
 
 
-def verify_certificate(map: LinearMap, cert: InflationCertificate,
-                       tol: float = VERIFY_TOL) -> VerificationReport:
+def verify_certificate(map: LinearMap, cert: InflationCertificate) -> VerificationReport:
     """Independently recompute the two certificate conditions.
 
     Checks |kappa_i| >= 1, enumerates all sign patterns, recomputes the
@@ -279,33 +278,31 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate,
     matrices = sign_matrices(map, cert)
     norms = operator_norm_report(matrices, map.domain_norm, map.codomain_norm).values
     vols = np.prod(np.linalg.svd(matrices, compute_uv=False), axis=-1)
-    lam_floor = cert.lam - tol * max(1.0, abs(cert.lam))
+    lam_floor = cert.lam - VERIFY_TOL * max(1.0, abs(cert.lam))
     worst = float(np.max(norms))
     min_vol = float(np.min(vols))
-    bad = np.flatnonzero((norms > 1.0 + tol) | (vols < lam_floor))
+    bad = np.flatnonzero((norms > 1.0 + VERIFY_TOL) | (vols < lam_floor))
     failing = None
     if bad.size:
         failing = tuple(int(x) for x in sign_permutations(np.ones(cert.n))[bad[0]])
-    ok = eigen_ok and worst <= 1.0 + tol and min_vol >= lam_floor
+    ok = eigen_ok and worst <= 1.0 + VERIFY_TOL and min_vol >= lam_floor
     message = "ok" if ok else (
         "non-shrinking violated" if not eigen_ok else f"sign pattern {failing} fails"
     )
     return VerificationReport(ok, worst, min_vol, eigen_ok, failing, message)
 
 
-def _certificate_for(map: LinearMap, X: np.ndarray, kappa: np.ndarray,
-                     tol: float = VERIFY_TOL) -> InflationCertificate:
-    draft = InflationCertificate(X, kappa, 0.0, False, math.inf)
-    report = verify_certificate(map, replace(draft, lam=0.0), tol)
-    lam = report.min_vol
-    verified = report.verified and report.eigenvalues_ok and report.worst_sign_norm <= 1.0 + tol
-    return InflationCertificate(X, kappa, lam, verified, report.worst_sign_norm)
+def _certificate_for(map: LinearMap, X: np.ndarray, kappa: np.ndarray) -> InflationCertificate:
+    # at lam = 0 the volume condition always holds, so verified means the
+    # eigenvalues are non-shrinking and every sign pattern has norm <= 1
+    report = verify_certificate(map, InflationCertificate(X, kappa, 0.0, False, math.inf))
+    return InflationCertificate(X, kappa, report.min_vol, report.verified, report.worst_sign_norm)
 
 
 # -- Euclidean inflation ---------------------------------------------------
 
 
-def euclidean_inflation(map: LinearMap, tol: float = VERIFY_TOL) -> InflationCertificate:
+def euclidean_inflation(map: LinearMap) -> InflationCertificate:
     """The closed-form 1-inflation for Euclidean domain and codomain.
 
     Writing A = S D R with orthogonal S, R and singular values sigma_i
@@ -322,12 +319,12 @@ def euclidean_inflation(map: LinearMap, tol: float = VERIFY_TOL) -> InflationCer
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[-1] <= RANK_RTOL * max(s[0], 1e-300):
         raise NumericalFailure("no inflation for degenerate map")
-    if s[0] > 1.0 + tol:
+    if s[0] > 1.0 + VERIFY_TOL:
         raise PreconditionError(f"operator norm {s[0]} exceeds 1")
     # preimages x_i = v_i / sigma_i give A x_i = u_i (unit left singular vectors)
     X = Vt.T / s[None, :]
     kappa = np.maximum(1.0, 1.0 / s)
-    return _certificate_for(map, X, kappa, tol)
+    return _certificate_for(map, X, kappa)
 
 
 # -- generic search --------------------------------------------------------
@@ -420,7 +417,7 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
     return None
 
 
-def _random_rotation(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def _random_rotation(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
     """Rotation close to the identity for small scale (exp of a skew matrix)."""
     from scipy.linalg import expm
 
@@ -445,8 +442,7 @@ class PairProbeReport:
 
 def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
                          seed: int, restarts: int = 16, steps: int = 120,
-                         include: Optional[list] = None,
-                         threads: int = 1) -> PairProbeReport:
+                         include: Optional[list] = None) -> PairProbeReport:
     """Sample maps of operator norm 1 and try to certify each at lambda.
 
     The failure list is evidence, not proof, of non-inflation.  The
@@ -454,9 +450,8 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
     vol(|.|_a) * lambda used by the equivalence-class membership
     question.  ``include`` prepends caller-chosen matrices (rescaled
     like the random ones) to the sample list, e.g. near-degenerate maps.
-    Samples are independent; with threads > 1 they run concurrently and
-    results merge in sample order, so the report does not depend on
-    scheduling.
+    Samples run one after another, in sample order: each is small-array
+    work that holds the GIL, so threads would not speed them up.
     """
     if a.dim > b.dim:
         raise PreconditionError("requires n <= m")
@@ -469,35 +464,22 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
         if is_full_rank(G):
             matrices.append(G)
 
-    def probe_one(idx_G):
-        idx, G = idx_G
-        nrm = operator_norm(LinearMap(G, a, b))
-        A = G / nrm
+    ok_plain = 0
+    ok_norm = 0
+    failures: list = []
+    failures_norm: list = []
+    for idx, G in enumerate(matrices):
+        A = G / operator_norm(LinearMap(G, a, b))
         map_ = LinearMap(A, a, b)
         cert = inflation_search(map_, lam, restarts=restarts, steps=steps,
                                 seed=seed + 13 * idx)
         cert_n = inflation_search(map_, lam_normalized, restarts=restarts, steps=steps,
                                   seed=seed + 13 * idx + 7)
-        return A, cert is not None, cert_n is not None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(probe_one, enumerate(matrices)))
-    else:
-        results = [probe_one(item) for item in enumerate(matrices)]
-
-    ok_plain = 0
-    ok_norm = 0
-    failures: list = []
-    failures_norm: list = []
-    for A, ok1, ok2 in results:
-        ok_plain += int(ok1)
-        ok_norm += int(ok2)
-        if not ok1:
+        ok_plain += int(cert is not None)
+        ok_norm += int(cert_n is not None)
+        if cert is None:
             failures.append(A.tolist())
-        if not ok2:
+        if cert_n is None:
             failures_norm.append(A.tolist())
     total = len(matrices)
     return PairProbeReport(

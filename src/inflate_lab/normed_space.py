@@ -293,7 +293,7 @@ class ExtremalReport:
     witness_projection: Optional[np.ndarray] = field(default=None)
 
 
-def analyze_extremal(norm: Norm, u, boundary_rtol: float = BOUNDARY_RTOL) -> ExtremalReport:
+def analyze_extremal(norm: Norm, u) -> ExtremalReport:
     """Classify a unit-sphere point of the ball.
 
     A point is extremal when it is not the midpoint of a nondegenerate
@@ -308,17 +308,17 @@ def analyze_extremal(norm: Norm, u, boundary_rtol: float = BOUNDARY_RTOL) -> Ext
     if u.shape != (norm.dim,):
         raise DimensionMismatch(f"expected a vector of dim {norm.dim}, got {u.shape}")
     value = norm_eval(norm, u)
-    if abs(value - 1.0) > boundary_rtol:
-        raise PreconditionError(f"|u| = {value} is not on the unit sphere (rtol {boundary_rtol})")
+    if abs(value - 1.0) > BOUNDARY_RTOL:
+        raise PreconditionError(f"|u| = {value} is not on the unit sphere (rtol {BOUNDARY_RTOL})")
 
-    extremal, strongly, functional = _classify(norm, u, boundary_rtol)
+    extremal, strongly, functional = _classify(norm, u)
     witness = None
     if strongly:
         witness = np.outer(u, functional)  # P w = <x*, w> u, with <x*, u> = 1
     return ExtremalReport(u, True, extremal, strongly, witness)
 
 
-def _classify(norm: Norm, u: np.ndarray, tol: float):
+def _classify(norm: Norm, u: np.ndarray):
     """Return (is_extremal, is_strongly_extremal, supporting functional or None)."""
     n = norm.dim
     if norm.kind == "euclidean" or (norm.kind == "lp" and norm.p == 2):
@@ -328,13 +328,13 @@ def _classify(norm: Norm, u: np.ndarray, tol: float):
         x_star = np.sign(u) * np.abs(u) ** (norm.p - 1.0)
         return True, True, x_star / float(x_star @ u)
     if norm.kind == "lp" and norm.p == math.inf:
-        at_one = np.abs(np.abs(u) - 1.0) <= 10 * tol
+        at_one = np.abs(np.abs(u) - 1.0) <= 10 * BOUNDARY_RTOL
         if np.all(at_one):  # cube vertex
             x_star = np.sign(u) / n
             return True, True, x_star
         return False, False, None  # interior point of a face: a segment midpoint
     if norm.kind == "lp" and norm.p == 1:
-        support = np.abs(u) > 10 * tol
+        support = np.abs(u) > 10 * BOUNDARY_RTOL
         if np.count_nonzero(support) == 1:
             x_star = np.sign(u)  # e.g. e_k for u = e_k
             return True, True, x_star
@@ -350,7 +350,7 @@ def _classify(norm: Norm, u: np.ndarray, tol: float):
             return True, True, x_star / float(x_star @ u)
         return False, False, None
     if norm.kind == "transformed":
-        extremal, strongly, functional = _classify(norm.base, norm._W_inv @ u, tol)
+        extremal, strongly, functional = _classify(norm.base, norm._W_inv @ u)
         if functional is None:
             return extremal, strongly, None
         return extremal, strongly, norm._W_inv.T @ functional

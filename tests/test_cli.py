@@ -1,18 +1,27 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from inflate_lab.cli import ExperimentConfig, run
+import inflate_lab
+from inflate_lab.cli import ExperimentConfig, main, run
+from inflate_lab.errors import PreconditionError
 
 LINF2 = {"dim": 2, "kind": {"lp": "inf"}}
 EUCL2 = {"dim": 2, "kind": "euclidean"}
 
 
+# the child interpreter imports the same package source as this one
+SRC = os.path.dirname(os.path.dirname(inflate_lab.__file__))
+
+
 def run_cli(args, cwd=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "inflate_lab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestRun:
@@ -81,6 +90,16 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["fraction_certified"] == 1.0
 
+    def test_threads_do_not_change_probe_pair(self, capsys):
+        params = json.dumps({"a": LINF2, "b": EUCL2, "lambda": 0.3, "samples": 2,
+                             "restarts": 2, "steps": 10})
+        outputs = []
+        for threads in ("1", "4"):
+            assert main(["probe-pair", "--params", params, "--seed", "7",
+                         "--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_inflate_cell_csv(self, tmp_path):
         params = {
             "map": {"entries": [[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]],
@@ -147,6 +166,34 @@ class TestEntryPoint:
         # last stderr line is the machine-readable error object
         err = json.loads(proc.stderr.strip().splitlines()[-1])
         assert err["error"]["type"] == "precondition"
+
+    @pytest.mark.parametrize("field", ["seed", "threads"])
+    def test_malformed_config_field(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "mv",
+            "params": {"u": [1.0, 0.0], "a": LINF2, "b": EUCL2},
+            field: "abc",
+        }))
+        assert main(["mv", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "precondition"
+        assert field in err["error"]["message"]
+        with pytest.raises(PreconditionError):
+            ExperimentConfig.from_json(json.loads(cfg.read_text()))
+
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert main(["mv", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "precondition"
+
+    def test_threads_environment_is_not_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("INFLATE_LAB_THREADS", "four")
+        params = json.dumps({"u": [1.0, 0.0], "a": LINF2, "b": EUCL2})
+        assert main(["mv", "--params", params]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["value"] == 0.0
 
     def test_inline_params(self):
         params = json.dumps({"u": [1.0, 0.0], "a": LINF2, "b": EUCL2})

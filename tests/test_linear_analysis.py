@@ -334,14 +334,6 @@ class TestPairProbe:
                                          samples=6, seed=2, restarts=4, steps=40)
         assert report.fraction_certified == 1.0
 
-    def test_threads_match_sequential(self):
-        kwargs = dict(samples=4, seed=9, restarts=3, steps=30)
-        seq = la.inflating_pair_probe(ns.euclidean(2), ns.euclidean(2), 0.9, **kwargs)
-        par = la.inflating_pair_probe(ns.euclidean(2), ns.euclidean(2), 0.9,
-                                      threads=4, **kwargs)
-        assert seq.fraction_certified == par.fraction_certified
-        assert seq.failures == par.failures
-
 
 class TestSerialization:
     def test_map_round_trip(self):

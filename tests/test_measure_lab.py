@@ -26,6 +26,20 @@ def pa_identity(box, scale=1.0):
                                   ns.euclidean(n), ns.euclidean(n))
 
 
+def flat_square(box):
+    """The embedding (x, y) -> (x, y, 0) on a box, as one affine cell."""
+    e = np.eye(3)
+    return co.pa_from_axis_slopes(box, [box[0], box[1]], [e[0:1], e[1:2]],
+                                  [box[0, 0] * e[0], box[1, 0] * e[1]], np.zeros(3),
+                                  ns.euclidean(2), ns.euclidean(3))
+
+
+def quarter_cell():
+    mask = np.zeros((2, 2), dtype=bool)
+    mask[0, 0] = True
+    return GridSubset(UNIT, (2, 2), mask)
+
+
 def graph_fixture(rng, pieces=3):
     """Injective PA map (x, y) -> (x, y, phi(x) + psi(y)) on the unit square."""
     breaks = np.linspace(0.0, 1.0, pieces + 1)
@@ -222,6 +236,30 @@ class TestBoxcount:
         box = ml.boxcount_image_measure(pam, UNIT, 3, 1e-3).value
         assert abs(box - jac) <= 0.15 * jac
 
+    @pytest.mark.parametrize("E, area", [
+        (np.array([[0.0, 0.5], [0.0, 1.0]]), 0.5),
+        (quarter_cell(), 0.25),
+        (np.array([[5.0, 6.0], [5.0, 6.0]]), 0.0),
+    ], ids=["half", "quarter-cell", "disjoint"])
+    def test_counts_the_image_of_E_only(self, E, area):
+        g = flat_square(UNIT)
+        jac = ml.jacobian_integral(g, E).value
+        rep = ml.boxcount_image_measure(g, E, 3, 1e-2)
+        assert jac == pytest.approx(area, abs=1e-12)
+        assert abs(rep.value - jac) <= rep.error_bound
+
+    def test_glued_counts_the_cores_in_E_only(self):
+        cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
+        spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),
+                            lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1),
+                            0.1, ns.euclidean(2), ns.euclidean(3))
+        glued = co.glue_patches(spec, 1.0)
+        for E, area in ((np.array([[0.0, 0.5], [0.0, 1.0]]), 0.09), (UNIT, 0.18)):
+            jac = ml.jacobian_integral(glued, E).value
+            rep = ml.boxcount_image_measure(glued, E, 3, 1e-2)
+            assert jac == pytest.approx(area, abs=1e-12)
+            assert abs(rep.value - jac) <= rep.error_bound
+
 
 def reference_calibration(n, m, box_size):
     """_calibration's former raster: box-count the unit n-cube embedded in R^m."""
@@ -232,7 +270,7 @@ def reference_calibration(n, m, box_size):
     pam = co.pa_from_axis_slopes(box, [breaks] * n, [embed[:, d:d + 1].T for d in range(n)],
                                  [np.zeros(m)] * n, np.zeros(m),
                                  ns.euclidean(n), ns.euclidean(m))
-    return ml._pa_boxcount_weighted(pam, box_size)
+    return ml._mass_from_parts([ml._pa_boxcount_parts(pam, box_size, box)], n, box_size)
 
 
 @st.composite
