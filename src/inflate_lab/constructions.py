@@ -192,9 +192,14 @@ def _guard_segments(span: float, h: float) -> int:
 
 
 def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Values of a continuous piecewise-affine curve at its breakpoints, shape (K+1, m)."""
+    """Values of continuous piecewise-affine curves at their breakpoints, shape (..., K+1, m).
+
+    ``slopes`` is (..., K, m) and ``anchor`` (..., m); leading axes are a
+    stack of curves on the same breakpoints.
+    """
     steps = slopes * np.diff(breaks)[:, None]
-    return np.concatenate([anchor[None, :], anchor[None, :] + np.cumsum(steps, axis=0)], axis=0)
+    start = np.broadcast_to(anchor[..., None, :], steps.shape[:-2] + (1, steps.shape[-1]))
+    return np.concatenate([start, start + np.cumsum(steps, axis=-2)], axis=-2)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,11 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
 # -- cell-measure integrals --------------------------------------------------
 
 
+def _boxes(E) -> list:
+    """E itself as one box, or the occupied cells of a GridSubset."""
+    return [cell for _, cell in E.cells()] if isinstance(E, GridSubset) else [as_box(E)]
+
+
 def _affine_pieces(g, E, what: str) -> list:
     """(piecewise-affine map, boxes) pairs that decompose g on E.
 
@@ -111,7 +116,7 @@ def _affine_pieces(g, E, what: str) -> list:
     or the occupied cells of a GridSubset) is intersected with each
     piece's domain; empty intersections are dropped.
     """
-    boxes = [cell for _, cell in E.cells()] if isinstance(E, GridSubset) else [as_box(E)]
+    boxes = _boxes(E)
     if isinstance(g, PiecewiseAffineMap):
         domains = [(g.domain, g)]
     elif isinstance(g, GluedMap):
@@ -488,7 +493,8 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     exactly 1 at the same settings.  Piecewise-affine and glued maps are
     rasterized piece by piece on the part of E inside each piece's
     domain (see _affine_pieces); for glued maps that leaves out the
-    blend bands, making the value a lower bound there.  The
+    blend bands, making the value a lower bound there.  Other maps are
+    sampled on a point cloud over the boxes of E (see _boxes).  The
     reported error bound is empirical, from calibration behaviour; both
     over- and under-counting are possible at patch boundaries and
     overlaps.
@@ -506,7 +512,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         raw = _mass_from_parts(parts, n, box_size)
         method = "raster" if isinstance(g, PiecewiseAffineMap) else "raster-cores"
     else:
-        raw = _cloud_boxcount(g, box, n, m, box_size,
+        raw = _cloud_boxcount(g, _boxes(E), n, m, box_size,
                               lip_hint if lip_hint is not None else _quick_lip(g, box, seed))
         method = "cloud"
     cal = _calibration(n, m, box_size)
@@ -521,23 +527,22 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     )
 
 
-def _cloud_boxcount(fbatch: Callable, box: np.ndarray, n: int, m: int,
+def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, m: int,
                     box_size: float, lip: float) -> float:
-    """Plain sample-cloud box count for maps without affine structure."""
+    """Plain sample-cloud box count over a union of boxes, for maps without affine structure."""
     spacing = box_size / (2.0 * max(lip, 1e-9))
-    axes = []
-    for lo, hi in box:
-        count = int(math.ceil((hi - lo) / spacing)) + 1
-        axes.append(np.linspace(lo, hi, max(count, 2)))
-    total_pts = int(np.prod([len(ax) for ax in axes]))
+    grids = [[np.linspace(lo, hi, max(int(math.ceil((hi - lo) / spacing)) + 1, 2))
+              for lo, hi in box] for box in boxes]
+    total_pts = sum(int(np.prod([len(ax) for ax in axes])) for axes in grids)
     if total_pts > _MAX_CLOUD_POINTS:
         raise NumericalFailure(f"box-count cloud guard: {total_pts} sample points")
     fn = _as_batch(fbatch, n)
     seen = []
-    if n == 1:
-        img = batch_call(fn, axes[0][:, None])
-        seen.append(_distinct(_box_keys(img, box_size)))
-    else:
+    for axes in grids:
+        if n == 1:
+            img = batch_call(fn, axes[0][:, None])
+            seen.append(_distinct(_box_keys(img, box_size)))
+            continue
         rest = np.meshgrid(*axes[1:], indexing="ij")
         rest = np.stack([g.ravel() for g in rest], axis=1)
         rows = max(1, 2_000_000 // max(1, rest.shape[0]))
@@ -719,6 +724,8 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
     b = _norm_from_kind(config.codomain_kind, config.m)
     if not config.control and config.n != 2:
         raise PreconditionError("the adversarial searcher is implemented for n = 2")
+    if config.restarts < 1 or config.grid < 2:
+        raise PreconditionError("need restarts >= 1 and grid >= 2")
     u = np.asarray(config.u, dtype=float)
     if u.shape != (config.m,):
         raise PreconditionError("u must have the codomain dimension")
@@ -785,65 +792,49 @@ def _config_json(config) -> dict:
 # -- the adversarial searcher --------------------------------------------------
 
 
-class _Separable:
-    """Mutable separable PA candidate: per-axis per-segment slope vectors."""
-
-    def __init__(self, u: np.ndarray, n: int, k: int):
-        self.m = u.shape[0]
-        self.n = n
-        self.k = k
-        self.breaks = np.linspace(-1.0, 1.0, k + 1)
-        self.slopes = [np.zeros((k, self.m)) for _ in range(n)]
-        self.slopes[0][:] = u[None, :]
-        self.base = [s.copy() for s in self.slopes]
-        self.u = u
-
-    def copy(self) -> "_Separable":
-        out = _Separable(self.u, self.n, self.k)
-        out.slopes = [s.copy() for s in self.slopes]
-        return out
-
-    def anchors(self):
-        # direction 1 tracks t * u from t = -1; others start at 0
-        anchors = [np.zeros(self.m) for _ in range(self.n)]
-        anchors[0] = -1.0 * self.u
-        return anchors
-
-    def node_values(self) -> list:
-        return [_node_values(self.breaks, s, anchor)
-                for s, anchor in zip(self.slopes, self.anchors())]
-
-    def to_map(self, a: ns.Norm, b: ns.Norm) -> PiecewiseAffineMap:
-        box = np.stack([-np.ones(self.n), np.ones(self.n)], axis=1)
-        return pa_from_axis_slopes(box, [self.breaks] * self.n, self.slopes,
-                                   self.anchors(), np.zeros(self.m), a, b)
+def _separable_map(u: np.ndarray, slopes: np.ndarray, a: ns.Norm,
+                   b: ns.Norm) -> PiecewiseAffineMap:
+    """The separable PA map on the cube with per-axis per-segment slopes (n, k, m)."""
+    n, k, m = slopes.shape
+    box = np.stack([-np.ones(n), np.ones(n)], axis=1)
+    return pa_from_axis_slopes(box, [np.linspace(-1.0, 1.0, k + 1)] * n, list(slopes),
+                               _anchors(u, n), np.zeros(m), a, b)
 
 
-def _cell_norms_linf_to_l2(slopes: list) -> float:
-    """Exact worst cell norm for the cube domain and Euclidean codomain, n = 2."""
-    s1, s2 = slopes
-    plus = s1[:, None, :] + s2[None, :, :]
-    minus = s1[:, None, :] - s2[None, :, :]
-    return float(np.sqrt(max(np.max(np.sum(plus ** 2, axis=2)),
-                             np.max(np.sum(minus ** 2, axis=2)))))
+def _anchors(u: np.ndarray, n: int) -> np.ndarray:
+    # direction 1 tracks t * u from t = -1; others start at 0
+    anchors = np.zeros((n, u.shape[0]))
+    anchors[0] = -1.0 * u
+    return anchors
 
 
-def _cell_vols(slopes: list) -> np.ndarray:
-    s1, s2 = slopes
-    if s1.shape[1] == 2:
-        return np.abs(s1[:, None, 0] * s2[None, :, 1] - s1[:, None, 1] * s2[None, :, 0])
-    g11 = np.sum(s1 ** 2, axis=1)
-    g22 = np.sum(s2 ** 2, axis=1)
-    g12 = s1 @ s2.T
-    return np.sqrt(np.clip(np.multiply.outer(g11, g22) - g12 ** 2, 0.0, None))
+def _cell_norms_linf_to_l2(slopes: np.ndarray) -> np.ndarray:
+    """Exact worst cell norm per candidate of an (R, 2, k, m) stack, cube to Euclidean."""
+    s1, s2 = slopes[:, 0, :, None, :], slopes[:, 1, None, :, :]
+    return np.sqrt(np.maximum(np.max(np.sum((s1 + s2) ** 2, axis=-1), axis=(1, 2)),
+                              np.max(np.sum((s1 - s2) ** 2, axis=-1), axis=(1, 2))))
 
 
-def _sup_dist_nodes(cand: _Separable, b: ns.Norm) -> float:
-    """Exact sup of ||g - (u|0)||_b over the cube (attained at cell corners)."""
-    vals = cand.node_values()
-    dev0 = vals[0] - cand.breaks[:, None] * cand.u[None, :]
-    total = dev0[:, None, :] + vals[1][None, :, :]
-    return float(np.max(ns._eval_many(b, total.reshape(-1, cand.m))))
+def _cell_vols(slopes: np.ndarray) -> np.ndarray:
+    """Cell volumes (R, k, k) of each candidate of an (R, 2, k, m) stack."""
+    s1, s2 = slopes[:, 0], slopes[:, 1]
+    if s1.shape[-1] == 2:
+        return np.abs(s1[:, :, None, 0] * s2[:, None, :, 1]
+                      - s1[:, :, None, 1] * s2[:, None, :, 0])
+    g11 = np.sum(s1 ** 2, axis=-1)
+    g22 = np.sum(s2 ** 2, axis=-1)
+    g12 = s1 @ s2.transpose(0, 2, 1)
+    return np.sqrt(np.clip(g11[:, :, None] * g22[:, None, :] - g12 ** 2, 0.0, None))
+
+
+def _sup_dist_nodes(slopes: np.ndarray, breaks: np.ndarray, u: np.ndarray,
+                    b: ns.Norm) -> np.ndarray:
+    """Exact sup of ||g - (u|0)||_b over the cube (attained at cell corners), per candidate."""
+    R, n, _, m = slopes.shape
+    vals = _node_values(breaks, slopes, _anchors(u, n))
+    dev0 = vals[:, 0] - breaks[:, None] * u
+    total = dev0[:, :, None, :] + vals[:, 1, None, :, :]
+    return np.max(ns._eval_many(b, total.reshape(-1, m)).reshape(R, -1), axis=1)
 
 
 def _exact_sup_dist(pam: PiecewiseAffineMap, u: np.ndarray) -> float:
@@ -864,65 +855,81 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
     enforces the exact worst-cell operator norm <= 1, and a convex blend
     toward the baseline (u|0) enforces the exact sup-distance <= eps
     (both constraints are convex along the blend).
+
+    The restarts run as one (R, n, k, m) slope stack, one kernel call per
+    stage and step.  Restart r draws from its own stream
+    rng_for(seed, 8088, r) in the order of a single-restart loop, and no
+    draw depends on the ascent, so the result does not depend on batching.
     """
     n, m = a.dim, b.dim
     fast_norms = (n == 2 and a.kind == "lp" and a.p == math.inf
                   and (b.kind == "euclidean" or (b.kind == "lp" and b.p == 2)))
     seg_len = 2.0 / k
+    steps = max(steps, 0)
+    breaks = np.linspace(-1.0, 1.0, k + 1)
+    base = np.zeros((n, k, m))
+    base[0] = u
+    rows = np.arange(restarts)
 
-    def worst_norm(cand: _Separable) -> float:
-        if fast_norms:
-            return _cell_norms_linf_to_l2(cand.slopes)
-        cols = np.broadcast_arrays(cand.slopes[0][:, None, :], cand.slopes[1][None, :, :])
-        cells = np.stack(cols, axis=-1).reshape(k * k, m, 2)
-        return float(np.max(operator_norm_report(cells, a, b).values))
-
-    def project(cand: _Separable) -> None:
-        w = worst_norm(cand)
-        if w > 1.0:
-            for s in cand.slopes:
-                s /= w
-        sup = _sup_dist_nodes(cand, b)
-        if sup > eps:
-            psi = 0.999 * eps / sup
-            for d in range(n):
-                cand.slopes[d][:] = cand.base[d] + psi * (cand.slopes[d] - cand.base[d])
-
-    def score(cand: _Separable):
-        vols = _cell_vols(cand.slopes)
-        frac = float(np.mean(vols >= threshold))
-        guide = float(np.mean(np.minimum(vols / max(threshold, 1e-12), 1.0)))
-        return frac + 1e-3 * guide, frac
-
-    best_frac = 0.0
-    best_cand = None
+    start = np.repeat(base[None], restarts, axis=0)
+    axes = np.empty((restarts, steps), dtype=np.intp)
+    segs = np.empty((restarts, steps), dtype=np.intp)
+    kicks = np.empty((restarts, steps, m))
     for r in range(restarts):
         rng = rng_for(seed, 8088, r)
-        cand = _Separable(u, n, k)
         if r > 0:
             for d in range(n):
-                cand.slopes[d] += rng.standard_normal((k, m)) * (0.3 * eps / seg_len)
-            project(cand)
-        s_best, _ = score(cand)
-        step = max(eps / seg_len, 0.05)
-        for _ in range(steps):
-            d = int(rng.integers(0, n))
-            i = int(rng.integers(0, k))
-            trial = cand.copy()
-            trial.slopes[d][i] += rng.standard_normal(m) * step
-            project(trial)
-            s_new, _ = score(trial)
-            if s_new > s_best:
-                cand, s_best = trial, s_new
-            else:
-                step *= 0.985
-                if step < 1e-6:
-                    break
-        _, frac = score(cand)
-        if best_cand is None or frac > best_frac + 1e-15:
-            best_frac, best_cand = frac, cand
-    pam = best_cand.to_map(a, b)
-    return best_frac, pam
+                start[r, d] += rng.standard_normal((k, m)) * (0.3 * eps / seg_len)
+        for t in range(steps):
+            axes[r, t] = rng.integers(0, n)
+            segs[r, t] = rng.integers(0, k)
+            kicks[r, t] = rng.standard_normal(m)
+
+    def worst_norm(S: np.ndarray) -> np.ndarray:
+        if fast_norms:
+            return _cell_norms_linf_to_l2(S)
+        cols = np.broadcast_arrays(S[:, 0, :, None, :], S[:, 1, None, :, :])
+        cells = np.stack(cols, axis=-1).reshape(-1, m, 2)
+        return np.max(operator_norm_report(cells, a, b).values.reshape(len(S), -1), axis=1)
+
+    def project(S: np.ndarray) -> np.ndarray:
+        w = worst_norm(S)
+        S = S / np.where(w > 1.0, w, 1.0)[:, None, None, None]
+        sup = _sup_dist_nodes(S, breaks, u, b)
+        over = sup > eps
+        psi = 0.999 * eps / np.where(over, sup, 1.0)
+        return np.where(over[:, None, None, None], base + psi[:, None, None, None] * (S - base), S)
+
+    def score(S: np.ndarray):
+        vols = _cell_vols(S).reshape(len(S), -1)
+        frac = np.mean(vols >= threshold, axis=1)
+        guide = np.mean(np.minimum(vols / max(threshold, 1e-12), 1.0), axis=1)
+        return frac + 1e-3 * guide, frac
+
+    # restart 0 starts at the baseline itself, unprojected
+    cand = np.where((rows > 0)[:, None, None, None], project(start), start)
+    s_best, _ = score(cand)
+    step = np.full(restarts, max(eps / seg_len, 0.05))
+    active = np.ones(restarts, dtype=bool)
+    for t in range(steps):
+        trial = cand.copy()
+        trial[rows, axes[:, t], segs[:, t]] += kicks[:, t] * step[:, None]
+        trial = project(trial)
+        s_new, _ = score(trial)
+        accept = active & (s_new > s_best)
+        cand = np.where(accept[:, None, None, None], trial, cand)
+        s_best = np.where(accept, s_new, s_best)
+        reject = active & ~accept
+        step = np.where(reject, step * 0.985, step)
+        active &= ~(reject & (step < 1e-6))
+        if not active.any():
+            break
+    _, fracs = score(cand)
+    best = 0
+    for r in range(1, restarts):
+        if fracs[r] > fracs[best] + 1e-15:
+            best = r
+    return float(fracs[best]), _separable_map(u, cand[best], a, b)
 
 
 # -- report output -------------------------------------------------------------

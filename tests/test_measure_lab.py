@@ -12,6 +12,7 @@ from inflate_lab import measure_lab as ml
 from inflate_lab import normed_space as ns
 from inflate_lab.errors import NumericalFailure, PreconditionError
 from inflate_lab.geometry import GridSubset, box_measure
+from inflate_lab.seeding import rng_for
 
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 UNIT = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -248,6 +249,16 @@ class TestBoxcount:
         assert jac == pytest.approx(area, abs=1e-12)
         assert abs(rep.value - jac) <= rep.error_bound
 
+    @pytest.mark.parametrize("E, area", [
+        (np.array([[0.0, 0.5], [0.0, 1.0]]), 0.5),
+        (quarter_cell(), 0.25),
+    ], ids=["half", "quarter-cell"])
+    def test_cloud_counts_the_image_of_E_only(self, E, area):
+        g = lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1)  # noqa: E731
+        rep = ml.boxcount_image_measure(g, E, 3, 1e-2, lip_hint=1.0)
+        assert rep.resolution["method"] == "cloud"
+        assert abs(rep.value - area) <= rep.error_bound
+
     def test_glued_counts_the_cores_in_E_only(self):
         cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
         spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),
@@ -398,6 +409,126 @@ class TestCoverage:
                               1.0, 1.0, 0.01)
 
 
+def reference_adversarial_search(a, b, u, eps, threshold, k, restarts, steps, seed):
+    """_adversarial_search as a loop over restarts, one candidate at a time."""
+    n, m = a.dim, b.dim
+    fast_norms = (n == 2 and a.kind == "lp" and a.p == math.inf
+                  and (b.kind == "euclidean" or (b.kind == "lp" and b.p == 2)))
+    seg_len = 2.0 / k
+    breaks = np.linspace(-1.0, 1.0, k + 1)
+    base = [np.tile(u, (k, 1)), np.zeros((k, m))]
+    anchors = [-1.0 * u, np.zeros(m)]
+
+    def worst_norm(slopes):
+        s1, s2 = slopes
+        if fast_norms:
+            plus = s1[:, None, :] + s2[None, :, :]
+            minus = s1[:, None, :] - s2[None, :, :]
+            return float(np.sqrt(max(np.max(np.sum(plus ** 2, axis=2)),
+                                     np.max(np.sum(minus ** 2, axis=2)))))
+        cells = np.stack(np.broadcast_arrays(s1[:, None, :], s2[None, :, :]), axis=-1)
+        return float(np.max(la.operator_norm_report(cells.reshape(k * k, m, 2), a, b).values))
+
+    def project(slopes):
+        w = worst_norm(slopes)
+        if w > 1.0:
+            slopes = [s / w for s in slopes]
+        vals = [co._node_values(breaks, s, anchor) for s, anchor in zip(slopes, anchors)]
+        total = (vals[0] - breaks[:, None] * u[None, :])[:, None, :] + vals[1][None, :, :]
+        sup = float(np.max(ns._eval_many(b, total.reshape(-1, m))))
+        if sup > eps:
+            psi = 0.999 * eps / sup
+            slopes = [s0 + psi * (s - s0) for s, s0 in zip(slopes, base)]
+        return slopes
+
+    def score(slopes):
+        s1, s2 = slopes
+        if m == 2:
+            vols = np.abs(s1[:, None, 0] * s2[None, :, 1] - s1[:, None, 1] * s2[None, :, 0])
+        else:
+            gram = np.multiply.outer(np.sum(s1 ** 2, axis=1), np.sum(s2 ** 2, axis=1))
+            vols = np.sqrt(np.clip(gram - (s1 @ s2.T) ** 2, 0.0, None))
+        frac = float(np.mean(vols >= threshold))
+        guide = float(np.mean(np.minimum(vols / max(threshold, 1e-12), 1.0)))
+        return frac + 1e-3 * guide, frac
+
+    best_frac, best = 0.0, None
+    for r in range(restarts):
+        rng = rng_for(seed, 8088, r)
+        cand = base
+        if r > 0:
+            cand = project([s + rng.standard_normal((k, m)) * (0.3 * eps / seg_len)
+                            for s in base])
+        s_best, _ = score(cand)
+        step = max(eps / seg_len, 0.05)
+        for _ in range(steps):
+            d = int(rng.integers(0, n))
+            i = int(rng.integers(0, k))
+            trial = [s.copy() for s in cand]
+            trial[d][i] += rng.standard_normal(m) * step
+            trial = project(trial)
+            s_new, _ = score(trial)
+            if s_new > s_best:
+                cand, s_best = trial, s_new
+            else:
+                step *= 0.985
+                if step < 1e-6:
+                    break
+        _, frac = score(cand)
+        if best is None or frac > best_frac + 1e-15:
+            best_frac, best = frac, cand
+    box = np.stack([-np.ones(n), np.ones(n)], axis=1)
+    return best_frac, co.pa_from_axis_slopes(box, [breaks] * n, best, anchors,
+                                             np.zeros(m), a, b)
+
+
+ADVERSARY_PAIRS = (("linf", "l2", 2), ("linf", "l2", 3), ("l1", "l1", 2), ("l1", "linf", 2),
+                   ("l1", "l2", 2), ("linf", "l1", 2), ("linf", "linf", 2))
+NORMS = {"l1": ns.l1, "l2": ns.euclidean, "linf": ns.linf}
+
+
+@st.composite
+def adversary_cases(draw):
+    """Arguments of _adversarial_search; |u|_b up to 1.5 also starts restart 0 outside the ball."""
+    dom, cod, m = draw(st.sampled_from(ADVERSARY_PAIRS))
+    b = NORMS[cod](m)
+    v = draw(hnp.arrays(float, m, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.max(np.abs(v)) > 0.1))
+    u = v * (draw(st.floats(0.3, 1.5)) / ns.norm_eval(b, v))
+    return (NORMS[dom](2), b, u, draw(st.sampled_from([0.5, 0.25, 0.0625, 2.0 ** -8])),
+            draw(st.floats(0.05, 0.9)), draw(st.integers(2, 6)), draw(st.integers(1, 8)),
+            draw(st.integers(0, 60)), draw(st.integers(0, 2 ** 16)))
+
+
+def assert_same_search(got, want):
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for mine, theirs in zip(got[1].curves, want[1].curves, strict=True):
+        assert mine.slopes.tobytes() == theirs.slopes.tobytes()
+        assert mine.anchor.tobytes() == theirs.anchor.tobytes()
+
+
+class TestAdversaryOracle:
+    @settings(max_examples=120)
+    @given(adversary_cases())
+    def test_batched_restarts_match_the_loop(self, case):
+        assert_same_search(ml._adversarial_search(*case), reference_adversarial_search(*case))
+
+    def test_every_restart_reaches_the_step_stop(self, monkeypatch):
+        calls = []
+        kernel = ml._sup_dist_nodes
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(ml, "_sup_dist_nodes", counted)
+        case = (ns.linf(2), ns.euclidean(2), np.array([1.0, 0.0]), 0.25, 0.3, 3, 6, 1500, 5)
+        got = ml._adversarial_search(*case)
+        # one call for the start and one per step: fewer than 1501 means all six stopped
+        assert len(calls) < 1 + 1500
+        assert_same_search(got, reference_adversarial_search(*case))
+
+
 class TestExperiments:
     def test_positive_records(self):
         config = ml.PositiveConfig(
@@ -480,6 +611,13 @@ class TestExperiments:
             l1_dist = float(np.max(np.sum(np.abs(dev), axis=1)))
             assert rec["sup_dist"] == pytest.approx(l1_dist, rel=1e-12)
             assert l1_dist <= rec["eps"] + 1e-9
+
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"grid": 0}, {"grid": 1}])
+    def test_bad_search_budget_is_a_precondition_error(self, budget):
+        config = ml.NegativeConfig(u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(0.25,),
+                                   seed=0, threshold=0.3, **budget)
+        with pytest.raises(PreconditionError, match="restarts >= 1 and grid >= 2"):
+            ml.run_negative_experiment(config)
 
     def test_csv_round_trip(self, tmp_path):
         config = ml.PositiveConfig(
