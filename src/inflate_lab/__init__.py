@@ -16,9 +16,8 @@ from .linear_analysis import (InflationCertificate, LinearMap, OperatorNormRepor
                               verify_certificate, vol, vol_matrix)
 from .maximal_volume import MvResult, UscProbeReport, column_augment, max_volume, usc_probe
 from .constructions import (CoordinateCurve, GluedMap, InflateReport, PatchSpec,
-                            PiecewiseAffineMap, ZigzagCurve, balls_epsilon, glue_patches,
-                            inflate_affine, inflate_on_set, lsc_margin, pa_from_axis_slopes,
-                            zigzag_curve)
+                            PiecewiseAffineMap, balls_epsilon, glue_patches, inflate_affine,
+                            inflate_on_set, lsc_margin, pa_from_axis_slopes, zigzag_curve)
 from .measure_lab import (MeasureReport, NegativeConfig, PositiveConfig,
                           boxcount_image_measure, coverage_check, estimate_lipschitz,
                           jacobian_integral, map_from_descriptor, records_to_csv,

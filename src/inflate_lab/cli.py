@@ -436,15 +436,7 @@ def run(config: ExperimentConfig) -> int:
         if config.out:
             ml.records_to_csv(records, config.out)
         else:
-            import csv as _csv
-            import io
-
-            buf = io.StringIO()
-            writer = _csv.DictWriter(buf, fieldnames=ml.CSV_FIELDS, extrasaction="ignore")
-            writer.writeheader()
-            for rec in records:
-                writer.writerow({k: rec.get(k) for k in ml.CSV_FIELDS})
-            sys.stdout.write(buf.getvalue())
+            ml._write_records_csv(records, sys.stdout)
         return 0
     if config.out:
         with open(config.out, "w") as fh:
@@ -482,25 +474,21 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
     try:
-        file_config: dict = {}
+        data: dict = {}
         if args.config:
             with open(args.config) as fh:
-                file_config = json.load(fh)
-            if not isinstance(file_config, dict):
+                data = json.load(fh)
+            if not isinstance(data, dict):
                 raise PreconditionError("config file must hold a JSON object")
-        if "params" not in file_config:
-            file_config = {"command": args.command, "params": file_config}
+        if "params" not in data:
+            data = {"params": data}
         if args.params is not None:
-            file_config["params"] = json.loads(args.params)
-        config = ExperimentConfig(
-            command=args.command,
-            params=file_config.get("params", {}),
-            seed=args.seed if args.seed is not None else _config_int(file_config, "seed", 0),
-            out=args.out if args.out is not None else file_config.get("out"),
-            format=args.format if args.format is not None else file_config.get("format", "json"),
-            threads=(args.threads if args.threads is not None else
-                     _config_int(file_config, "threads", 1)),
-        )
+            data["params"] = json.loads(args.params)
+        flags = {"seed": args.seed, "out": args.out, "format": args.format,
+                 "threads": args.threads}
+        data.update({key: value for key, value in flags.items() if value is not None})
+        data["command"] = args.command
+        config = ExperimentConfig.from_json(data)
     except (OSError, json.JSONDecodeError, PreconditionError) as exc:
         _emit_error("precondition", exc)
         return 2

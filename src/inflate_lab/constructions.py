@@ -46,56 +46,12 @@ _MAX_CSV_CELLS = 100_000
 # -- zigzag curves -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZigzagCurve:
-    """Piecewise-affine curve with derivative exactly +-direction per segment.
-
-    Between consecutive breakpoints t_k < t_{k+1} the curve moves with
-    constant derivative ``segment_directions[k] * direction_vector``;
-    the nondifferentiability set is the finite interior breakpoint set.
-    """
-
-    breakpoints: np.ndarray        # (K+1,) strictly increasing
-    segment_directions: np.ndarray  # (K,) values in {+1, -1}
-    direction_vector: np.ndarray   # u in R^m
-    anchor: np.ndarray             # value at breakpoints[0]
-
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        s = np.asarray(self.segment_directions, dtype=float)
-        if b.ndim != 1 or b.shape[0] < 2 or np.any(np.diff(b) <= 0):
-            raise PreconditionError("breakpoints must be strictly increasing, length >= 2")
-        if s.shape != (b.shape[0] - 1,) or not np.all(np.isin(s, (-1.0, 1.0))):
-            raise PreconditionError("segment_directions must be +-1 per segment")
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "segment_directions", s)
-        object.__setattr__(self, "direction_vector", np.asarray(self.direction_vector, dtype=float))
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
-
-    @cached_property
-    def _coefficients(self) -> np.ndarray:
-        """Scalar coefficient of direction_vector at each breakpoint."""
-        steps = self.segment_directions * np.diff(self.breakpoints)
-        return np.concatenate([[0.0], np.cumsum(steps)])
-
-    def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
-                      0, self.segment_directions.shape[0] - 1)
-        coef = self._coefficients[idx] + self.segment_directions[idx] * (ts - self.breakpoints[idx])
-        return self.anchor[None, :] + coef[:, None] * self.direction_vector[None, :]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval_many(np.array([t]))[0]
-
-    def as_coordinate_curve(self) -> "CoordinateCurve":
-        slopes = self.segment_directions[:, None] * self.direction_vector[None, :]
-        return CoordinateCurve(self.breakpoints, slopes, self.anchor)
-
-
 def zigzag_curve(a_vec, u, eps: float, interval,
-                 vec_len: Callable[[np.ndarray], float] = None) -> ZigzagCurve:
+                 vec_len: Callable[[np.ndarray], float] = None) -> CoordinateCurve:
     """Zigzag with derivative +-u tracking the line t -> t * a_vec within eps.
+
+    The result is a CoordinateCurve whose every slope row is exactly u or
+    -u; the nondifferentiability set is the finite interior breakpoint set.
 
     Requires u parallel to a_vec with |u| >= |a_vec| (speed never below
     the target's), or a_vec = 0, in which case the curve is a triangle
@@ -128,7 +84,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         breaks = lo + np.arange(2 * meshes + 1) * half
         breaks[-1] = hi
         signs = np.tile([1.0, -1.0], meshes)
-        return ZigzagCurve(breaks, signs, u, np.zeros_like(u))
+        return CoordinateCurve(breaks, signs[:, None] * u[None, :], np.zeros_like(u))
 
     if not (math.isfinite(len_a) and math.isfinite(len_u)):
         raise PreconditionError(f"lengths must be finite: |A(1)| = {len_a}, |u| = {len_u}")
@@ -146,7 +102,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     if abs(kappa) <= 1.0 + 1e-12 or span * (kappa * kappa - 1.0) * len_a / (2.0 * abs(kappa)) <= 0.9 * eps:
         # single affine segment already stays within budget
         sign = 1.0 if kappa > 0 else -1.0
-        return ZigzagCurve(np.array([lo, hi]), np.array([sign]), u, anchor)
+        return CoordinateCurve(np.array([lo, hi]), sign * u[None, :], anchor)
 
     h = 1.8 * eps * abs(kappa) / ((kappa * kappa - 1.0) * len_a)
     meshes = _guard_segments(span, h)
@@ -170,7 +126,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         signs[2 * drop + 1] = 1.0 if alpha >= h / 2 else -1.0
         breaks = np.delete(breaks, 2 * drop + 1)
         signs = np.delete(signs, 2 * drop)
-    return ZigzagCurve(breaks, signs, u, anchor)
+    return CoordinateCurve(breaks, signs[:, None] * u[None, :], anchor)
 
 
 def _guard_segments(span: float, h: float) -> int:
@@ -198,8 +154,11 @@ def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> 
     stack of curves on the same breakpoints.
     """
     steps = slopes * np.diff(breaks)[:, None]
-    start = np.broadcast_to(anchor[..., None, :], steps.shape[:-2] + (1, steps.shape[-1]))
-    return np.concatenate([start, start + np.cumsum(steps, axis=-2)], axis=-2)
+    out = np.empty(steps.shape[:-2] + (steps.shape[-2] + 1, steps.shape[-1]))
+    out[..., 0, :] = anchor
+    np.cumsum(steps, axis=-2, out=out[..., 1:, :])
+    out[..., 1:, :] += anchor[..., None, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -519,8 +478,7 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
         t_hi = float(np.maximum(row * box[:, 0], row * box[:, 1]).sum())
         if t_hi - t_lo < 1e-300:
             t_hi = t_lo + 1.0
-        zig = zigzag_curve(U[:, i], kappa[i] * U[:, i], budget, (t_lo, t_hi), vec_len=blen)
-        curves.append(zig.as_coordinate_curve())
+        curves.append(zigzag_curve(U[:, i], kappa[i] * U[:, i], budget, (t_lo, t_hi), vec_len=blen))
 
     cell_vol = vol_matrix(A) * float(np.prod(np.abs(kappa)))
     pam = PiecewiseAffineMap(

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
+from .normed_space import _is_euclidean
 from .seeding import rng_for
 
 RANK_RTOL = 1e-10        # sigma_min > RANK_RTOL * sigma_max decides "full rank"
@@ -97,10 +98,6 @@ def is_full_rank(A) -> bool:
 class OperatorNormReport:
     values: np.ndarray  # one norm per matrix of the stack
     exact: bool
-
-
-def _is_euclidean(norm: ns.Norm) -> bool:
-    return norm.kind == "euclidean" or (norm.kind == "lp" and norm.p == 2)
 
 
 def _unwrap_transforms(A: np.ndarray, a: ns.Norm, b: ns.Norm):

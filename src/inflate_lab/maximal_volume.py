@@ -73,7 +73,7 @@ def _max_feasible_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) ->
     if not np.any(V):
         return 1.0
     verts = ns.ball_vertices(a)
-    if verts is not None and (b.kind == "euclidean" or (b.kind == "lp" and b.p == 2)):
+    if verts is not None and ns._is_euclidean(b):
         t_best = math.inf
         for x in verts:
             w = V @ x[1:]
@@ -142,8 +142,7 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
     if not np.any(u):
         return MvResult(0.0, np.zeros((m, n - 1)), base_norm - 1.0, 0, analytic=False)
 
-    if analytic and a.kind == "lp" and a.p == math.inf and \
-            (b.kind == "euclidean" or (b.kind == "lp" and b.p == 2)) and \
+    if analytic and a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b) and \
             abs(float(np.linalg.norm(u)) - 1.0) <= FEAS_TOL:
         # feasibility forces V = 0 here, so the supremum is exactly 0
         return MvResult(0.0, np.zeros((m, n - 1)), base_norm - 1.0, 0, analytic=True)

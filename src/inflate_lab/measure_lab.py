@@ -62,18 +62,7 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
     if domain_measure(domain) <= 0.0:
         raise PreconditionError("empty domain")
     fbatch = _as_batch(f, box.shape[0])
-    rng = rng_for(seed, 51)
-    if isinstance(domain, GridSubset):
-        pts = []
-        occupied = list(domain.cells())
-        for k in range(pairs):
-            _, cell = occupied[int(rng.integers(0, len(occupied)))]
-            pts.append(sample_box(cell, 2, rng))
-        xs = np.concatenate([p[:1] for p in pts], axis=0)
-        ys = np.concatenate([p[1:] for p in pts], axis=0)
-    else:
-        xs = sample_box(box, pairs, rng)
-        ys = sample_box(box, pairs, rng)
+    xs, ys = _sample_pairs(domain, pairs, rng_for(seed, 51))
     diam = float(ns.norm_eval(a, box[:, 1] - box[:, 0]))
     near = xs + (ys - xs) * (1e-4 * diam / np.maximum(
         ns._eval_many(a, ys - xs), 1e-300))[:, None]
@@ -97,6 +86,22 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
         resolution={"pairs": pairs, "exact_cells": exact},
         seed=seed,
     )
+
+
+def _sample_pairs(E, count: int, rng: np.random.Generator):
+    """``count`` point pairs (xs, ys) in E.
+
+    For a GridSubset both points of a pair lie in one occupied cell, drawn
+    uniformly among the cells; for a box the pairs are independent draws
+    over the whole box.
+    """
+    if isinstance(E, GridSubset):
+        occupied = _boxes(E)
+        pts = np.stack([sample_box(occupied[int(rng.integers(0, len(occupied)))], 2, rng)
+                        for _ in range(count)])
+        return pts[:, 0], pts[:, 1]
+    box = as_box(E)
+    return sample_box(box, count, rng), sample_box(box, count, rng)
 
 
 # -- cell-measure integrals --------------------------------------------------
@@ -513,7 +518,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         method = "raster" if isinstance(g, PiecewiseAffineMap) else "raster-cores"
     else:
         raw = _cloud_boxcount(g, _boxes(E), n, m, box_size,
-                              lip_hint if lip_hint is not None else _quick_lip(g, box, seed))
+                              lip_hint if lip_hint is not None else _quick_lip(g, E, seed))
         method = "cloud"
     cal = _calibration(n, m, box_size)
     value = raw / cal
@@ -556,10 +561,9 @@ def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, m: int,
     return count * box_size ** n
 
 
-def _quick_lip(g, box, seed) -> float:
-    rng = rng_for(seed, 99)
-    xs = sample_box(box, 300, rng)
-    ys = sample_box(box, 300, rng)
+def _quick_lip(g, E, seed) -> float:
+    """Sampled Lipschitz quotient of g over pairs in E (see _sample_pairs)."""
+    xs, ys = _sample_pairs(E, 300, rng_for(seed, 99))
     d = np.linalg.norm(xs - ys, axis=1)
     keep = d > 1e-12
     fx = batch_call(g, xs[keep])
@@ -862,8 +866,7 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
     draw depends on the ascent, so the result does not depend on batching.
     """
     n, m = a.dim, b.dim
-    fast_norms = (n == 2 and a.kind == "lp" and a.p == math.inf
-                  and (b.kind == "euclidean" or (b.kind == "lp" and b.p == 2)))
+    fast_norms = n == 2 and a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b)
     seg_len = 2.0 / k
     steps = max(steps, 0)
     breaks = np.linspace(-1.0, 1.0, k + 1)
@@ -940,10 +943,15 @@ CSV_FIELDS = ["eps", "sup_dist", "lip_exact", "jac_integral", "boxcount",
 
 
 def records_to_csv(records: list, path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        _write_records_csv(records, fh)
+
+
+def _write_records_csv(records: list, fh) -> None:
+    """CSV_FIELDS header and one row per record, to an open text handle."""
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({key: rec.get(key) for key in CSV_FIELDS})
+    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")
+    writer.writeheader()
+    for rec in records:
+        writer.writerow({key: rec.get(key) for key in CSV_FIELDS})

@@ -148,6 +148,10 @@ def transformed(base: Norm, W) -> Norm:
 # -- evaluation --------------------------------------------------------
 
 
+def _is_euclidean(norm: Norm) -> bool:
+    return norm.kind == "euclidean" or (norm.kind == "lp" and norm.p == 2)
+
+
 def norm_eval(norm: Norm, x) -> float:
     """Evaluate |x| under the norm.  Exact for every supported kind."""
     x = np.asarray(x, dtype=float)
@@ -321,7 +325,7 @@ def analyze_extremal(norm: Norm, u) -> ExtremalReport:
 def _classify(norm: Norm, u: np.ndarray):
     """Return (is_extremal, is_strongly_extremal, supporting functional or None)."""
     n = norm.dim
-    if norm.kind == "euclidean" or (norm.kind == "lp" and norm.p == 2):
+    if _is_euclidean(norm):
         return True, True, u / float(u @ u)
     if norm.kind == "lp" and 1 < norm.p < math.inf:
         # smooth strictly convex ball: every boundary point is exposed

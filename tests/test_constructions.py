@@ -18,21 +18,30 @@ def eucl_map(matrix):
     return la.linear_map(matrix, ns.euclidean(n), ns.euclidean(m))
 
 
+def slope_signs(z, u):
+    """Sign of each segment of a zigzag, asserting every slope row is exactly u or -u."""
+    plus = np.all(z.slopes == u, axis=1)
+    minus = np.all(z.slopes == -u, axis=1)
+    assert np.all(plus | minus)
+    return np.where(plus, 1.0, -1.0)
+
+
 class TestZigzag:
     def test_zero_map_triangle_wave(self):
         u = np.array([1.0, 0.0])
         z = co.zigzag_curve(np.zeros(2), u, 0.1, (0.0, 1.0))
+        assert isinstance(z, co.CoordinateCurve)
         ts = np.linspace(0.0, 1.0, 10_001)
         vals = z.eval_many(ts)
         assert np.max(np.linalg.norm(vals, axis=1)) < 0.1
         assert np.allclose(vals[:, 1], 0.0)  # stays in span{u}
-        for s in z.segment_directions:
-            assert s in (-1.0, 1.0)
+        slope_signs(z, u)
 
     def test_kappa_one_single_segment(self):
         a = np.array([0.3, 0.4])
         z = co.zigzag_curve(a, a, 0.05, (-1.0, 2.0))
-        assert len(z.segment_directions) == 1
+        assert z.segment_count == 1
+        assert slope_signs(z, a).tolist() == [1.0]
         ts = np.linspace(-1.0, 2.0, 101)
         assert np.allclose(z.eval_many(ts), ts[:, None] * a, atol=1e-12)
 
@@ -43,10 +52,7 @@ class TestZigzag:
         ts = np.linspace(0.0, 1.0, 10_001)
         dev = np.max(np.linalg.norm(z.eval_many(ts) - ts[:, None] * a, axis=1))
         assert dev < 0.05
-        # derivative is exactly +-u on every segment
-        derivs = z.segment_directions[:, None] * z.direction_vector[None, :]
-        for d in derivs:
-            assert np.array_equal(d, u) or np.array_equal(d, -u)
+        slope_signs(z, u)  # derivative is exactly +-u on every segment
 
     def test_negative_kappa(self):
         a = np.array([1.0, 0.0])
@@ -105,8 +111,8 @@ class TestZigzag:
 def reference_zigzag(a_vec, u, eps, interval):
     """zigzag_curve's former per-mesh loop, for Euclidean lengths and a_vec != 0.
 
-    Returns (breakpoints, segment_directions), or None where zigzag_curve's
-    segment guard trips.
+    Returns (breakpoints, per-segment signs of u), or None where
+    zigzag_curve's segment guard trips.
     """
     a_vec = np.asarray(a_vec, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -147,7 +153,7 @@ def assert_matches_reference(a, u, eps, interval):
         return None
     z = co.zigzag_curve(a, u, eps, interval)
     assert z.breakpoints.tobytes() == expected[0].tobytes()
-    assert z.segment_directions.tobytes() == expected[1].tobytes()
+    assert z.slopes.tobytes() == (expected[1][:, None] * np.asarray(u, dtype=float)).tobytes()
     return z
 
 
@@ -167,16 +173,39 @@ class TestZigzagOracle:
     def test_turns_at_mesh_ends_drop(self, sign):
         # every turn lies within 1e-15 of a mesh end: one segment per mesh
         a = np.array([1.0, 0.0])
-        z = assert_matches_reference(a, sign * (1.0 + 1e-11) * a, 1e-15, (0.0, 1.0))
-        assert len(z.segment_directions) == 11112
-        assert np.all(z.segment_directions == sign)
+        u = sign * (1.0 + 1e-11) * a
+        z = assert_matches_reference(a, u, 1e-15, (0.0, 1.0))
+        assert z.segment_count == 11112
+        assert np.all(slope_signs(z, u) == sign)
 
     def test_some_turns_drop(self):
-        z = assert_matches_reference(np.array([1.0]), np.array([-1.000000000006722]),
-                                     2.7129219529829726e-15,
+        u = np.array([-1.000000000006722])
+        z = assert_matches_reference(np.array([1.0]), u, 2.7129219529829726e-15,
                                      (0.14495879772967157, 1.1026317974327937))
-        signs = z.segment_directions
+        signs = slope_signs(z, u)
         assert 0 < np.sum(signs > 0) < np.sum(signs < 0)
+
+
+def reference_node_values(breaks, slopes, anchor):
+    """_node_values's former three-array form: cumsum, shift by the anchor, concatenate."""
+    steps = slopes * np.diff(breaks)[:, None]
+    start = np.broadcast_to(anchor[..., None, :], steps.shape[:-2] + (1, steps.shape[-1]))
+    return np.concatenate([start, start + np.cumsum(steps, axis=-2)], axis=-2)
+
+
+class TestNodeValues:
+    @given(lead=st.sampled_from([(), (3, 2), (1, 1), (2, 3)]), k=st.integers(1, 50),
+           m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120)
+    def test_bit_identical_to_reference(self, lead, k, m, seed):
+        r = np.random.default_rng(seed)
+        breaks = np.cumsum(r.uniform(1e-3, 2.0, k + 1)) - r.uniform(0.0, 5.0)
+        slopes = r.standard_normal(lead + (k, m)) * 10.0 ** r.uniform(-8, 8, lead + (k, 1))
+        anchor = r.standard_normal(lead + (m,)) * 10.0 ** r.uniform(-8, 8)
+        got = co._node_values(breaks, slopes, anchor)
+        expected = reference_node_values(breaks, slopes, anchor)
+        assert got.shape == expected.shape == lead + (k + 1, m)
+        assert got.tobytes() == expected.tobytes()
 
 
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])

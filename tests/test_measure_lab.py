@@ -259,6 +259,23 @@ class TestBoxcount:
         assert rep.resolution["method"] == "cloud"
         assert abs(rep.value - area) <= rep.error_bound
 
+    def test_cloud_lip_hint_is_sampled_on_E(self):
+        # 1-Lipschitz on the quarter cell, 50-Lipschitz beyond x = 0.5: a hint
+        # sampled over the bounding box asks for 2.5e9 cloud points
+        def g(xs):
+            return np.stack([xs[:, 0], xs[:, 1], 50.0 * np.maximum(xs[:, 0] - 0.5, 0.0)], axis=1)
+
+        E = quarter_cell()
+        assert ml._quick_lip(g, E, 0) == pytest.approx(1.0, abs=1e-12)
+        rep = ml.boxcount_image_measure(g, E, 3, 1e-3)
+        assert rep.value == ml.boxcount_image_measure(g, E, 3, 1e-3, lip_hint=1.0).value
+        assert abs(rep.value - 0.25) <= rep.error_bound
+        # on a plain box the pairs are still drawn over the whole box
+        rng = rng_for(0, 99)
+        xs, ys = rng.random((300, 2)), rng.random((300, 2))
+        quot = np.linalg.norm(g(xs) - g(ys), axis=1) / np.linalg.norm(xs - ys, axis=1)
+        assert ml._quick_lip(g, UNIT, 0) == float(np.max(quot))
+
     def test_glued_counts_the_cores_in_E_only(self):
         cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
         spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),
