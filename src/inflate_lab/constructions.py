@@ -288,7 +288,11 @@ class PiecewiseAffineMap:
         return out
 
     def exact_lipschitz(self) -> float:
-        """Largest cell operator norm: the exact Lipschitz constant of the map."""
+        """Largest cell operator norm: the exact Lipschitz constant of the map.
+
+        On a smooth pair (no polytope on either side, not both Euclidean)
+        it is the certified upper end of operator_norm_report's bracket.
+        """
         report = operator_norm_report(self.distinct_linears(), self.domain_norm, self.codomain_norm)
         return float(np.max(report.values))
 

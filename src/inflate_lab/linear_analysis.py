@@ -27,7 +27,7 @@ from .seeding import rng_for
 
 RANK_RTOL = 1e-10        # sigma_min > RANK_RTOL * sigma_max decides "full rank"
 VERIFY_TOL = 1e-9        # certificate verification tolerance (relative), the only one used
-SEARCH_FEAS_TOL = 1e-7   # operator-norm slack accepted by the searches
+SEARCH_FEAS_TOL = 1e-7   # operator-norm slack accepted on a search's input map
 _KAPPA_CAP = 1e9
 
 
@@ -96,8 +96,9 @@ def is_full_rank(A) -> bool:
 
 @dataclass(frozen=True)
 class OperatorNormReport:
-    values: np.ndarray  # one norm per matrix of the stack
+    values: np.ndarray  # one norm per matrix of the stack: exact, or a certified upper bound
     exact: bool
+    lower: np.ndarray   # certified lower end, equal to values when exact
 
 
 def _unwrap_transforms(A: np.ndarray, a: ns.Norm, b: ns.Norm):
@@ -112,13 +113,27 @@ def _unwrap_transforms(A: np.ndarray, a: ns.Norm, b: ns.Norm):
     return A, a, b
 
 
+def _vertex_max(As: np.ndarray, verts: np.ndarray, b: ns.Norm) -> np.ndarray:
+    """max over the rows x of verts of |A x|_b, for every A of the stack."""
+    images = np.matmul(verts, As.transpose(0, 2, 1))
+    values = ns._eval_many(b, images.reshape(-1, b.dim)).reshape(len(As), -1)
+    return np.max(values, axis=1)
+
+
 def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport:
     """sup over the unit ball of |A x|_b for every A of a (k, m, n) stack.
 
     Exact when the domain ball is a polytope (maximum over its finitely
-    many vertices, since x -> |A x|_b is convex) and when both norms are
-    Euclidean (largest singular value).  Otherwise a multi-start
-    maximization over the unit sphere returns a lower bound per matrix.
+    many vertices, since x -> |A x|_b is convex), when both norms are
+    Euclidean (largest singular value), and when the codomain's dual
+    ball is a polytope: ||A||_{a->b} = ||A^T||_{b*->a*} is then a
+    maximum over the dual vertices (for an l1 codomain, the 2^m cube,
+    listed up to ns._DUAL_CUBE_MAX_DIM).  Every other pair is smooth to
+    smooth, where no finite formula exists, or smooth into a large l1
+    ball, where the cube is not listed; with an inscribed polytope
+    P inside the domain ball B and B inside cP (Norm._inscribed),
+    the maximum over P's vertices is the certified ``lower`` end and c
+    times it the certified upper bound ``values``.
     """
     As = np.asarray(matrices, dtype=float)
     if As.ndim != 3 or As.shape[1:] != (b.dim, a.dim):
@@ -128,51 +143,24 @@ def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport
     As, a, b = _unwrap_transforms(As, a, b)
     verts = ns.ball_vertices(a)
     if verts is not None:
-        images = np.matmul(verts, As.transpose(0, 2, 1))
-        values = ns._eval_many(b, images.reshape(-1, b.dim)).reshape(len(As), -1)
-        return OperatorNormReport(np.max(values, axis=1), True)
+        values = _vertex_max(As, verts, b)
+        return OperatorNormReport(values, True, values)
     if _is_euclidean(a) and _is_euclidean(b):
-        return OperatorNormReport(np.linalg.svd(As, compute_uv=False)[:, 0], True)
-    return OperatorNormReport(np.array([_sampled_operator_norm(A, a, b) for A in As]), False)
+        values = np.linalg.svd(As, compute_uv=False)[:, 0]
+        return OperatorNormReport(values, True, values)
+    # ||A||_{a->b} = ||A^T||_{b*->a*}
+    dual_verts = ns._dual_vertices(b)
+    if dual_verts is not None:
+        values = _vertex_max(As.transpose(0, 2, 1), dual_verts, ns.dual(a))
+        return OperatorNormReport(values, True, values)
+    inscribed, c = a._inscribed
+    lower = _vertex_max(As, inscribed, b)
+    return OperatorNormReport(c * lower, False, lower)
 
 
 def operator_norm(map: LinearMap) -> float:
+    """||A||_{a->b}: exact, or the certified upper end of its bracket."""
     return float(operator_norm_report(map.matrix[None], map.domain_norm, map.codomain_norm).values[0])
-
-
-def _sampled_operator_norm(A, a, b) -> float:
-    n = A.shape[1]
-    rng = rng_for(0, 7001)
-    dirs = rng.standard_normal((256, n))
-    dirs = np.concatenate([dirs, np.eye(n), -np.eye(n)], axis=0)
-    lens = ns._eval_many(a, dirs)
-    dirs = dirs[lens > 0] / lens[lens > 0, None]
-    best_idx = int(np.argmax(ns._eval_many(b, dirs @ A.T)))
-    x = dirs[best_idx]
-    best = float(ns._eval_many(b, x[None, :] @ A.T)[0])
-    step = 0.3
-    h = 1e-6
-    for _ in range(200):
-        g = np.zeros(n)
-        fx = best
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            xp = (x + e) / ns._eval_many(a, (x + e)[None, :])[0]
-            xm = (x - e) / ns._eval_many(a, (x - e)[None, :])[0]
-            g[i] = (ns._eval_many(b, xp[None, :] @ A.T)[0] - ns._eval_many(b, xm[None, :] @ A.T)[0]) / (2 * h)
-        if np.linalg.norm(g) < 1e-14:
-            break
-        cand = x + step * g
-        cand = cand / ns._eval_many(a, cand[None, :])[0]
-        val = float(ns._eval_many(b, cand[None, :] @ A.T)[0])
-        if val > fx:
-            x, best = cand, val
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return best
 
 
 # -- sign permutations and certificates ----------------------------------
@@ -340,8 +328,11 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
     Multi-start over eigenbases (SVD-informed plus random), maximizing
     the sign-invariant volume vol(A) * prod kappa_i by monotone
     coordinate ascent on the eigenvalues, subject to the max-over-signs
-    operator norm staying at most 1.  ``None`` is evidence, not a proof
-    of nonexistence.
+    operator norm (its certified upper end) staying at most 1 itself,
+    without slack, so verification accepts every candidate the search
+    hands it.  Only the starting point kappa = 1 is screened at the
+    verifier's 1 + VERIFY_TOL.  ``None`` is evidence, not a proof of
+    nonexistence.
     """
     if lam < 0:
         raise PreconditionError("lambda must be nonnegative")
@@ -350,7 +341,8 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
     A = map.matrix
     if not is_full_rank(A):
         raise PreconditionError("map must be full rank")
-    base_norm = operator_norm(map)
+    # reject only a map that is certainly not a contraction: the lower end
+    base_norm = float(operator_norm_report(A[None], map.domain_norm, map.codomain_norm).lower[0])
     if base_norm > 1.0 + SEARCH_FEAS_TOL:
         raise PreconditionError(f"operator norm {base_norm} exceeds 1")
     vol_A = vol_matrix(A)
@@ -375,7 +367,9 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
             X = X_svd @ _random_rotation(n, rng, scale=0.2 * (1 + r / restarts))
         if not is_full_rank(A @ X):
             continue
-        if _max_sign_norm(map, X, np.ones(n)) > 1.0 + SEARCH_FEAS_TOL:
+        # kappa = 1 is the candidate itself when nothing grows: screen it as
+        # verification would, since its all-plus pattern is A up to rounding
+        if _max_sign_norm(map, X, np.ones(n)) > 1.0 + VERIFY_TOL:
             continue
         kappa = np.ones(n)
         budget = steps
@@ -387,7 +381,7 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
                 trial = kappa.copy()
                 trial[i] = min(hi, max(2.0 * lo, 1.0))
                 # exponential reach, then bisect back to the boundary
-                while budget > 0 and _max_sign_norm(map, X, trial) <= 1.0 + SEARCH_FEAS_TOL:
+                while budget > 0 and _max_sign_norm(map, X, trial) <= 1.0:
                     lo = trial[i]
                     trial[i] = min(hi, trial[i] * 2.0)
                     budget -= 1
@@ -399,7 +393,7 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
                         break
                     mid = 0.5 * (lo + hi_local)
                     trial[i] = mid
-                    if _max_sign_norm(map, X, trial) <= 1.0 + SEARCH_FEAS_TOL:
+                    if _max_sign_norm(map, X, trial) <= 1.0:
                         lo = mid
                     else:
                         hi_local = mid

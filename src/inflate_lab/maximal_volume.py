@@ -18,7 +18,7 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, PreconditionError
-from .linear_analysis import LinearMap, operator_norm, vol_matrix
+from .linear_analysis import LinearMap, operator_norm_report, vol_matrix
 from .seeding import rng_for
 
 FD_STEP = 1e-5          # central-difference step for the vol gradient
@@ -58,49 +58,91 @@ class MvResult:
 # -- feasibility scaling -----------------------------------------------------
 
 
-def _norm_of(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
-    return operator_norm(LinearMap(np.concatenate([u[:, None], V], axis=1), a, b))
+def _norm_bracket(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> tuple:
+    """(lower, upper) ends of ||(u|V)||_{a->b}; equal where the norm is exact."""
+    report = operator_norm_report(np.concatenate([u[:, None], V], axis=1)[None], a, b)
+    return float(report.lower[0]), float(report.values[0])
 
 
 def _max_feasible_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
     """Largest t >= 0 with ||(u|tV)|| <= 1.
 
     t -> ||(u|tV)|| is convex and <= 1 at t = 0, so the feasible set is
-    an interval.  For a vertex-described domain ball and a Euclidean
-    codomain the boundary solves a quadratic per vertex exactly;
-    otherwise bisection.
+    an interval.  When a ball has finitely many vertices the norm is the
+    largest of ||beta_v + t w_v||_c over them, and the boundary is the
+    first exit of these rays from the c-ball: domain vertices x give
+    beta = x_1 u, w = V x_rest in c = b; by duality, vertices y of the
+    codomain's dual ball give beta = (y.u, 0), w = (0, V^T y) in the dual
+    of a.  Otherwise bisection keeps the norm's certified upper end at
+    most 1: when c is neither Euclidean nor polytopal, and when a dual
+    ball is a cube too large to list (ns._dual_vertices).
     """
     if not np.any(V):
         return 1.0
     verts = ns.ball_vertices(a)
-    if verts is not None and ns._is_euclidean(b):
-        t_best = math.inf
-        for x in verts:
-            w = V @ x[1:]
-            aa = float(w @ w)
-            base = x[0] * u
-            cc = float(base @ base)
-            bb = 2.0 * float(base @ w)
-            if aa < 1e-300:
-                continue
-            if cc > 1.0 + 1e-15:
-                return 0.0
-            disc = bb * bb - 4.0 * aa * (cc - 1.0)
-            t_v = (-bb + math.sqrt(max(disc, 0.0))) / (2.0 * aa)
-            t_best = min(t_best, max(t_v, 0.0))
-        return 1.0 if t_best is math.inf else float(t_best)
-    # generic: expand then bisect; the tiny slack absorbs float noise when
-    # ||(u|0)|| sits exactly on the boundary
-    slack = 1.0 + 1e-12
+    if verts is not None:
+        beta = np.array([x[0] * u for x in verts])
+        w = np.array([V @ x[1:] for x in verts])
+        c = b
+    else:
+        ys = ns._dual_vertices(b)
+        if ys is None:
+            return _bisected_scale(u, V, a, b)
+        beta = np.zeros((len(ys), a.dim))
+        beta[:, 0] = ys @ u
+        w = np.zeros_like(beta)
+        w[:, 1:] = ys @ V
+        c = ns.dual(a)
+    if ns._is_euclidean(c):
+        return _quadratic_exit(beta, w)
+    facets = ns._dual_vertices(c)
+    if facets is not None:
+        return _facet_exit(beta, w, facets)
+    return _bisected_scale(u, V, a, b)
+
+
+def _quadratic_exit(beta: np.ndarray, w: np.ndarray) -> float:
+    """Largest t >= 0 with |beta_v + t w_v|_2 <= 1 for every row: one quadratic per row."""
+    t_best = math.inf
+    for base, wv in zip(beta, w):
+        aa = float(wv @ wv)
+        cc = float(base @ base)
+        bb = 2.0 * float(base @ wv)
+        if aa < 1e-300:
+            continue
+        if cc > 1.0 + 1e-15:
+            return 0.0
+        disc = bb * bb - 4.0 * aa * (cc - 1.0)
+        t_v = (-bb + math.sqrt(max(disc, 0.0))) / (2.0 * aa)
+        t_best = min(t_best, max(t_v, 0.0))
+    return 1.0 if t_best is math.inf else float(t_best)
+
+
+def _facet_exit(beta: np.ndarray, w: np.ndarray, facets: np.ndarray) -> float:
+    """Largest t >= 0 with f.(beta_v + t w_v) <= 1 for every row v and facet row f."""
+    along = w @ facets.T
+    crossing = along > 0.0
+    if not np.any(crossing):
+        return 1.0
+    slack = 1.0 - beta @ facets.T
+    return max(float(np.min(slack[crossing] / along[crossing])), 0.0)
+
+
+def _bisected_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
+    # expand then bisect on the upper end; the tiny slack absorbs float
+    # noise when ||(u|0)|| sits exactly on the boundary
+    def feasible(t: float) -> bool:
+        return _norm_bracket(u, t * V, a, b)[1] <= 1.0 + 1e-12
+
     lo, hi = 0.0, 1.0
-    if _norm_of(u, hi * V, a, b) <= slack:
-        while hi < 1e6 and _norm_of(u, 2.0 * hi * V, a, b) <= slack:
+    if feasible(hi):
+        while hi < 1e6 and feasible(2.0 * hi):
             hi *= 2.0
         lo = hi
         hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _norm_of(u, mid * V, a, b) <= slack:
+        if feasible(mid):
             lo = mid
         else:
             hi = mid
@@ -135,7 +177,7 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
         raise PreconditionError("maximal volume needs n >= 2")
     if n > m:
         raise PreconditionError("requires n <= m")
-    base_norm = _norm_of(u, np.zeros((m, n - 1)), a, b)
+    base_norm = _norm_bracket(u, np.zeros((m, n - 1)), a, b)[0]
     if base_norm > 1.0 + FEAS_TOL:
         raise PreconditionError(f"||(u|0)|| = {base_norm} exceeds 1")
 
@@ -169,7 +211,7 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
                 step *= 0.5
         if val > best_val + 1e-15:
             best_val, best_V = val, V
-    gap = _norm_of(u, best_V, a, b) - 1.0
+    gap = _norm_bracket(u, best_V, a, b)[1] - 1.0
     value = vol_matrix(np.concatenate([u[:, None], best_V], axis=1))
     return MvResult(float(value), best_V, float(gap), restarts, analytic=False)
 
@@ -232,7 +274,7 @@ def usc_probe(u, a: ns.Norm, b: ns.Norm, delta: float, trials: int = 12,
                 continue
             radius = eps * rng.random() ** (1.0 / b.dim)
             u_tilde = u + radius * g / g_len
-            if _norm_of(u_tilde, np.zeros((b.dim, a.dim - 1)), a, b) > 1.0 + FEAS_TOL:
+            if _norm_bracket(u_tilde, np.zeros((b.dim, a.dim - 1)), a, b)[0] > 1.0 + FEAS_TOL:
                 continue  # no feasible completion is reachable by scaling: vacuous
             res = max_volume(u_tilde, a, b, restarts=restarts, seed=seed + 31 * t,
                              analytic=False, iters=iters)

@@ -517,8 +517,9 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         raw = _mass_from_parts(parts, n, box_size)
         method = "raster" if isinstance(g, PiecewiseAffineMap) else "raster-cores"
     else:
-        raw = _cloud_boxcount(g, _boxes(E), n, m, box_size,
-                              lip_hint if lip_hint is not None else _quick_lip(g, E, seed))
+        boxes = _boxes(E)  # none for an empty GridSubset, whose image has measure 0
+        raw = 0.0 if not boxes else _cloud_boxcount(
+            g, boxes, n, m, box_size, lip_hint if lip_hint is not None else _quick_lip(g, E, seed))
         method = "cloud"
     cal = _calibration(n, m, box_size)
     value = raw / cal

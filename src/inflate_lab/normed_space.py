@@ -6,8 +6,8 @@ gauge of the convex hull of a finite symmetric spanning vertex set) and
 ``transformed`` (a base norm pushed forward through an invertible
 linear map W, so that |x|_{W(a)} = |W^-1 x|_a and W(B_a) = B_{W(a)}).
 
-The queries answered here: evaluation, Lebesgue volume of the unit
-ball, the normalizing factor 2^n / H^n(B) that converts the
+The queries answered here: evaluation, the dual norm, the vertices of
+a polytopal ball, Lebesgue volume of the unit ball, the normalizing factor 2^n / H^n(B) that converts the
 Euclidean-induced Hausdorff measure into the norm-induced one, and
 extremal / strongly-extremal analysis of boundary points.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,11 @@ BOUNDARY_RTOL = 1e-9  # relative tolerance deciding "u lies on the unit sphere"
 _QMC_MIN_POINTS = 2 ** 16
 _QMC_REPLICATES = 8
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+_POLYGON_VERTICES = 1024  # inscribed polygon of an operator-norm bracket, n = 2
+_HULL_LATTICE = 12  # cube-surface lattice spacing 1/12 of the bracket, n = 3
+_C_ROUNDING = 1e-12  # relative round-up of a bracket's c, far above the float error of its facets
+_DUAL_CUBE_MAX_DIM = 12  # largest l1 ball whose dual cube (2^dim vertices) the duality paths list
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,79 @@ class Norm:
         if np.any(c <= 1e-12):
             raise PreconditionError("polytopal vertex hull does not contain 0 in its interior")
         return A, c
+
+    @cached_property
+    def _ball_vertices(self) -> Optional[np.ndarray]:
+        if self.kind == "polytopal":
+            verts = self._extreme_points
+        elif self.kind == "lp" and self.p == 1:
+            eye = np.eye(self.dim)
+            verts = np.concatenate([eye, -eye], axis=0)
+        elif self.kind == "lp" and self.p == math.inf:
+            if self.dim > 20:
+                raise PreconditionError("cube vertex enumeration guard: dim > 20")
+            verts = np.array(list(product((-1.0, 1.0), repeat=self.dim)))
+        elif self.kind == "transformed":
+            base = ball_vertices(self.base)
+            if base is None:
+                return None
+            verts = base @ self.W.T
+        else:
+            return None
+        verts.setflags(write=False)
+        return verts
+
+    @cached_property
+    def _dual(self) -> "Norm":
+        if self.kind == "euclidean":
+            return self
+        if self.kind == "lp":
+            if self.p == 1:
+                return linf(self.dim)
+            return lp(self.dim, 1.0 if self.p == math.inf else self.p / (self.p - 1.0))
+        if self.kind == "polytopal":
+            A, c = self._facets
+            verts = A / c[:, None]
+            return polytopal(np.concatenate([verts, -verts]))
+        return transformed(dual(self.base), self._W_inv.T)
+
+    @cached_property
+    def _inscribed(self) -> tuple:
+        """Vertices P of a polytope inside the unit ball B, and c >= 1 with B inside cP.
+
+        B lies in cP exactly when every facet {x : N.x <= N.p} of P has
+        |N|_* <= c N.p, the support of B in direction N being |N|_*.  For
+        n = 2, P is the polygon of _POLYGON_VERTICES equal-angle directions
+        scaled onto the unit sphere; for n = 3, the hull of the cube-surface
+        lattice points of spacing 1 / _HULL_LATTICE scaled onto it
+        (scipy.spatial is imported only there).  c is rounded up by
+        _C_ROUNDING.  Larger n raises: the lattice hulls that fit in memory
+        leave c - 1 between 2e-2 and 2e-1 for n = 4 to 6.
+        """
+        n = self.dim
+        if n == 1:
+            ends = np.array([[1.0], [-1.0]])
+            return ends / _eval_many(self, ends)[:, None], 1.0
+        if n == 2:
+            theta = np.linspace(0.0, 2.0 * math.pi, _POLYGON_VERTICES, endpoint=False)
+            dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+            P = dirs / _eval_many(self, dirs)[:, None]
+            edges = np.roll(P, -1, axis=0) - P
+            normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward: P runs counter-clockwise
+            offsets = np.sum(normals * P, axis=1)
+        elif n == 3:
+            from scipy.spatial import ConvexHull
+
+            axis = np.arange(-_HULL_LATTICE, _HULL_LATTICE + 1) / _HULL_LATTICE
+            grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+            dirs = grid[np.max(np.abs(grid), axis=1) == 1.0]
+            hull = ConvexHull(dirs / _eval_many(self, dirs)[:, None])
+            P = hull.points[hull.vertices]
+            normals, offsets = hull.equations[:, :-1], -hull.equations[:, -1]
+        else:
+            raise PreconditionError(f"operator-norm bracket guard: dim {n} > 3")
+        c = float(np.max(_eval_many(dual(self), normals) / offsets)) * (1.0 + _C_ROUNDING)
+        return P, c
 
     @cached_property
     def _extreme_points(self) -> np.ndarray:
@@ -191,26 +270,35 @@ def ball_vertices(norm: Norm) -> Optional[np.ndarray]:
     """Extreme points of the unit ball when it is a polytope, else None.
 
     Used for exact operator norms: a convex function on the ball attains
-    its maximum at an extreme point.
+    its maximum at an extreme point.  The array is cached on the norm and
+    read-only.
     """
-    if norm.kind == "polytopal":
-        return norm._extreme_points
-    if norm.kind == "lp":
-        n = norm.dim
-        if norm.p == 1:
-            eye = np.eye(n)
-            return np.concatenate([eye, -eye], axis=0)
-        if norm.p == math.inf:
-            if n > 20:
-                raise PreconditionError("cube vertex enumeration guard: dim > 20")
-            from itertools import product
+    return norm._ball_vertices
 
-            return np.array(list(product((-1.0, 1.0), repeat=n)))
+
+def dual(norm: Norm) -> Norm:
+    """The dual norm |y|_* = max of <y, x> over the unit ball, cached on the norm.
+
+    lp -> lq with 1/p + 1/q = 1 (1 <-> inf), Euclidean -> itself, a
+    polytope with facets A x <= c -> the polytope with vertices +-A_i / c_i,
+    and W(base) -> W^-T(dual(base)).
+    """
+    return norm._dual
+
+
+def _dual_vertices(norm: Norm) -> Optional[np.ndarray]:
+    """ball_vertices(dual(norm)) when that is a polytope with few vertices, else None.
+
+    Only an l1 ball has a dual with exponentially many vertices, the
+    2^dim cube; above _DUAL_CUBE_MAX_DIM the duality paths give way to
+    the domain side.
+    """
+    base = norm
+    while base.kind == "transformed":
+        base = base.base
+    if base.kind == "lp" and base.p == 1 and base.dim > _DUAL_CUBE_MAX_DIM:
         return None
-    if norm.kind == "transformed":
-        base = ball_vertices(norm.base)
-        return None if base is None else base @ norm.W.T
-    return None
+    return ball_vertices(dual(norm))
 
 
 # -- volumes -----------------------------------------------------------

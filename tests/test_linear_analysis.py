@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,18 +93,66 @@ class TestOperatorNorm:
             assert nTA == pytest.approx(abs(t) * nA, abs=1e-10)
 
     def test_sampled_path_reports_gap(self, rng):
+        # the smooth pair lp3 -> l2 has no finite formula: a certified bracket
+        a = ns.lp(2, 3.0)
         A = rng.standard_normal((2, 2)) * 0.3
-        report = la.operator_norm_report(A[None], ns.lp(2, 3.0), ns.euclidean(2))
+        report = la.operator_norm_report(A[None], a, ns.euclidean(2))
         assert not report.exact
-        # lower bound property against dense sampling
-        xs = rng.standard_normal((2000, 2))
-        xs /= ns.eval_many(ns.lp(2, 3.0), xs)[:, None]
+        # a dense equal-angle grid on the a-sphere that refines the inscribed
+        # polygon's directions, so it contains its vertices bit for bit
+        theta = np.linspace(0.0, 2.0 * math.pi, 64 * ns._POLYGON_VERTICES, endpoint=False)
+        xs = np.column_stack([np.cos(theta), np.sin(theta)])
+        xs /= ns.eval_many(a, xs)[:, None]
         dense = float(np.max(np.linalg.norm(xs @ A.T, axis=1)))
-        assert report.values[0] >= dense - 1e-6
+        _, c = a._inscribed
+        assert report.lower[0] <= dense <= report.values[0]
+        assert report.values[0] / report.lower[0] <= c * (1.0 + 1e-15)
+        assert 1.0 < c < 1.0 + 1e-4
+
+    def test_bracket_contains_the_norm_in_three_dimensions(self, rng):
+        # the lattice-hull polytope; the sample holds its vertices, so lower <= dense
+        a, b = ns.lp(3, 3.0), ns.lp(3, 4.0)
+        P, c = a._inscribed
+        xs = rng.standard_normal((200_000, 3))
+        xs = np.concatenate([xs / ns.eval_many(a, xs)[:, None], P])
+        for A in rng.standard_normal((5, 3, 3)):
+            report = la.operator_norm_report(A[None], a, b)
+            dense = float(np.max(ns.eval_many(b, xs @ A.T)))
+            assert not report.exact
+            assert report.lower[0] <= dense <= report.values[0]
+            assert report.values[0] <= c * report.lower[0]
+
+    def test_bracket_guard_above_three_dimensions(self):
+        with pytest.raises(PreconditionError, match="bracket guard"):
+            la.operator_norm_report(np.eye(4)[None], ns.lp(4, 3.0), ns.lp(4, 4.0))
+
+    def test_l1_codomain_beyond_the_dual_cube_limit_takes_the_domain_side(self, rng):
+        # the dual of l1(m) is the 2^m cube: listed up to _DUAL_CUBE_MAX_DIM, and
+        # above it the smooth domain's bracket answers instead of the cube guard
+        A = rng.standard_normal((ns._DUAL_CUBE_MAX_DIM + 1, 2))
+        a = ns.euclidean(2)
+        report = la.operator_norm_report(A[None], a, ns.l1(len(A)))
+        _, c = a._inscribed
+        theta = np.linspace(0.0, 2.0 * math.pi, 64 * ns._POLYGON_VERTICES, endpoint=False)
+        dense = float(np.max(np.sum(np.abs(np.column_stack([np.cos(theta), np.sin(theta)]) @ A.T), axis=1)))
+        assert not report.exact
+        assert report.lower[0] <= dense <= report.values[0] <= c * report.lower[0]
+        # l1(21): past the cube enumeration guard, which the dual path used to raise
+        report = la.operator_norm_report(rng.standard_normal((1, 21, 2)), a, ns.l1(21))
+        assert not report.exact and report.lower[0] <= report.values[0]
+        exact = la.operator_norm_report(A[:-1][None], a, ns.l1(len(A) - 1))
+        assert exact.exact
 
 
 def reference_operator_norm_report(A, a, b):
-    """operator_norm_report's former one-matrix form: (value, exact)."""
+    """(value, exact) for one matrix, by brute force where a finite formula exists.
+
+    A polytopal domain ball or a Euclidean pair: operator_norm_report's
+    former one-matrix form, which the kernel must match bit for bit.  A
+    smooth domain into linf or l1: the dual formulas, the largest row
+    q-norm and the largest |A^T s|_q over sign vectors s, with q the
+    conjugate exponent of the domain.  Any other pair: (None, False).
+    """
     while a.kind == "transformed" or b.kind == "transformed":
         if a.kind == "transformed":
             A, a = A @ a.W, a.base
@@ -111,7 +163,15 @@ def reference_operator_norm_report(A, a, b):
         return float(np.max(ns._eval_many(b, verts @ A.T))), True
     if la._is_euclidean(a) and la._is_euclidean(b):
         return float(np.linalg.svd(A, compute_uv=False)[0]), True
-    return la._sampled_operator_norm(A, a, b), False
+    p = 2.0 if a.kind == "euclidean" else a.p
+    q = p / (p - 1.0)
+    if b.kind == "lp" and b.p == math.inf:
+        rows = A
+    elif b.kind == "lp" and b.p == 1:
+        rows = np.array([np.asarray(s) @ A for s in itertools.product((-1.0, 1.0), repeat=b.dim)])
+    else:
+        return None, False
+    return float(np.max(np.sum(np.abs(rows) ** q, axis=1) ** (1.0 / q))), True
 
 
 def _domain(kind, n):
@@ -145,14 +205,41 @@ class TestOperatorNormStack:
         a, b = _domain(domain, n), _CODOMAINS[codomain](m)
         report = la.operator_norm_report(As, a, b)
         expected = [reference_operator_norm_report(A, a, b) for A in As]
-        assert report.values.tobytes() == np.array([v for v, _ in expected]).tobytes()
+        # exact whenever either ball, or the codomain's dual ball, is a polytope
+        assert report.exact is not (domain == "lp3" and codomain == "l2")
         assert all(report.exact is exact for _, exact in expected)
+        if not report.exact:
+            assert np.all(report.lower <= report.values)
+            return
+        assert report.lower.tobytes() == report.values.tobytes()
+        if domain in ("l2", "lp3") and codomain != "l2":
+            assert report.values == pytest.approx([v for v, _ in expected], rel=1e-12)
+        else:
+            assert report.values.tobytes() == np.array([v for v, _ in expected]).tobytes()
 
     def test_non_finite_entry_rejected(self):
         As = np.zeros((3, 2, 2))
         As[1, 0, 1] = np.inf
         with pytest.raises(PreconditionError, match="finite"):
             la.operator_norm_report(As, ns.linf(2), ns.euclidean(2))
+
+
+def test_bracket_for_n2_leaves_scipy_spatial_unimported():
+    # a hull would cost the process about 9 MB of peak RSS for no gain at n = 2
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from inflate_lab import maximal_volume as mv, normed_space as ns\n"
+            "from inflate_lab.linear_analysis import operator_norm_report\n"
+            "a, b = ns.lp(2, 3.0), ns.lp(2, 4.0)\n"
+            "assert not operator_norm_report(np.ones((1, 2, 2)), a, b).exact\n"
+            "mv.max_volume(np.array([0.5, 0.0]), a, b, restarts=1, iters=1)\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(la.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestSignPermutations:
@@ -296,6 +383,28 @@ class TestInflationSearch:
         m = la.linear_map(A, ns.linf(2), ns.euclidean(2))
         cert = la.inflation_search(m, 0.01, restarts=6, steps=60, seed=0)
         assert cert is None
+
+    @pytest.mark.parametrize("a, b", [(ns.linf(2), ns.euclidean(3)), (ns.l1(2), ns.linf(3))],
+                             ids=["linf-l2", "l1-linf"])
+    def test_search_stops_inside_the_verifier_tolerance(self, a, b, rng):
+        # X = I, kappa = 1 certifies vol(A) / 2 on a sign-symmetric domain ball;
+        # a search that stops at 1 + 1e-7 hands verification only failing candidates
+        for _ in range(3):
+            A = rng.standard_normal((3, 2))
+            m = la.linear_map(A / la.operator_norm(la.linear_map(A, a, b)), a, b)
+            cert = la.inflation_search(m, la.vol(m) / 2.0, restarts=2, steps=60, seed=0)
+            assert cert is not None and cert.verified
+            assert cert.worst_sign_norm <= 1.0
+
+    def test_screen_accepts_a_map_whose_norm_rounds_above_one(self):
+        # ||A||_{l1->linf} = 1 + ulp: at kappa = 1 every sign pattern of X = I
+        # has that norm, which verification accepts and a screen at 1.0 would not
+        one_up = np.nextafter(1.0, 2.0)
+        m = la.linear_map(np.diag([one_up, one_up]), ns.l1(2), ns.linf(2))
+        assert la.operator_norm(m) == one_up
+        cert = la.inflation_search(m, 1.0, restarts=2, steps=20, seed=0)
+        assert cert is not None and cert.verified
+        assert 1.0 < cert.worst_sign_norm <= 1.0 + la.VERIFY_TOL
 
     def test_lambda_zero_trivial(self):
         m = eucl_map(np.diag([0.8, 0.6]))

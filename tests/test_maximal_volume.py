@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from inflate_lab import linear_analysis as la
 from inflate_lab import maximal_volume as mv
 from inflate_lab import normed_space as ns
 from inflate_lab.errors import DimensionMismatch, PreconditionError
@@ -26,6 +27,71 @@ class TestColumnAugment:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mv.column_augment([1.0, 0.0], np.array([[1.0, 0.0, 0.0]]))
+
+
+# no reflection of the first axis maps these balls to themselves
+SKEW_HEXAGON = ns.polytopal([[1.0, 0.3], [0.2, 1.0], [-0.8, 0.7],
+                             [-1.0, -0.3], [-0.2, -1.0], [0.8, -0.7]])
+CUT_CUBE = ns.polytopal(np.concatenate([np.eye(3), [[0.6, 0.6, 0.6]],
+                                        -np.eye(3), [[-0.6, -0.6, -0.6]]]))
+
+
+class TestFeasibleScale:
+    @pytest.mark.parametrize("a, b", [
+        (ns.l1(2), ns.linf(3)),
+        (ns.linf(2), ns.l1(3)),
+        (SKEW_HEXAGON, CUT_CUBE),
+        (ns.euclidean(2), ns.linf(3)),
+        (ns.linf(2), ns.l1(12)),
+        (ns.euclidean(2), ns.l1(12)),
+    ], ids=["l1-linf", "linf-l1", "polytopal", "l2-linf", "linf-l1_12", "l2-l1_12"])
+    def test_ray_exit_is_feasible_and_tight(self, a, b, rng):
+        def norm(u, V):
+            M = np.concatenate([u[:, None], V], axis=1)
+            report = la.operator_norm_report(M[None], a, b)
+            assert report.exact
+            return float(report.values[0])
+
+        m = b.dim
+        for _ in range(20):
+            u = rng.standard_normal(m)
+            u *= 0.5 / norm(u, np.zeros((m, 1)))
+            V = rng.standard_normal((m, 1))
+            t = mv._max_feasible_scale(u, V, a, b)
+            assert 0.0 < t < 1e6
+            assert norm(u, t * V) <= 1.0 + 1e-12
+            assert norm(u, (1.0 + 1e-9) * t * V) > 1.0
+
+    def test_l1_codomain_beyond_the_dual_cube_limit_bisects(self):
+        # the facets of l1(21) are the 2^21 cube, past the enumeration guard:
+        # the exit bisects on the exact domain-vertex norm instead
+        a, b = ns.linf(2), ns.l1(21)
+        u = np.zeros(21)
+        u[0] = 0.5
+        V = np.linspace(-1.0, 1.0, 21)[:, None]
+        t = mv._max_feasible_scale(u, V, a, b)
+        norm = la.operator_norm_report(np.concatenate([u[:, None], t * V], axis=1)[None], a, b)
+        # the bisection's slack is 1e-12 relative, which rounds to 1.00009e-12
+        assert 0.0 < t and abs(float(norm.values[0]) - 1.0) <= 2e-12
+        res = mv.max_volume(u, a, b, restarts=2, seed=0, analytic=False, iters=20)
+        assert res.value > 0.0 and res.feasibility_gap <= 2e-12
+
+    def test_bracketed_pair_keeps_the_upper_end_feasible(self):
+        a, b = ns.lp(2, 3.0), ns.lp(2, 4.0)
+        u, V = np.array([0.4, 0.1]), np.array([[0.3], [0.9]])
+        t = mv._max_feasible_scale(u, V, a, b)
+        report = la.operator_norm_report(np.concatenate([u[:, None], t * V], axis=1)[None], a, b)
+        assert not report.exact
+        assert 0.0 < t and report.values[0] <= 1.0 + 1e-12
+
+    def test_sphere_point_of_a_smooth_pair_is_accepted(self):
+        # |u|_4 = 1: the lower end of ||(u|0)|| is 1 and passes the precondition;
+        # the upper end c > 1 certifies no completion, and the gap reports it
+        a, b = ns.lp(2, 3.0), ns.lp(2, 4.0)
+        u = np.array([1.0, 1.0]) / 2.0 ** 0.25
+        res = mv.max_volume(u, a, b, restarts=1, seed=0, iters=1)
+        assert res.value == 0.0
+        assert 0.0 < res.feasibility_gap < 1e-4
 
 
 class TestMaxVolume:

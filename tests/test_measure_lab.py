@@ -259,6 +259,15 @@ class TestBoxcount:
         assert rep.resolution["method"] == "cloud"
         assert abs(rep.value - area) <= rep.error_bound
 
+    def test_cloud_reads_zero_on_an_empty_grid_subset(self):
+        g = lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1)  # noqa: E731
+        E = GridSubset.empty(UNIT, (2, 2))
+        for hint in (1.0, None):
+            rep = ml.boxcount_image_measure(g, E, 3, 1e-2, lip_hint=hint)
+            assert rep.resolution["method"] == "cloud"
+            assert rep.value == 0.0
+        assert ml.boxcount_image_measure(flat_square(UNIT), E, 3, 1e-2).value == 0.0
+
     def test_cloud_lip_hint_is_sampled_on_E(self):
         # 1-Lipschitz on the quarter cell, 50-Lipschitz beyond x = 0.5: a hint
         # sampled over the bounding box asks for 2.5e9 cloud points
@@ -610,6 +619,22 @@ class TestExperiments:
         for rec in report["records"]:
             assert rec["lip_exact"] <= 1.0 + 1e-9
             assert rec["sup_dist"] <= rec["eps"] + 1e-9
+
+    def test_euclidean_to_linf_lipschitz_is_exact(self):
+        # l2 -> linf by duality: the largest row 2-norm of each cell, exactly
+        u = np.array([1.0, 0.0])
+        a, b = ns.euclidean(2), ns.linf(2)
+        config = ml.NegativeConfig(
+            u=u, r=0.3, eps_schedule=(0.25,), seed=0, domain_kind="euclidean",
+            codomain_kind="linf", threshold=0.3, grid=6, restarts=3, steps=40)
+        record = ml.run_negative_experiment(config)["records"][0]
+        _, pam = ml._adversarial_search(a, b, u, 0.25, 0.3, 6, 3, 40, config.seed)
+        cells = pam.distinct_linears()
+        report = la.operator_norm_report(cells, a, b)
+        rows = np.max(np.linalg.norm(cells, axis=2), axis=1)
+        assert report.exact is True
+        assert report.values.tobytes() == rows.tobytes()
+        assert record["lip_exact"] == float(np.max(rows))
 
     def test_sup_dist_in_codomain_norm(self):
         # linf -> l1: Euclidean sup distances let the adversary leave the l1 eps-ball

@@ -133,6 +133,58 @@ class TestNormAxioms:
         assert ns.norm_eval(norm, np.zeros(2)) == 0.0
 
 
+HEXAGON = [[1.0, 0.0], [0.5, 1.0], [-0.5, 1.0], [-1.0, 0.0], [-0.5, -1.0], [0.5, -1.0]]
+SHEAR = [[1.0, 0.4], [-0.3, 2.0]]
+DUAL_CASES = {
+    "euclidean": ns.euclidean(2),
+    "l1": ns.l1(2),
+    "linf": ns.linf(2),
+    "p3": ns.lp(2, 3.0),
+    "p1.5": ns.lp(2, 1.5),
+    "hexagon": ns.polytopal(HEXAGON),
+    "sheared-p3": ns.transformed(ns.lp(2, 3.0), SHEAR),
+    "sheared-hexagon": ns.transformed(ns.polytopal(HEXAGON), SHEAR),
+}
+
+
+class TestDual:
+    @pytest.mark.parametrize("kind", sorted(DUAL_CASES))
+    def test_dual_is_the_support_function_of_the_ball(self, kind, rng):
+        norm = DUAL_CASES[kind]
+        theta = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
+        sphere = np.column_stack([np.cos(theta), np.sin(theta)])
+        sphere /= ns.eval_many(norm, sphere)[:, None]
+        if ns.ball_vertices(norm) is not None:  # a polytope's support peaks at a vertex
+            sphere = np.concatenate([sphere, ns.ball_vertices(norm)])
+        ys = rng.standard_normal((50, 2))
+        star = ns.eval_many(ns.dual(norm), ys)
+        support = np.max(ys @ sphere.T, axis=1)
+        # Hoelder from above, a dense sphere from below
+        assert np.all(support <= star * (1.0 + 1e-12))
+        assert np.all(support >= star * (1.0 - 1e-6))
+
+    def test_named_duals(self):
+        assert ns.dual(ns.lp(3, 3.0)).p == 1.5
+        assert ns.dual(ns.l1(3)).p == math.inf
+        assert ns.dual(ns.linf(3)).p == 1.0
+        eucl = ns.euclidean(3)
+        assert ns.dual(eucl) is eucl
+        sheared = ns.transformed(ns.lp(2, 3.0), SHEAR)
+        assert ns.dual(sheared).base.p == 1.5
+        assert np.array_equal(ns.dual(sheared).W, np.linalg.inv(np.asarray(SHEAR)).T)
+        assert ns.dual(sheared) is ns.dual(sheared)
+
+    def test_ball_vertices_are_cached_and_read_only(self):
+        from itertools import product
+
+        cube = ns.linf(3)
+        verts = ns.ball_vertices(cube)
+        assert verts is ns.ball_vertices(cube)
+        assert not verts.flags.writeable
+        assert verts.tobytes() == np.array(list(product((-1.0, 1.0), repeat=3))).tobytes()
+        assert ns.ball_vertices(ns.lp(3, 3.0)) is None
+
+
 class TestExtremal:
     def test_cube_vertex_strongly_extremal(self):
         rep = ns.analyze_extremal(ns.linf(2), [1.0, 1.0])
