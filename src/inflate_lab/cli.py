@@ -24,10 +24,12 @@ from . import measure_lab as ml
 from . import normed_space as ns
 from .errors import InflateLabError, NumericalFailure, PreconditionError
 
+_KIND_SCHEMA = {"type": ["string", "object"]}  # a norm_from_json "kind"
+
 _NORM_SCHEMA = {
     "type": "object",
     "required": ["dim", "kind"],
-    "properties": {"dim": {"type": "integer", "minimum": 1}},
+    "properties": {"dim": {"type": "integer", "minimum": 1}, "kind": _KIND_SCHEMA},
 }
 
 _MAP_SCHEMA = {
@@ -124,6 +126,8 @@ _SCHEMAS = {
             "eps_schedule": {"type": "array", "items": {"type": "number"}},
             "boxcount": {"type": "boolean"},
             "box_size": {"type": "number", "exclusiveMinimum": 0},
+            "domain_kind": _KIND_SCHEMA,
+            "codomain_kind": _KIND_SCHEMA,
         },
     },
     "experiment-negative": {
@@ -135,8 +139,8 @@ _SCHEMAS = {
             "eps_schedule": {"type": "array", "items": {"type": "number"}},
             "n": {"type": "integer", "minimum": 2},
             "m": {"type": "integer", "minimum": 2},
-            "domain_kind": {"type": "string"},
-            "codomain_kind": {"type": "string"},
+            "domain_kind": _KIND_SCHEMA,
+            "codomain_kind": _KIND_SCHEMA,
             "grid": {"type": "integer", "minimum": 2},
             "restarts": {"type": "integer", "minimum": 1},
             "steps": {"type": "integer", "minimum": 1},
@@ -220,11 +224,20 @@ def _validate(config: ExperimentConfig) -> None:
 # -- command implementations ---------------------------------------------------
 
 
+_KEYWORDS = {"boxcount": "run_boxcount"}  # params whose library keyword differs
+
+
+def _given(params: dict, *raw: str, **casts) -> dict:
+    """Keywords for the optional params the user set, raw or cast; defaults stay in the library."""
+    given = {key: params[key] for key in raw if key in params}
+    given.update((key, cast(params[key])) for key, cast in casts.items() if key in params)
+    return {_KEYWORDS.get(key, key): value for key, value in given.items()}
+
+
 def _cmd_check_inflation(params: dict, seed: int) -> dict:
     map_ = la.map_from_json(params["map"])
     lam = float(params["lambda"])
-    cert = la.inflation_search(map_, lam, restarts=int(params.get("restarts", 64)),
-                               steps=int(params.get("steps", 200)), seed=seed)
+    cert = la.inflation_search(map_, lam, seed=seed, **_given(params, restarts=int, steps=int))
     if cert is None:
         raise NumericalFailure(f"no verified {lam}-inflation found within budget")
     report = la.verify_certificate(map_, cert)
@@ -244,8 +257,7 @@ def _cmd_probe_pair(params: dict, seed: int) -> dict:
     b = ns.norm_from_json(params["b"])
     report = la.inflating_pair_probe(
         a, b, float(params["lambda"]), int(params["samples"]), seed,
-        restarts=int(params.get("restarts", 16)), steps=int(params.get("steps", 120)),
-        include=params.get("include"))
+        **_given(params, "include", restarts=int, steps=int))
     return {
         "lambda": report.lam,
         "normalized_lambda": report.normalized_lam,
@@ -261,9 +273,8 @@ def _cmd_probe_pair(params: dict, seed: int) -> dict:
 def _cmd_mv(params: dict, seed: int) -> dict:
     a = ns.norm_from_json(params["a"])
     b = ns.norm_from_json(params["b"])
-    result = mv_mod.max_volume(np.asarray(params["u"], dtype=float), a, b,
-                               restarts=int(params.get("restarts", 32)), seed=seed,
-                               analytic=bool(params.get("analytic", True)))
+    result = mv_mod.max_volume(np.asarray(params["u"], dtype=float), a, b, seed=seed,
+                               **_given(params, restarts=int, analytic=bool))
     return {
         "value": result.value,
         "best_V": result.best_V.tolist(),
@@ -277,7 +288,6 @@ def _cmd_inflate(params: dict, seed: int) -> dict:
     map_ = la.map_from_json(params["map"])
     box = np.asarray(params["box"], dtype=float)
     eps = float(params["eps"])
-    offset = np.asarray(params.get("offset", np.zeros(map_.m)), dtype=float)
     if "certificate" in params:
         cert = la.certificate_from_json(params["certificate"])
     else:
@@ -285,7 +295,7 @@ def _cmd_inflate(params: dict, seed: int) -> dict:
         cert = la.inflation_search(map_, lam, seed=seed)
         if cert is None:
             raise NumericalFailure("no certificate found for the requested lambda")
-    pam = co.inflate_affine(map_, cert, box, eps, offset=offset)
+    pam = co.inflate_affine(map_, cert, box, eps, **_given(params, "offset"))
     return {
         "map": pam.to_json(),
         "summary": {
@@ -314,16 +324,9 @@ def _cmd_glue(params: dict, seed: int) -> dict:
     if "domain_box" in params:
         box = np.asarray(params["domain_box"], dtype=float)
     else:
-        hulls = []
-        for s in sets:
-            arr = s if s.ndim == 2 and s.shape[1] == 2 and s.shape[0] == n else None
-            if arr is None:
-                pts = s if s.ndim == 2 else s[None, :]
-                arr = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
-            hulls.append(arr)
-        lo = np.min([h[:, 0] for h in hulls], axis=0) - 2.0
-        hi = np.max([h[:, 1] for h in hulls], axis=0) + 2.0
-        box = np.stack([lo, hi], axis=1)
+        # a box contributes its lo and hi corners, a point cloud its points
+        pts = np.concatenate([s.T if co.is_box(s, n) else np.atleast_2d(s) for s in sets])
+        box = np.stack([pts.min(axis=0) - 2.0, pts.max(axis=0) + 2.0], axis=1)
     probes = int(params.get("probes", 4000))
     lip = ml.estimate_lipschitz(glued, box, a, b, pairs=probes, seed=seed)
     from .geometry import sample_box
@@ -341,7 +344,7 @@ def _cmd_glue(params: dict, seed: int) -> dict:
 
 
 def _cmd_experiment_positive(params: dict, seed: int) -> dict:
-    config = ml.PositiveConfig(
+    return ml.run_positive_experiment(ml.PositiveConfig(
         box=np.asarray(params["box"], dtype=float),
         m=int(params["m"]),
         f=params["f"],
@@ -349,29 +352,17 @@ def _cmd_experiment_positive(params: dict, seed: int) -> dict:
         lam=float(params.get("lambda", 1.0)),
         eps_schedule=tuple(float(e) for e in params["eps_schedule"]),
         seed=seed,
-        run_boxcount=bool(params.get("boxcount", False)),
-        box_size=float(params.get("box_size", 1e-3)),
-    )
-    return ml.run_positive_experiment(config)
+        **_given(params, "domain_kind", "codomain_kind", boxcount=bool, box_size=float)))
 
 
 def _cmd_experiment_negative(params: dict, seed: int) -> dict:
-    config = ml.NegativeConfig(
+    return ml.run_negative_experiment(ml.NegativeConfig(
         u=np.asarray(params["u"], dtype=float),
         r=float(params["r"]),
         eps_schedule=tuple(float(e) for e in params["eps_schedule"]),
         seed=seed,
-        domain_kind=params.get("domain_kind", "linf"),
-        codomain_kind=params.get("codomain_kind", "euclidean"),
-        n=int(params.get("n", 2)),
-        m=int(params.get("m", 2)),
-        grid=int(params.get("grid", 6)),
-        restarts=int(params.get("restarts", 16)),
-        steps=int(params.get("steps", 200)),
-        control=bool(params.get("control", False)),
-        threshold=params.get("threshold"),
-    )
-    return ml.run_negative_experiment(config)
+        **_given(params, "domain_kind", "codomain_kind", "threshold", n=int, m=int,
+                 grid=int, restarts=int, steps=int, control=bool)))
 
 
 def _cmd_calibrate(params: dict, seed: int) -> dict:

@@ -23,7 +23,7 @@ The pieces assembled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -509,10 +509,15 @@ def batch_call(g, xs: np.ndarray) -> np.ndarray:
 # -- gluing ------------------------------------------------------------------
 
 
+def is_box(patch_set: np.ndarray, n: int) -> bool:
+    """True for a box patch set, (n, 2) rows [lo, hi]; any other shape is a point cloud."""
+    return patch_set.shape == (n, 2)
+
+
 def _dist_to_set(xs: np.ndarray, patch_set, norm: ns.Norm) -> np.ndarray:
     """Distance from each row of xs to a box or point cloud, in the given norm."""
     arr = np.asarray(patch_set, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2 and arr.shape[0] == norm.dim:
+    if is_box(arr, norm.dim):
         # axis-aligned box: nearest point by clamping (valid for lp-family norms)
         if norm.kind not in ("euclidean", "lp"):
             raise PreconditionError("box patch sets require an lp-family domain norm")
@@ -529,8 +534,8 @@ def _dist_to_set(xs: np.ndarray, patch_set, norm: ns.Norm) -> np.ndarray:
 def _set_to_set_distance(set_a, set_b, norm: ns.Norm) -> float:
     a = np.asarray(set_a, dtype=float)
     b = np.asarray(set_b, dtype=float)
-    if a.ndim == 2 and a.shape[1] == 2 and a.shape[0] == norm.dim:
-        if b.ndim == 2 and b.shape[1] == 2 and b.shape[0] == norm.dim:
+    if is_box(a, norm.dim):
+        if is_box(b, norm.dim):
             gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
             return float(ns.norm_eval(norm, gap))
         pts = b if b.ndim == 2 else b[None, :]
@@ -557,7 +562,6 @@ class PatchSpec:
     delta: float
     domain_norm: ns.Norm
     codomain_norm: ns.Norm
-    domain: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if not (len(self.patch_sets) == len(self.radii) == len(self.patch_maps)):
@@ -637,7 +641,7 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
 
 def _sample_neighborhood(patch_set, rho, count, rng, norm) -> np.ndarray:
     arr = np.asarray(patch_set, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2 and arr.shape[0] == norm.dim:
+    if is_box(arr, norm.dim):
         hull = np.stack([arr[:, 0] - rho, arr[:, 1] + rho], axis=1)
         pts = sample_box(hull, 4 * count, rng)
     else:
@@ -876,7 +880,7 @@ def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
         raise NumericalFailure("no cells intersect the target set")
 
     spec = PatchSpec(tuple(patch_sets), tuple(radii), tuple(patch_maps),
-                     fbatch, delta_glue, a, b, domain=box)
+                     fbatch, delta_glue, a, b)
     glued = glue_patches(spec, max(L0, est_lip), seed=seed)
 
     rng = rng_for(seed, 9090)

@@ -517,9 +517,11 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         raw = _mass_from_parts(parts, n, box_size)
         method = "raster" if isinstance(g, PiecewiseAffineMap) else "raster-cores"
     else:
+        fbatch = _as_batch(g, n)
         boxes = _boxes(E)  # none for an empty GridSubset, whose image has measure 0
         raw = 0.0 if not boxes else _cloud_boxcount(
-            g, boxes, n, m, box_size, lip_hint if lip_hint is not None else _quick_lip(g, E, seed))
+            fbatch, boxes, n, box_size,
+            lip_hint if lip_hint is not None else _quick_lip(fbatch, E, seed))
         method = "cloud"
     cal = _calibration(n, m, box_size)
     value = raw / cal
@@ -533,8 +535,8 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     )
 
 
-def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, m: int,
-                    box_size: float, lip: float) -> float:
+def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, box_size: float,
+                    lip: float) -> float:
     """Plain sample-cloud box count over a union of boxes, for maps without affine structure."""
     spacing = box_size / (2.0 * max(lip, 1e-9))
     grids = [[np.linspace(lo, hi, max(int(math.ceil((hi - lo) / spacing)) + 1, 2))
@@ -542,11 +544,10 @@ def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, m: int,
     total_pts = sum(int(np.prod([len(ax) for ax in axes])) for axes in grids)
     if total_pts > _MAX_CLOUD_POINTS:
         raise NumericalFailure(f"box-count cloud guard: {total_pts} sample points")
-    fn = _as_batch(fbatch, n)
     seen = []
     for axes in grids:
         if n == 1:
-            img = batch_call(fn, axes[0][:, None])
+            img = batch_call(fbatch, axes[0][:, None])
             seen.append(_distinct(_box_keys(img, box_size)))
             continue
         rest = np.meshgrid(*axes[1:], indexing="ij")
@@ -557,7 +558,7 @@ def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, m: int,
             pts = np.concatenate(
                 [np.repeat(block, rest.shape[0])[:, None],
                  np.tile(rest, (block.shape[0], 1))], axis=1)
-            seen.append(_distinct(_box_keys(batch_call(fn, pts), box_size)))
+            seen.append(_distinct(_box_keys(batch_call(fbatch, pts), box_size)))
     count = _distinct(np.concatenate(seen)).size
     return count * box_size ** n
 
@@ -652,16 +653,16 @@ class PositiveConfig:
     seed: int
     run_boxcount: bool = False
     box_size: float = 1e-3
-    domain_kind: str = "euclidean"
-    codomain_kind: str = "euclidean"
+    domain_kind: str | dict = "euclidean"  # a norm_from_json "kind"
+    codomain_kind: str | dict = "euclidean"
 
 
 def run_positive_experiment(config: PositiveConfig) -> dict:
     """Inflate toward the target for each eps; one record per eps."""
     box = as_box(config.box)
     n = box.shape[0]
-    a = _norm_from_kind(config.domain_kind, n)
-    b = _norm_from_kind(config.codomain_kind, config.m)
+    a = ns.norm_from_json({"dim": n, "kind": config.domain_kind})
+    b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})
     fbatch = map_from_descriptor(config.f, n, config.m)
     records = []
     for eps in config.eps_schedule:
@@ -693,8 +694,8 @@ class NegativeConfig:
     r: float
     eps_schedule: tuple
     seed: int
-    domain_kind: str = "linf"      # norm on R^n (the cube [-1,1]^n domain)
-    codomain_kind: str = "euclidean"
+    domain_kind: str | dict = "linf"  # norm_from_json "kind" on R^n (the cube [-1,1]^n domain)
+    codomain_kind: str | dict = "euclidean"
     n: int = 2
     m: int = 2
     grid: int = 6
@@ -702,16 +703,6 @@ class NegativeConfig:
     steps: int = 200
     control: bool = False          # run the inflating control pipeline instead
     threshold: Optional[float] = None  # defaults to mv(u) + r
-
-
-def _norm_from_kind(kind: str, dim: int) -> ns.Norm:
-    if kind == "euclidean":
-        return ns.euclidean(dim)
-    if kind == "linf":
-        return ns.linf(dim)
-    if kind == "l1":
-        return ns.l1(dim)
-    raise PreconditionError(f"unsupported norm kind {kind!r} (euclidean|linf|l1)")
 
 
 def run_negative_experiment(config: NegativeConfig) -> dict:
@@ -725,8 +716,8 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
     the inflation pipeline instead (the contrast case where the fraction
     stays high).
     """
-    a = _norm_from_kind(config.domain_kind, config.n)
-    b = _norm_from_kind(config.codomain_kind, config.m)
+    a = ns.norm_from_json({"dim": config.n, "kind": config.domain_kind})
+    b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})
     if not config.control and config.n != 2:
         raise PreconditionError("the adversarial searcher is implemented for n = 2")
     if config.restarts < 1 or config.grid < 2:

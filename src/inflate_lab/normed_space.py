@@ -466,25 +466,35 @@ def norm_to_json(norm: Norm) -> dict:
     return {"dim": norm.dim, "kind": kind}
 
 
+_SHORTHAND = {"euclidean": euclidean, "linf": linf, "l1": l1}
+
+
 def norm_from_json(data: dict) -> Norm:
+    """Parse {"dim": n, "kind": k}; any malformed body raises PreconditionError.
+
+    k is "euclidean", "linf", "l1", {"lp": p or "inf"}, {"polytopal": rows}
+    or {"transformed": {"base": norm JSON, "W": rows}}.
+    """
     try:
         dim = int(data["dim"])
         kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"invalid norm JSON: {exc}") from exc
-    if kind == "euclidean":
-        return euclidean(dim)
-    if not isinstance(kind, dict):
-        raise PreconditionError(f"invalid norm kind {kind!r}")
-    if "lp" in kind:
-        p = kind["lp"]
-        return lp(dim, math.inf if p == "inf" else float(p))
-    if "polytopal" in kind:
-        verts = np.asarray(kind["polytopal"], dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != dim:
-            raise PreconditionError("polytopal vertices do not match dim")
-        return polytopal(verts)
-    if "transformed" in kind:
-        body = kind["transformed"]
-        return transformed(norm_from_json(body["base"]), np.asarray(body["W"], dtype=float))
+        if isinstance(kind, str) and kind in _SHORTHAND:
+            return _SHORTHAND[kind](dim)
+        if not isinstance(kind, dict):
+            raise PreconditionError(f"invalid norm kind {kind!r}")
+        if "lp" in kind:
+            p = kind["lp"]
+            return lp(dim, math.inf if p == "inf" else float(p))
+        if "polytopal" in kind:
+            verts = np.asarray(kind["polytopal"], dtype=float)
+            if verts.ndim != 2 or verts.shape[1] != dim:
+                raise PreconditionError("polytopal vertices do not match dim")
+            return polytopal(verts)
+        if "transformed" in kind:
+            body = kind["transformed"]
+            return transformed(norm_from_json(body["base"]), np.asarray(body["W"], dtype=float))
+    except PreconditionError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"invalid norm JSON: {exc!r}") from exc
     raise PreconditionError(f"invalid norm kind {kind!r}")

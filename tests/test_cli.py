@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +8,29 @@ import sys
 import pytest
 
 import inflate_lab
+from inflate_lab import measure_lab as ml
 from inflate_lab.cli import ExperimentConfig, main, run
 from inflate_lab.errors import PreconditionError
 
 LINF2 = {"dim": 2, "kind": {"lp": "inf"}}
 EUCL2 = {"dim": 2, "kind": "euclidean"}
+HEXAGON = [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)]
+
+CONFIGS = {"experiment-positive": ml.PositiveConfig, "experiment-negative": ml.NegativeConfig}
+PARAM_FIELDS = {"lambda": "lam", "boxcount": "run_boxcount"}  # where a param and its field differ
+# between them these set every config field but seed, each away from its default
+FORWARDED = [
+    ("experiment-positive", {
+        "box": [[0, 1], [0, 1]], "m": 3, "f": {"kind": "zero"}, "eta": 0.5, "lambda": 0.5,
+        "eps_schedule": [0.5], "boxcount": True, "box_size": 0.01,
+        "domain_kind": {"lp": 2}, "codomain_kind": {"lp": 2}}),
+    ("experiment-negative", {
+        "u": [1, 0, 0], "r": 0.2, "eps_schedule": [0.5], "m": 3, "domain_kind": "l1",
+        "codomain_kind": "linf", "grid": 3, "restarts": 2, "steps": 5, "threshold": 0.5}),
+    ("experiment-negative", {
+        "u": [1, 0, 0], "r": 0.2, "eps_schedule": [0.5], "n": 3, "m": 3,
+        "domain_kind": "euclidean", "control": True, "threshold": 0.01}),
+]
 
 
 # the child interpreter imports the same package source as this one
@@ -68,6 +88,15 @@ class TestRun:
                                   format="csv")
         assert run(config) == 2
 
+    @pytest.mark.parametrize("kind", [
+        {"transformed": {}}, {"lp": "abc"}, {"lp": None}, {"polytopal": "x"}],
+        ids=["transformed-empty", "lp-text", "lp-null", "polytopal-text"])
+    def test_malformed_norm_exits_2(self, capsys, kind):
+        params = {"u": [1.0, 0.0], "a": {"dim": 2, "kind": kind}, "b": EUCL2}
+        assert main(["mv", "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "precondition"
+
     def test_calibrate(self, capsys):
         assert run(ExperimentConfig("calibrate", {"n": 1, "m": 2, "box_size": 1e-2})) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -113,6 +142,44 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("index,t0_lo")
         assert len(lines) > 1
+
+
+class TestExperimentNorms:
+    @pytest.mark.parametrize("command, params", FORWARDED,
+                             ids=["positive", "negative-search", "negative-control"])
+    def test_set_fields_are_echoed(self, capsys, command, params):
+        assert main([command, "--params", json.dumps(params)]) == 0
+        echoed = json.loads(capsys.readouterr().out)["report"]["config"]
+        defaults = {f.name: f.default for f in dataclasses.fields(CONFIGS[command])}
+        for key, value in params.items():
+            name = PARAM_FIELDS.get(key, key)
+            assert defaults[name] != value
+            assert echoed[name] == value
+
+    def test_the_cases_cover_every_field(self):
+        for command, config in CONFIGS.items():
+            covered = {PARAM_FIELDS.get(key, key)
+                       for cmd, params in FORWARDED if cmd == command for key in params}
+            assert covered == {f.name for f in dataclasses.fields(config)} - {"seed"}
+
+    def test_negative_on_a_hexagon_codomain(self, capsys):
+        params = {"u": [1, 0], "r": 0.3, "eps_schedule": [0.5, 0.25],
+                  "codomain_kind": {"polytopal": HEXAGON}, "restarts": 4, "steps": 60}
+        assert main(["experiment-negative", "--params", json.dumps(params)]) == 0
+        for rec in json.loads(capsys.readouterr().out)["report"]["records"]:
+            assert rec["sup_dist"] <= rec["eps"]
+            assert rec["lip_exact"] <= 1.0 + 1e-9
+
+    def test_positive_on_an_lp3_domain(self, capsys):
+        params = {"box": [[-1, 1], [-1, 1]], "m": 3, "domain_kind": {"lp": 3},
+                  "f": {"kind": "affine", "linear": [[0.5, 0], [0, 0.4], [0, 0]]},
+                  "lambda": 0.3, "eta": 0.9, "eps_schedule": [0.2]}
+        assert main(["experiment-positive", "--params", json.dumps(params), "--seed", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["config"]["domain_kind"] == {"lp": 3}
+        for rec in report["records"]:
+            assert rec["sup_dist"] <= rec["eps"]
+            assert rec["lip_exact"] <= 1.0 + 1e-9
 
 
 class TestDeterminism:

@@ -285,6 +285,16 @@ class TestBoxcount:
         quot = np.linalg.norm(g(xs) - g(ys), axis=1) / np.linalg.norm(xs - ys, axis=1)
         assert ml._quick_lip(g, UNIT, 0) == float(np.max(quot))
 
+    def test_cloud_takes_a_single_point_map_without_a_hint(self):
+        # the map is wrapped for batches once, before the sampled hint uses it
+        def point(x):
+            return np.array([x[0], x[1], 0.0])
+
+        batch = lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1)  # noqa: E731
+        E = np.array([[0.0, 0.5], [0.0, 1.0]])
+        rep = ml.boxcount_image_measure(point, E, 3, 5e-2)
+        assert rep.value == ml.boxcount_image_measure(batch, E, 3, 5e-2).value
+
     def test_glued_counts_the_cores_in_E_only(self):
         cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
         spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),

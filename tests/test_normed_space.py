@@ -281,3 +281,8 @@ class TestSerialization:
         data = ns.norm_to_json(ns.linf(2))
         assert data["kind"] == {"lp": "inf"}
         assert ns.norm_from_json(data).p == math.inf
+
+    @pytest.mark.parametrize("short, body", [("linf", {"lp": "inf"}), ("l1", {"lp": 1})])
+    def test_shorthand_kinds(self, short, body):
+        assert (ns.norm_from_json({"dim": 3, "kind": short})
+                == ns.norm_from_json({"dim": 3, "kind": body}))
