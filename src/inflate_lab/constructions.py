@@ -793,16 +793,29 @@ class _FitTooCoarse(Exception):
 
 
 def _as_batch(f: Callable, n: int) -> Callable:
-    """Accept either a batch callable or a single-point callable."""
+    """Accept either a batch callable or a single-point callable.
+
+    f is taken as a batch callable when it maps a (2, n) probe of two
+    distinct points with nonzero coordinates to two rows, unless f
+    called on each point alone returns rows of that shape that differ
+    from them.  A row count alone does not tell: x -> (x_0, 0.5 x_1)
+    also returns two rows on a (2, 2) input.
+    """
     if isinstance(f, (PiecewiseAffineMap, GluedMap)):
         return f.eval_many
-    probe = np.zeros((2, n))
+    probe = np.stack([np.linspace(0.3, 0.7, n), np.linspace(0.6, 0.2, n)])
     try:
         out = np.asarray(f(probe), dtype=float)
-        if out.ndim == 2 and out.shape[0] == 2:
-            return f
     except Exception:
-        pass
+        out = None
+    if out is not None and out.ndim == 2 and out.shape[0] == 2:
+        try:
+            rows = [np.asarray(f(x), dtype=float) for x in probe]
+        except (IndexError, TypeError, ValueError):
+            return f
+        if any(row.shape != out.shape[1:] for row in rows) or \
+                np.allclose(rows, out, rtol=1e-12, atol=1e-12):
+            return f
     return lambda xs: np.stack([np.asarray(f(x), dtype=float) for x in xs], axis=0)
 
 

@@ -1,17 +1,28 @@
 """The maximal volume mv(u) and its upper semi-continuity probe.
 
 mv_{a->b}(u) is the supremum of vol(u|V) over completions V of the
-first column u that keep the operator norm of (u|V) at most 1.  The
-optimizer here approximates it from below by multi-start ascent; the
-one case the theory computes exactly (maximum-norm domain, Euclidean
-codomain, Euclidean-unit u, where feasibility forces V = 0) is
-short-circuited to the analytic value 0.
+first column u that keep the operator norm of (u|V) at most 1.  It is
+computed exactly (``MvResult.analytic``) in these cases:
+
+* n = 2 and the codomain's dual ball is a listed polytope (l1, linf,
+  polytopal), with an lp or polytopal domain: the feasible set is a
+  polytope and mv(u) its best vertex (``_polytope_completion``);
+* n = 2, a Euclidean codomain and a Euclidean or polytopal domain: a
+  closed form, and a one-variable crossing problem
+  (``_euclidean_completion``);
+* any n, maximum-norm domain, Euclidean codomain, Euclidean-unit u:
+  feasibility forces V = 0, so mv(u) = 0.
+
+Everywhere else (smooth codomains other than l2, smooth domains into
+non-Euclidean codomains, n >= 3, and vertex enumerations past
+_MAX_EXACT_ENTRIES) a multi-start ascent gives a lower bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -23,6 +34,11 @@ from .seeding import rng_for
 
 FD_STEP = 1e-5          # central-difference step for the vol gradient
 FEAS_TOL = 1e-9
+# the exact n = 2 paths build one array of candidate maximizers against their
+# constraint rows; past this many entries (l2(2) -> l1(5) and larger l1
+# codomains, linf(15) and up, polytopal domains past about 80 vertex pairs)
+# the ascent runs instead
+_MAX_EXACT_ENTRIES = 1 << 18
 
 
 def column_augment(u, V, domain_norm: Optional[ns.Norm] = None,
@@ -52,7 +68,7 @@ class MvResult:
     best_V: np.ndarray
     feasibility_gap: float  # operator norm excess of (u|best_V); <= 0 means feasible
     restarts_used: int
-    analytic: bool = False
+    analytic: bool = False  # True: value is exactly mv(u), not a lower bound
 
 
 # -- feasibility scaling -----------------------------------------------------
@@ -81,8 +97,8 @@ def _max_feasible_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) ->
         return 1.0
     verts = ns.ball_vertices(a)
     if verts is not None:
-        beta = np.array([x[0] * u for x in verts])
-        w = np.array([V @ x[1:] for x in verts])
+        beta = verts[:, :1] * u
+        w = np.matmul(V, verts[:, 1:, None])[:, :, 0]
         c = b
     else:
         ys = ns._dual_vertices(b)
@@ -101,21 +117,29 @@ def _max_feasible_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) ->
     return _bisected_scale(u, V, a, b)
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # a stack of vector products: bit-equal to x_v @ y_v row by row, which a
+    # row sum or einsum is not
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def _quadratic_exit(beta: np.ndarray, w: np.ndarray) -> float:
-    """Largest t >= 0 with |beta_v + t w_v|_2 <= 1 for every row: one quadratic per row."""
-    t_best = math.inf
-    for base, wv in zip(beta, w):
-        aa = float(wv @ wv)
-        cc = float(base @ base)
-        bb = 2.0 * float(base @ wv)
-        if aa < 1e-300:
-            continue
-        if cc > 1.0 + 1e-15:
-            return 0.0
-        disc = bb * bb - 4.0 * aa * (cc - 1.0)
-        t_v = (-bb + math.sqrt(max(disc, 0.0))) / (2.0 * aa)
-        t_best = min(t_best, max(t_v, 0.0))
-    return 1.0 if t_best is math.inf else float(t_best)
+    """Largest t >= 0 with |beta_v + t w_v|_2 <= 1 for every row: one quadratic per row.
+
+    Rows with w_v = 0 do not move and are skipped; a moving row that
+    already starts outside the ball leaves t = 0.
+    """
+    aa = _row_dots(w, w)
+    moving = aa >= 1e-300
+    if not np.any(moving):
+        return 1.0
+    aa, cc = aa[moving], _row_dots(beta[moving], beta[moving])
+    if np.any(cc > 1.0 + 1e-15):
+        return 0.0
+    bb = 2.0 * _row_dots(beta[moving], w[moving])
+    disc = bb * bb - 4.0 * aa * (cc - 1.0)
+    t = (-bb + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * aa)
+    return float(np.min(np.maximum(t, 0.0)))
 
 
 def _facet_exit(beta: np.ndarray, w: np.ndarray, facets: np.ndarray) -> float:
@@ -155,19 +179,144 @@ def _rescaled_vol(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm):
     return vol_matrix(np.concatenate([u[:, None], Vt], axis=1)), Vt
 
 
+# -- exact completions for n = 2 ---------------------------------------------
+#
+# vol(u|v) = |u|_2 |P v|_2 with P the projection onto u-perp, a convex
+# function of v; its maximum over the convex feasible set is attained at an
+# extreme point.
+
+
+def _exact_completion(u: np.ndarray, a: ns.Norm, b: ns.Norm) -> Optional[np.ndarray]:
+    """A maximizer v of vol(u|v) over the feasible set, or None where no exact form applies."""
+    if a.dim != 2:
+        return None
+    if ns._is_euclidean(b):
+        return _euclidean_completion(u, a)
+    ys = ns._dual_vertices(b)
+    if ys is None:
+        return None
+    return _polytope_completion(u, a, ys)
+
+
+def _polytope_completion(u: np.ndarray, a: ns.Norm, ys: np.ndarray) -> Optional[np.ndarray]:
+    """Best vertex of the feasible polytope when the codomain's dual ball has vertices ys.
+
+    By duality ||(u|v)||_{a->b} = max over y of ||(y.u, y.v)||_{a*}, so v
+    is feasible exactly when each y.v lies in the section of the dual
+    ball of a at y.u: [lo_y, hi_y].  y and -y bound y.v to the same
+    interval.  A vertex of the polytope makes m of these constraints
+    active with independent y, so every vertex solves Y_S v = c for an
+    m-subset S of the classes and one end of each interval; the feasible
+    solutions are the vertices.
+    """
+    m = len(u)
+    lead = ys[np.arange(len(ys)), np.argmax(ys != 0.0, axis=1)]
+    Y = ys[lead > 0.0]
+    k = len(Y)
+    candidates = math.comb(k, m) << m
+    if candidates * k > _MAX_EXACT_ENTRIES:
+        return None
+    ends = _dual_sections(a, Y @ u)
+    if ends is None:
+        return None
+    lo, hi = ends
+    subsets = np.array(list(combinations(range(k), m)))
+    G = Y[subsets]
+    regular = np.abs(np.linalg.det(G)) > 1e-12 * np.prod(np.linalg.norm(G, axis=2), axis=1)
+    subsets, G = subsets[regular], G[regular]
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1            # (2^m, m)
+    rhs = np.where(bits[None] == 1, hi[subsets][:, None], lo[subsets][:, None])
+    vs = np.linalg.solve(G, rhs.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(-1, m)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(ends))))
+    dots = vs @ Y.T
+    feasible = np.all((dots >= lo - tol) & (dots <= hi + tol), axis=1)
+    if not np.any(feasible):
+        return None
+    vs = vs[feasible]
+    u_hat = u / np.linalg.norm(u)
+    perp = vs - np.outer(vs @ u_hat, u_hat)
+    return vs[int(np.argmax(np.linalg.norm(perp, axis=1)))]
+
+
+def _dual_sections(a: ns.Norm, s: np.ndarray) -> Optional[tuple]:
+    """(lo, hi): the beta with ||(s_i, beta)||_{a*} <= 1 form [lo_i, hi_i].
+
+    The dual ball of a polytope with vertices x is {z : x.z <= 1}, so
+    each vertex with x_2 != 0 bounds beta on one side; for lp with
+    1 < p < inf the section is |beta| <= (1 - |s|^q)^(1/q).  Other
+    domains (a smooth transformed norm) have no closed form here.
+    """
+    verts = ns.ball_vertices(a)
+    if verts is not None:
+        up, down = verts[verts[:, 1] > 0.0], verts[verts[:, 1] < 0.0]
+        hi = np.min((1.0 - np.outer(s, up[:, 0])) / up[:, 1], axis=1)
+        lo = np.max((1.0 - np.outer(s, down[:, 0])) / down[:, 1], axis=1)
+        return lo, hi
+    if a.kind not in ("euclidean", "lp"):
+        return None
+    q = 2.0 if ns._is_euclidean(a) else ns.dual(a).p
+    half = np.maximum(1.0 - np.abs(s) ** q, 0.0) ** (1.0 / q)
+    return -half, half
+
+
+def _euclidean_completion(u: np.ndarray, a: ns.Norm) -> Optional[np.ndarray]:
+    """A maximizer of vol(u|v) into a Euclidean codomain.
+
+    Write v = alpha u/|u| + rho w with w a unit vector orthogonal to u,
+    so vol(u|v) = |u| rho.  A Euclidean domain allows rho = 1 at
+    alpha = 0 (the columns are orthogonal with lengths |u| <= 1 and 1).
+    A polytopal domain with vertices x bounds
+    |x_1 u + x_2 v|^2 = (x_1 |u| + x_2 alpha)^2 + x_2^2 rho^2 by 1, that
+    is rho^2 <= F(alpha), the least of the parabolas
+    1/x_2^2 - (alpha - c_x)^2 with c_x = -x_1 |u| / x_2.  F is concave,
+    so its maximum sits at a parabola's peak c_x or where two parabolas
+    cross, which is linear in alpha.  For the maximum-norm domain this
+    gives alpha = 0 and rho = sqrt(1 - |u|^2).
+    """
+    u_len = float(np.linalg.norm(u))
+    axis = np.zeros(len(u))
+    axis[int(np.argmin(np.abs(u)))] = 1.0
+    w = axis - (axis @ u) / u_len ** 2 * u
+    w /= np.linalg.norm(w)
+    if ns._is_euclidean(a):
+        return w
+    verts = ns.ball_vertices(a)
+    if verts is None:
+        return None
+    verts = verts[verts[:, 1] > 0.0]  # x and -x give the same parabola
+    peaks = -verts[:, 0] * u_len / verts[:, 1]
+    heights = 1.0 / verts[:, 1] ** 2
+    i, j = np.triu_indices(len(peaks), 1)
+    apart = peaks[i] != peaks[j]
+    i, j = i[apart], j[apart]
+    crossings = (0.5 * (peaks[i] + peaks[j])
+                 + (heights[i] - heights[j]) / (2.0 * (peaks[j] - peaks[i])))
+    alphas = np.concatenate([peaks, crossings])
+    if alphas.size * peaks.size > _MAX_EXACT_ENTRIES:
+        return None
+    F = np.min(heights - (alphas[:, None] - peaks) ** 2, axis=1)
+    best = int(np.argmax(F))
+    rho = math.sqrt(max(float(F[best]), 0.0))
+    return alphas[best] / u_len * u + rho * w
+
+
 # -- the optimizer -----------------------------------------------------------
 
 
 def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
                analytic: bool = True, iters: int = 400) -> MvResult:
-    """Lower bound for mv(u) by multi-start projected ascent.
+    """mv(u): exact where the module docstring lists an exact form, else a lower bound.
 
-    Each iterate takes a finite-difference gradient step on vol and is
-    pulled back to the feasibility boundary by scaling V (the u column
-    stays fixed).  The returned value is the volume of the best feasible
-    candidate found: a lower bound on the supremum.  With ``analytic``
-    enabled, the maximum-norm -> Euclidean case with |u|_2 = 1 returns
-    its exact value 0 directly.
+    With ``analytic`` enabled, the exact cases return their value with
+    ``analytic=True`` and ``restarts_used=0``; the maximizer passes
+    through the same feasibility projection as the ascent, so the
+    returned (u|V) sits on the certified boundary.  Otherwise, and with
+    ``analytic`` disabled, a multi-start projected ascent runs: each
+    iterate takes a finite-difference gradient step on vol and is pulled
+    back to the feasibility boundary by scaling V (the u column stays
+    fixed).  Its value is the volume of the best feasible candidate
+    found, a lower bound on the supremum, reported with
+    ``analytic=False``.
     """
     u = np.asarray(u, dtype=float)
     n, m = a.dim, b.dim
@@ -188,6 +337,11 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
             abs(float(np.linalg.norm(u)) - 1.0) <= FEAS_TOL:
         # feasibility forces V = 0 here, so the supremum is exactly 0
         return MvResult(0.0, np.zeros((m, n - 1)), base_norm - 1.0, 0, analytic=True)
+    exact_v = _exact_completion(u, a, b) if analytic else None
+    if exact_v is not None:
+        value, V = _rescaled_vol(u, exact_v[:, None], a, b)
+        gap = _norm_bracket(u, V, a, b)[1] - 1.0
+        return MvResult(float(value), V, float(gap), 0, analytic=True)
 
     best_val = 0.0
     best_V = np.zeros((m, n - 1))

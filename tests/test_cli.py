@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import inflate_lab
+from inflate_lab import maximal_volume as mv
 from inflate_lab import measure_lab as ml
+from inflate_lab import normed_space as ns
 from inflate_lab.cli import ExperimentConfig, main, run
 from inflate_lab.errors import PreconditionError
 
@@ -169,6 +172,20 @@ class TestExperimentNorms:
         for rec in json.loads(capsys.readouterr().out)["report"]["records"]:
             assert rec["sup_dist"] <= rec["eps"]
             assert rec["lip_exact"] <= 1.0 + 1e-9
+
+    def test_negative_threshold_takes_the_exact_mv(self, capsys):
+        u, r = [0.1, 0.2], 0.2
+        params = {"u": u, "r": r, "eps_schedule": [0.5], "codomain_kind": "l1",
+                  "grid": 3, "restarts": 2, "steps": 5}
+        assert main(["experiment-negative", "--params", json.dumps(params)]) == 0
+        threshold = json.loads(capsys.readouterr().out)["report"]["threshold"]
+        a, b = ns.linf(2), ns.l1(2)
+        exact = mv.max_volume(np.array(u), a, b)
+        assert exact.analytic
+        assert threshold == exact.value + r
+        # an 8-restart ascent stops about 9% lower at this u
+        ascent = mv.max_volume(np.array(u), a, b, restarts=8, analytic=False)
+        assert ascent.value <= exact.value + 1e-12
 
     def test_positive_on_an_lp3_domain(self, capsys):
         params = {"box": [[-1, 1], [-1, 1]], "m": 3, "domain_kind": {"lp": 3},

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from inflate_lab import linear_analysis as la
 from inflate_lab import maximal_volume as mv
@@ -34,6 +39,42 @@ SKEW_HEXAGON = ns.polytopal([[1.0, 0.3], [0.2, 1.0], [-0.8, 0.7],
                              [-1.0, -0.3], [-0.2, -1.0], [0.8, -0.7]])
 CUT_CUBE = ns.polytopal(np.concatenate([np.eye(3), [[0.6, 0.6, 0.6]],
                                         -np.eye(3), [[-0.6, -0.6, -0.6]]]))
+
+
+def reference_quadratic_exit(beta, w):
+    """The row-by-row loop the batched _quadratic_exit replaces, kept as its oracle."""
+    t_best = math.inf
+    for base, wv in zip(beta, w):
+        aa = float(wv @ wv)
+        cc = float(base @ base)
+        bb = 2.0 * float(base @ wv)
+        if aa < 1e-300:
+            continue
+        if cc > 1.0 + 1e-15:
+            return 0.0
+        disc = bb * bb - 4.0 * aa * (cc - 1.0)
+        t_v = (-bb + math.sqrt(max(disc, 0.0))) / (2.0 * aa)
+        t_best = min(t_best, max(t_v, 0.0))
+    return 1.0 if t_best is math.inf else float(t_best)
+
+
+@st.composite
+def _ray_sets(draw):
+    rows, dim = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    entries = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    beta = draw(hnp.arrays(np.float64, (rows, dim), elements=entries))
+    w = draw(hnp.arrays(np.float64, (rows, dim), elements=entries))
+    if draw(st.booleans()):  # every row starts in the ball: the quadratics decide
+        beta = beta / max(1.0, float(np.max(np.linalg.norm(beta, axis=1))))
+    return beta, w
+
+
+@given(rays=_ray_sets())
+@settings(max_examples=300)
+def test_quadratic_exit_is_bit_equal_to_the_row_loop(rays):
+    beta, w = rays
+    got = mv._quadratic_exit(beta, w)
+    assert np.float64(got).tobytes() == np.float64(reference_quadratic_exit(beta, w)).tobytes()
 
 
 class TestFeasibleScale:
@@ -160,6 +201,128 @@ class TestMaxVolume:
         assert res.value == pytest.approx(recomputed, abs=1e-12)
 
 
+HEXAGON = ns.polytopal([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
+                        for k in range(6)])
+EXACT_PAIRS = {
+    "l1-linf3": (ns.l1(2), ns.linf(3)),
+    "linf-l1_3": (ns.linf(2), ns.l1(3)),
+    "l2-l1_3": (ns.euclidean(2), ns.l1(3)),
+    "linf-hexagon": (ns.linf(2), HEXAGON),
+    "linf-l2_2": (ns.linf(2), ns.euclidean(2)),
+    "linf-l2_3": (ns.linf(2), ns.euclidean(3)),
+}
+
+
+def _column(direction, radius, a, b):
+    """direction scaled so that ||(u|0)||_{a->b} = radius."""
+    zero = np.zeros((b.dim, a.dim - 1))
+    base = la.operator_norm_report(np.concatenate([direction[:, None], zero], axis=1)[None],
+                                   a, b).values[0]
+    return radius * direction / base
+
+
+def box_vertex_mv(u, half_widths):
+    """max of vol(u|v) = |u| |P v| over the box |v_i| <= half_widths[i], at a vertex."""
+    u = np.asarray(u, dtype=float)
+    u_hat = u / np.linalg.norm(u)
+    best = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=len(u)):
+        v = np.asarray(signs) * half_widths
+        best = max(best, float(np.linalg.norm(v - (v @ u_hat) * u_hat)))
+    return float(np.linalg.norm(u)) * best
+
+
+def cube_vertex_mv(u):
+    """mv(u) for l1(2) -> linf(3): ||(u|v)|| = max(|u|_inf, |v|_inf), so the
+    feasible set is the cube {v : |v|_inf <= 1}."""
+    return box_vertex_mv(u, np.ones(3))
+
+
+class TestExactPath:
+    @pytest.mark.parametrize("pair", sorted(EXACT_PAIRS))
+    @given(direction=hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           radius=st.floats(0.05, 1.0))
+    @settings(max_examples=3)
+    def test_exact_value_bounds_ascent_and_grid(self, pair, direction, radius):
+        a, b = EXACT_PAIRS[pair]
+        direction = direction[:b.dim]
+        if np.linalg.norm(direction) < 1e-3:
+            direction = np.ones(b.dim)
+        u = _column(direction, radius, a, b)
+        res = mv.max_volume(u, a, b)
+        assert res.analytic and res.restarts_used == 0
+        M = np.concatenate([u[:, None], res.best_V], axis=1)
+        assert res.value == pytest.approx(la.vol_matrix(M), abs=1e-12)
+        report = la.operator_norm_report(M[None], a, b)
+        assert report.exact and report.values[0] <= 1.0 + 1e-12
+        ascent = mv.max_volume(u, a, b, restarts=32, seed=0, analytic=False, iters=100)
+        assert res.value >= ascent.value - 1e-12
+        if b.dim == 2:
+            # every feasible point of a grid over the box holding the feasible set
+            axis = np.linspace(-2.0, 2.0, 201)
+            V = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            Ms = np.concatenate([np.broadcast_to(u, V.shape)[:, :, None], V[:, :, None]], axis=2)
+            feasible = la.operator_norm_report(Ms, a, b).values <= 1.0
+            vols = np.abs(u[0] * V[feasible, 1] - u[1] * V[feasible, 0])
+            assert np.max(vols) <= res.value + 1e-12
+
+    @pytest.mark.parametrize("u", [[0.5, 0.2, 0.1], [0.9, -0.9, 0.3], [1.0, 0.0, 0.0],
+                                   [0.05, 0.6, -0.55]])
+    def test_l1_into_linf3_is_the_best_cube_vertex(self, u):
+        res = mv.max_volume(u, ns.l1(2), ns.linf(3))
+        assert res.analytic
+        assert res.value == pytest.approx(cube_vertex_mv(u), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_into_linf_is_the_best_box_vertex(self, p, rng):
+        # row i of (u|v) meets linf(m)'s dual vertex e_i: |(u_i, v_i)|_q <= 1,
+        # so the feasible set is the box |v_i| <= (1 - |u_i|^q)^(1/q)
+        q = p / (p - 1.0)
+        a = ns.euclidean(2) if p == 2.0 else ns.lp(2, p)
+        for m in (2, 3, 4):
+            u = rng.uniform(-0.9, 0.9, m)
+            res = mv.max_volume(u, a, ns.linf(m))
+            assert res.analytic
+            widths = (1.0 - np.abs(u) ** q) ** (1.0 / q)
+            # lp3 and lp1.5 sections are not polytopes: the feasibility projection
+            # bisects, with 1e-12 of slack on the norm
+            assert res.value == pytest.approx(box_vertex_mv(u, widths), rel=1e-11)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_linf_into_l2_closed_form(self, m, rng):
+        for radius in (0.1, 0.6, 0.99):
+            u = rng.standard_normal(m)
+            u *= radius / np.linalg.norm(u)
+            res = mv.max_volume(u, ns.linf(2), ns.euclidean(m))
+            assert res.analytic
+            assert res.value == pytest.approx(radius * math.sqrt(1.0 - radius ** 2), rel=1e-12)
+            assert abs(float(u @ res.best_V[:, 0])) <= 1e-12
+
+    def test_euclidean_pair_is_the_length_of_u(self, rng):
+        u = rng.standard_normal(3)
+        u *= 0.7 / np.linalg.norm(u)
+        res = mv.max_volume(u, ns.euclidean(2), ns.euclidean(3))
+        assert res.analytic
+        assert res.value == pytest.approx(0.7, rel=1e-11)
+        # the bisected exit on the singular-value norm keeps 1e-12 of slack
+        assert res.feasibility_gap <= 2e-12
+
+    def test_past_the_enumeration_cap_the_ascent_runs(self):
+        # 2048 classes of dual vertices: choose(2048, 12) subsets
+        u = np.zeros(12)
+        u[0] = 0.5
+        a, b = ns.euclidean(2), ns.l1(12)
+        res = mv.max_volume(u, a, b, restarts=1, seed=0, iters=5)
+        ascent = mv.max_volume(u, a, b, restarts=1, seed=0, iters=5, analytic=False)
+        assert not res.analytic and res.restarts_used == 1
+        assert res.value == ascent.value
+        assert np.array_equal(res.best_V, ascent.best_V)
+
+    def test_smooth_codomain_keeps_the_ascent(self):
+        res = mv.max_volume([0.4, 0.1], ns.lp(2, 3.0), ns.lp(2, 4.0), restarts=1, iters=2)
+        assert not res.analytic
+
+
 class TestUscProbe:
     def test_huge_delta_passes_first(self):
         rep = mv.usc_probe([1.0, 0.0], ns.linf(2), ns.euclidean(2), delta=10.0,
@@ -172,6 +335,13 @@ class TestUscProbe:
                            trials=4, seed=1, restarts=2, iters=80)
         assert rep.passing_eps is not None
         assert rep.mv_value == pytest.approx(1.0, abs=1e-6)
+
+    def test_reference_value_is_exact_on_a_polytopal_pair(self):
+        u = [0.5, 0.2, 0.1]
+        rep = mv.usc_probe(u, ns.l1(2), ns.linf(3), delta=10.0, trials=2, seed=0,
+                           restarts=1, iters=5)
+        assert rep.mv_value == mv.max_volume(u, ns.l1(2), ns.linf(3)).value
+        assert rep.mv_value == pytest.approx(cube_vertex_mv(u), rel=1e-12)
 
     def test_collapse_case_passes_at_small_eps(self):
         schedule = [0.5 * 2.0 ** (-k) for k in range(12)]

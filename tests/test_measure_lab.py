@@ -295,6 +295,19 @@ class TestBoxcount:
         rep = ml.boxcount_image_measure(point, E, 3, 5e-2)
         assert rep.value == ml.boxcount_image_measure(batch, E, 3, 5e-2).value
 
+    def test_single_point_map_with_two_outputs_is_not_taken_for_a_batch_map(self):
+        # on a (2, 2) input the single-point form returns two rows as well,
+        # (x_0, 0.5 x_1) for the rows x_0 and x_1: only its rows tell
+        def point(x):
+            return np.array([x[0], 0.5 * x[1]])
+
+        batch = lambda xs: np.stack([xs[:, 0], 0.5 * xs[:, 1]], axis=1)  # noqa: E731
+        for hint in (1.0, None):
+            rep = ml.boxcount_image_measure(point, UNIT, 2, 5e-2, lip_hint=hint)
+            assert rep.value == ml.boxcount_image_measure(batch, UNIT, 2, 5e-2,
+                                                          lip_hint=hint).value
+            assert abs(rep.value - 0.5) <= rep.error_bound
+
     def test_glued_counts_the_cores_in_E_only(self):
         cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
         spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),
