@@ -74,7 +74,6 @@ _SCHEMAS = {
             "a": _NORM_SCHEMA,
             "b": _NORM_SCHEMA,
             "restarts": {"type": "integer", "minimum": 1},
-            "analytic": {"type": "boolean"},
         },
     },
     "inflate": {
@@ -274,7 +273,7 @@ def _cmd_mv(params: dict, seed: int) -> dict:
     a = ns.norm_from_json(params["a"])
     b = ns.norm_from_json(params["b"])
     result = mv_mod.max_volume(np.asarray(params["u"], dtype=float), a, b, seed=seed,
-                               **_given(params, restarts=int, analytic=bool))
+                               **_given(params, restarts=int))
     return {
         "value": result.value,
         "best_V": result.best_V.tolist(),

@@ -332,7 +332,8 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
     without slack, so verification accepts every candidate the search
     hands it.  Only the starting point kappa = 1 is screened at the
     verifier's 1 + VERIFY_TOL.  ``None`` is evidence, not a proof of
-    nonexistence.
+    nonexistence, except for a Euclidean pair, which gets no search:
+    ``euclidean_inflation`` reaches volume 1, the most any contraction has.
     """
     if lam < 0:
         raise PreconditionError("lambda must be nonnegative")
@@ -349,8 +350,7 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
 
     if _is_euclidean(map.domain_norm) and _is_euclidean(map.codomain_norm):
         cert = euclidean_inflation(map)
-        if cert.verified and cert.lam >= lam - VERIFY_TOL:
-            return cert
+        return cert if cert.verified and cert.lam >= lam - VERIFY_TOL else None
 
     U_svd, s, Vt = np.linalg.svd(A, full_matrices=False)
     X_svd = Vt.T / np.maximum(s[None, :], 1e-300)

@@ -11,11 +11,12 @@ computed exactly (``MvResult.analytic``) in these cases:
   closed form, and a one-variable crossing problem
   (``_euclidean_completion``);
 * any n, maximum-norm domain, Euclidean codomain, Euclidean-unit u:
-  feasibility forces V = 0, so mv(u) = 0.
+  feasibility forces V = 0, so mv(u) = 0; and any pair at u = 0.
 
 Everywhere else (smooth codomains other than l2, smooth domains into
 non-Euclidean codomains, n >= 3, and vertex enumerations past
-_MAX_EXACT_ENTRIES) a multi-start ascent gives a lower bound.
+_MAX_EXACT_ENTRIES), and only there, a multi-start ascent gives a lower
+bound.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, PreconditionError
-from .linear_analysis import LinearMap, operator_norm_report, vol_matrix
+from .linear_analysis import RANK_RTOL, LinearMap, operator_norm_report, vol_matrix
 from .seeding import rng_for
 
-FD_STEP = 1e-5          # central-difference step for the vol gradient
 FEAS_TOL = 1e-9
 # the exact n = 2 paths build one array of candidate maximizers against their
 # constraint rows; past this many entries (l2(2) -> l1(5) and larger l1
@@ -304,19 +304,13 @@ def _euclidean_completion(u: np.ndarray, a: ns.Norm) -> Optional[np.ndarray]:
 
 
 def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
-               analytic: bool = True, iters: int = 400) -> MvResult:
+               iters: int = 400) -> MvResult:
     """mv(u): exact where the module docstring lists an exact form, else a lower bound.
 
-    With ``analytic`` enabled, the exact cases return their value with
-    ``analytic=True`` and ``restarts_used=0``; the maximizer passes
-    through the same feasibility projection as the ascent, so the
-    returned (u|V) sits on the certified boundary.  Otherwise, and with
-    ``analytic`` disabled, a multi-start projected ascent runs: each
-    iterate takes a finite-difference gradient step on vol and is pulled
-    back to the feasibility boundary by scaling V (the u column stays
-    fixed).  Its value is the volume of the best feasible candidate
-    found, a lower bound on the supremum, reported with
-    ``analytic=False``.
+    u = 0 and the exact cases report ``analytic=True`` and
+    ``restarts_used=0``; an exact maximizer passes through the ascent's
+    feasibility projection, so (u|V) sits on the certified boundary.
+    Every other input runs ``_ascent`` and reports ``analytic=False``.
     """
     u = np.asarray(u, dtype=float)
     n, m = a.dim, b.dim
@@ -330,25 +324,29 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
     if base_norm > 1.0 + FEAS_TOL:
         raise PreconditionError(f"||(u|0)|| = {base_norm} exceeds 1")
 
-    if not np.any(u):
-        return MvResult(0.0, np.zeros((m, n - 1)), base_norm - 1.0, 0, analytic=False)
-
-    if analytic and a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b) and \
-            abs(float(np.linalg.norm(u)) - 1.0) <= FEAS_TOL:
-        # feasibility forces V = 0 here, so the supremum is exactly 0
+    if not np.any(u) or (a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b) and
+                         abs(float(np.linalg.norm(u)) - 1.0) <= FEAS_TOL):
+        # (u|V) has rank below n for u = 0, and on the unit sphere of the
+        # maximum-norm-to-Euclidean pair feasibility forces V = 0: mv(u) = 0
         return MvResult(0.0, np.zeros((m, n - 1)), base_norm - 1.0, 0, analytic=True)
-    exact_v = _exact_completion(u, a, b) if analytic else None
+    exact_v = _exact_completion(u, a, b)
     if exact_v is not None:
         value, V = _rescaled_vol(u, exact_v[:, None], a, b)
         gap = _norm_bracket(u, V, a, b)[1] - 1.0
         return MvResult(float(value), V, float(gap), 0, analytic=True)
+    return _ascent(u, a, b, restarts, seed, iters)
 
+
+def _ascent(u: np.ndarray, a: ns.Norm, b: ns.Norm, restarts: int, seed: int,
+            iters: int) -> MvResult:
+    """A lower bound on mv(u): each iterate steps along the gradient of vol and
+    is pulled back to the feasibility boundary by scaling V (u stays fixed)."""
+    m, n = len(u), a.dim
     best_val = 0.0
     best_V = np.zeros((m, n - 1))
-    shape = (m, n - 1)
     for r in range(restarts):
         rng = rng_for(seed, 911, r)
-        V = rng.standard_normal(shape)
+        V = rng.standard_normal((m, n - 1))
         val, V = _rescaled_vol(u, V, a, b)
         step = 0.25
         for _ in range(iters):
@@ -371,17 +369,14 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
 
 
 def _vol_gradient(u: np.ndarray, V: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(V)
-    for j in range(V.shape[1]):
-        for i in range(V.shape[0]):
-            Vp = V.copy()
-            Vp[i, j] += FD_STEP
-            Vm = V.copy()
-            Vm[i, j] -= FD_STEP
-            fp = vol_matrix(np.concatenate([u[:, None], Vp], axis=1))
-            fm = vol_matrix(np.concatenate([u[:, None], Vm], axis=1))
-            grad[i, j] = (fp - fm) / (2.0 * FD_STEP)
-    return grad
+    """d vol / dV = vol * [M (M^T M)^-1]_{:, 1:} for M = (u|V) = S diag(s) R^T, that is
+    prod(s) * [S diag(1/s) R^T]_{:, 1:}; zero where M is rank-deficient, where
+    vol's slopes along +-dV cancel by symmetry."""
+    M = np.concatenate([u[:, None], V], axis=1)
+    S, s, Rt = np.linalg.svd(M, full_matrices=False)
+    if not s[-1] > RANK_RTOL * max(s[0], 1e-300):
+        return np.zeros_like(V)
+    return float(np.prod(s)) * ((S / s) @ Rt)[:, 1:]
 
 
 # -- upper semi-continuity probe ---------------------------------------------
@@ -405,8 +400,9 @@ def usc_probe(u, a: ns.Norm, b: ns.Norm, delta: float, trials: int = 12,
     mv(u) + delta.
 
     Walks a decreasing eps schedule; for each eps it perturbs u inside
-    the codomain-norm ball of radius eps and ascends vol over feasible
-    completions of the perturbed column.  The largest eps with no
+    the codomain-norm ball of radius eps and takes ``max_volume`` of the
+    perturbed column, so the probe compares exact values wherever an
+    exact form exists and ascent lower bounds elsewhere.  The largest eps with no
     violation is reported; a violation at every eps points at an
     under-converged reference value and is flagged as such.
     """
@@ -430,8 +426,7 @@ def usc_probe(u, a: ns.Norm, b: ns.Norm, delta: float, trials: int = 12,
             u_tilde = u + radius * g / g_len
             if _norm_bracket(u_tilde, np.zeros((b.dim, a.dim - 1)), a, b)[0] > 1.0 + FEAS_TOL:
                 continue  # no feasible completion is reachable by scaling: vacuous
-            res = max_volume(u_tilde, a, b, restarts=restarts, seed=seed + 31 * t,
-                             analytic=False, iters=iters)
+            res = max_volume(u_tilde, a, b, restarts=restarts, seed=seed + 31 * t, iters=iters)
             if res.value > mv0 + delta + 1e-12:
                 ok = False
                 violations.append((eps, t, res.value))

@@ -83,16 +83,20 @@ class Norm:
         return np.linalg.inv(self.W)
 
     @cached_property
+    def _hull(self):
+        """The scipy.spatial.ConvexHull of a polytopal ball's vertex list, dim >= 2."""
+        from scipy.spatial import ConvexHull
+
+        return ConvexHull(self.vertices)
+
+    @cached_property
     def _facets(self) -> tuple:
         """Facet description (A, c) of the polytopal unit ball: B = {x : A x <= c}."""
         verts = self.vertices
         if self.dim == 1:
             a = float(np.max(np.abs(verts)))
             return np.array([[1.0], [-1.0]]), np.array([a, a])
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(verts)
-        eq = hull.equations  # rows [normal, offset] with normal.x + offset <= 0 inside
+        eq = self._hull.equations  # rows [normal, offset] with normal.x + offset <= 0 inside
         A = eq[:, :-1]
         c = -eq[:, -1]
         if np.any(c <= 1e-12):
@@ -179,10 +183,7 @@ class Norm:
         if self.dim == 1:
             a = float(np.max(np.abs(verts)))
             return np.array([[a], [-a]])
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(verts)
-        return verts[hull.vertices]
+        return verts[self._hull.vertices]
 
 
 def _check_symmetric_spanning(verts: np.ndarray) -> None:
@@ -337,9 +338,7 @@ def ball_volume_report(norm: Norm) -> VolumeReport:
     if norm.kind == "polytopal":
         if n == 1:
             return VolumeReport(2.0 * float(np.max(np.abs(norm.vertices))), 0.0, "triangulation")
-        from scipy.spatial import ConvexHull
-
-        return VolumeReport(float(ConvexHull(norm.vertices).volume), 0.0, "triangulation")
+        return VolumeReport(float(norm._hull.volume), 0.0, "triangulation")
     if norm.kind == "transformed":
         inner = ball_volume_report(norm.base)
         det = abs(float(np.linalg.det(norm.W)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import inflate_lab
+from inflate_lab import linear_analysis as la
 from inflate_lab import maximal_volume as mv
 from inflate_lab import measure_lab as ml
 from inflate_lab import normed_space as ns
@@ -64,6 +65,19 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["verification"]["verified"] is True
 
+    def test_euclidean_pair_above_volume_one_exits_3_without_a_search(self, monkeypatch):
+        # no contraction between Euclidean spaces has vol > 1: the closed form decides
+        calls = []
+        sign_norm = la._max_sign_norm
+        monkeypatch.setattr(la, "_max_sign_norm", lambda *args: calls.append(1) or sign_norm(*args))
+        params = {
+            "map": {"entries": [[0.8, 0.1], [0.0, 0.6]],
+                    "domain_norm": EUCL2, "codomain_norm": EUCL2},
+            "lambda": 1.5,
+        }
+        assert run(ExperimentConfig("check-inflation", params, seed=0)) == 3
+        assert calls == []
+
     def test_infeasible_inflation_exits_3(self, capsys):
         params = {
             "map": {"entries": [[1.0, 0.0001], [0.0, 0.0001]],
@@ -74,6 +88,23 @@ class TestRun:
         # rescale is on the caller here: this map has norm slightly above 1
         params["map"]["entries"] = [[0.99, 0.0001], [0.0, 0.0001]]
         assert run(ExperimentConfig("check-inflation", params, seed=0)) == 3
+
+    def test_mv_of_zero_is_exact(self, capsys):
+        params = {"u": [0.0, 0.0, 0.0], "a": EUCL2, "b": {"dim": 3, "kind": "euclidean"}}
+        assert main(["mv", "--params", json.dumps(params)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["value"] == 0.0
+        assert report["analytic"] is True and report["restarts_used"] == 0
+
+    def test_mv_ignores_the_retired_analytic_key(self, capsys):
+        # "analytic": false once forced the ascent; the key is now unknown and ignored
+        u = [0.5, 0.2, 0.1]
+        params = {"u": u, "a": {"dim": 2, "kind": "l1"}, "b": {"dim": 3, "kind": "linf"},
+                  "analytic": False}
+        assert main(["mv", "--params", json.dumps(params)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["analytic"] is True
+        assert report["value"] == mv.max_volume(np.array(u), ns.l1(2), ns.linf(3)).value
 
     def test_schema_violation_exits_2(self, capsys):
         config = ExperimentConfig("mv", {"u": "nonsense", "a": LINF2, "b": EUCL2})
@@ -184,7 +215,7 @@ class TestExperimentNorms:
         assert exact.analytic
         assert threshold == exact.value + r
         # an 8-restart ascent stops about 9% lower at this u
-        ascent = mv.max_volume(np.array(u), a, b, restarts=8, analytic=False)
+        ascent = mv._ascent(np.array(u), a, b, restarts=8, seed=0, iters=400)
         assert ascent.value <= exact.value + 1e-12
 
     def test_positive_on_an_lp3_domain(self, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from inflate_lab import linear_analysis as la
@@ -114,7 +114,7 @@ class TestFeasibleScale:
         norm = la.operator_norm_report(np.concatenate([u[:, None], t * V], axis=1)[None], a, b)
         # the bisection's slack is 1e-12 relative, which rounds to 1.00009e-12
         assert 0.0 < t and abs(float(norm.values[0]) - 1.0) <= 2e-12
-        res = mv.max_volume(u, a, b, restarts=2, seed=0, analytic=False, iters=20)
+        res = mv._ascent(u, a, b, restarts=2, seed=0, iters=20)
         assert res.value > 0.0 and res.feasibility_gap <= 2e-12
 
     def test_bracketed_pair_keeps_the_upper_end_feasible(self):
@@ -143,14 +143,16 @@ class TestMaxVolume:
         assert np.array_equal(res.best_V, np.zeros((2, 1)))
 
     def test_generic_path_also_collapses(self):
-        res = mv.max_volume([1.0, 0.0], ns.linf(2), ns.euclidean(2), restarts=32,
-                            seed=1, analytic=False)
+        res = mv._ascent(np.array([1.0, 0.0]), ns.linf(2), ns.euclidean(2), restarts=32,
+                         seed=1, iters=400)
         assert res.value <= 1e-6
         assert res.feasibility_gap <= 1e-9
 
     def test_zero_vector(self):
+        # (0|V) has rank below n, so 0 is mv(u) itself, not a bound
         res = mv.max_volume(np.zeros(3), ns.euclidean(2), ns.euclidean(3), seed=0)
         assert res.value == 0.0
+        assert res.analytic and res.restarts_used == 0
 
     def test_euclidean_orthonormal_completion(self, rng):
         # oracle: the orthonormal completion achieves exactly 1
@@ -255,7 +257,7 @@ class TestExactPath:
         assert res.value == pytest.approx(la.vol_matrix(M), abs=1e-12)
         report = la.operator_norm_report(M[None], a, b)
         assert report.exact and report.values[0] <= 1.0 + 1e-12
-        ascent = mv.max_volume(u, a, b, restarts=32, seed=0, analytic=False, iters=100)
+        ascent = mv._ascent(u, a, b, restarts=32, seed=0, iters=100)
         assert res.value >= ascent.value - 1e-12
         if b.dim == 2:
             # every feasible point of a grid over the box holding the feasible set
@@ -313,7 +315,7 @@ class TestExactPath:
         u[0] = 0.5
         a, b = ns.euclidean(2), ns.l1(12)
         res = mv.max_volume(u, a, b, restarts=1, seed=0, iters=5)
-        ascent = mv.max_volume(u, a, b, restarts=1, seed=0, iters=5, analytic=False)
+        ascent = mv._ascent(u, a, b, restarts=1, seed=0, iters=5)
         assert not res.analytic and res.restarts_used == 1
         assert res.value == ascent.value
         assert np.array_equal(res.best_V, ascent.best_V)
@@ -321,6 +323,46 @@ class TestExactPath:
     def test_smooth_codomain_keeps_the_ascent(self):
         res = mv.max_volume([0.4, 0.1], ns.lp(2, 3.0), ns.lp(2, 4.0), restarts=1, iters=2)
         assert not res.analytic
+
+
+def reference_vol_gradient(u, V, step=1e-5):
+    """The central difference the closed-form _vol_gradient replaces, kept as its oracle."""
+    grad = np.zeros_like(V)
+    for i, j in itertools.product(range(V.shape[0]), range(V.shape[1])):
+        E = np.zeros_like(V)
+        E[i, j] = step
+        up = la.vol_matrix(np.concatenate([u[:, None], V + E], axis=1))
+        down = la.vol_matrix(np.concatenate([u[:, None], V - E], axis=1))
+        grad[i, j] = (up - down) / (2.0 * step)
+    return grad
+
+
+@st.composite
+def _augmentations(draw):
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n, 4))
+    M = draw(hnp.arrays(np.float64, (m, n), elements=st.floats(-1.0, 1.0)))
+    # away from rank deficiency, where vol has a kink the difference cannot resolve
+    s = np.linalg.svd(M, compute_uv=False)
+    assume(s[-1] >= 0.2)
+    return M[:, 0], M[:, 1:]
+
+
+@given(pair=_augmentations())
+@settings(max_examples=100)
+def test_vol_gradient_matches_the_central_difference(pair):
+    u, V = pair
+    got = mv._vol_gradient(u, V)
+    # abs covers entries near 0, where the difference keeps ~1e-11 of rounding
+    assert got == pytest.approx(reference_vol_gradient(u, V), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 4), (3, 3), (3, 4)])
+def test_vol_gradient_is_zero_at_V_zero(n, m, rng):
+    u = rng.standard_normal(m)
+    V = np.zeros((m, n - 1))
+    assert np.array_equal(mv._vol_gradient(u, V), V)
+    assert np.array_equal(reference_vol_gradient(u, V), V)
 
 
 class TestUscProbe:
@@ -342,6 +384,15 @@ class TestUscProbe:
                            restarts=1, iters=5)
         assert rep.mv_value == mv.max_volume(u, ns.l1(2), ns.linf(3)).value
         assert rep.mv_value == pytest.approx(cube_vertex_mv(u), rel=1e-12)
+
+    def test_polytopal_pair_compares_exact_values(self):
+        # an ascent of 4 restarts x 150 steps stops low enough here to pass at 0.0625
+        u = np.array([0.5, 0.2, 0.1])
+        delta = 0.02
+        rep = mv.usc_probe(u, ns.l1(2), ns.linf(3), delta=delta, trials=12, seed=0)
+        assert rep.passing_eps == 0.015625
+        assert rep.violations
+        assert all(value > cube_vertex_mv(u) + delta for _, _, value in rep.violations)
 
     def test_collapse_case_passes_at_small_eps(self):
         schedule = [0.5 * 2.0 ** (-k) for k in range(12)]

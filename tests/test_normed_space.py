@@ -90,6 +90,30 @@ class TestBallVolume:
         exact = 4.0 * math.gamma(1 + 1 / 3.0) ** 2 / math.gamma(1 + 2 / 3.0)
         assert report.value == pytest.approx(exact, rel=0.02)
 
+    def test_polytopal_queries_share_one_hull(self, monkeypatch):
+        import scipy.spatial
+
+        built = []
+        hull = scipy.spatial.ConvexHull
+
+        def counting(points, *args, **kwargs):
+            built.append(len(points))
+            return hull(points, *args, **kwargs)
+
+        # an inner point, so the extreme points are a strict subset of the list
+        verts = np.concatenate([np.eye(3), [[0.6, 0.6, 0.6], [0.1, 0.1, 0.1]]])
+        norm = ns.polytopal(np.concatenate([verts, -verts]))
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+        A, c = norm._facets
+        extreme = norm._extreme_points
+        volume = ns.ball_volume_report(norm).value
+        assert built == [10]
+        direct = hull(norm.vertices)
+        assert np.array_equal(A, direct.equations[:, :-1])
+        assert np.array_equal(c, -direct.equations[:, -1])
+        assert np.array_equal(extreme, norm.vertices[direct.vertices])
+        assert volume == direct.volume
+
     def test_transformed_volume(self):
         W = np.array([[2.0, 0.0], [1.0, 1.5]])
         got = ns.ball_volume(ns.transformed(ns.euclidean(2), W))
