@@ -50,7 +50,6 @@ _SCHEMAS = {
             "map": _MAP_SCHEMA,
             "lambda": {"type": "number", "minimum": 0},
             "restarts": {"type": "integer", "minimum": 1},
-            "steps": {"type": "integer", "minimum": 1},
         },
     },
     "probe-pair": {
@@ -62,7 +61,6 @@ _SCHEMAS = {
             "lambda": {"type": "number", "minimum": 0},
             "samples": {"type": "integer", "minimum": 1},
             "restarts": {"type": "integer", "minimum": 1},
-            "steps": {"type": "integer", "minimum": 1},
             "include": {"type": "array"},
         },
     },
@@ -236,7 +234,7 @@ def _given(params: dict, *raw: str, **casts) -> dict:
 def _cmd_check_inflation(params: dict, seed: int) -> dict:
     map_ = la.map_from_json(params["map"])
     lam = float(params["lambda"])
-    cert = la.inflation_search(map_, lam, seed=seed, **_given(params, restarts=int, steps=int))
+    cert = la.inflation_search(map_, lam, seed=seed, **_given(params, restarts=int))
     if cert is None:
         raise NumericalFailure(f"no verified {lam}-inflation found within budget")
     report = la.verify_certificate(map_, cert)
@@ -256,7 +254,7 @@ def _cmd_probe_pair(params: dict, seed: int) -> dict:
     b = ns.norm_from_json(params["b"])
     report = la.inflating_pair_probe(
         a, b, float(params["lambda"]), int(params["samples"]), seed,
-        **_given(params, "include", restarts=int, steps=int))
+        **_given(params, "include", restarts=int))
     return {
         "lambda": report.lam,
         "normalized_lambda": report.normalized_lam,

@@ -727,7 +727,7 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     The grid starts at 2 cells per axis (or the grid of a GridSubset E)
     and doubles while the fits are too coarse, up to 64; cores keep at
     least 0.9 of their cell's width; for a non-Euclidean pair each cell's
-    certificate search runs 16 restarts of 120 steps.  ``f_lip`` replaces
+    certificate search runs 16 restarts.  ``f_lip`` replaces
     the sampled Lipschitz estimate of f when the caller knows it.
     """
     if not (0 <= eta < 1):
@@ -867,7 +867,7 @@ def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
         rng = rng_for(seed, 4242, lin_idx)
         M_i = _nudged(M_fit, nudge_budget, cell, a, b, L0, rng)
 
-        cert = inflation_search(LinearMap(M_i / L0, a, b), lam, restarts=16, steps=120,
+        cert = inflation_search(LinearMap(M_i / L0, a, b), lam, restarts=16,
                                 seed=seed + 101 * lin_idx)
         if cert is None:
             raise NumericalFailure(f"no inflation certificate for cell {idx}")

@@ -29,6 +29,10 @@ RANK_RTOL = 1e-10        # sigma_min > RANK_RTOL * sigma_max decides "full rank"
 VERIFY_TOL = 1e-9        # certificate verification tolerance (relative), the only one used
 SEARCH_FEAS_TOL = 1e-7   # operator-norm slack accepted on a search's input map
 _KAPPA_CAP = 1e9
+_SECTIONS = 15           # points per norm evaluation of a bisected ray exit
+# a bisected exit's norm slack: absorbs the rounding of a start on the unit
+# sphere and stays, with the rays' own rounding, below 1e-12 in the report
+_EXIT_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,116 @@ def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport
 def operator_norm(map: LinearMap) -> float:
     """||A||_{a->b}: exact, or the certified upper end of its bracket."""
     return float(operator_norm_report(map.matrix[None], map.domain_norm, map.codomain_norm).values[0])
+
+
+# -- ray exits -----------------------------------------------------------------
+
+
+def _ray_exit(Bs: np.ndarray, Ws: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
+    """Largest t >= 0 with ||B_k + t W_k||_{a->b} <= 1 for every k of two (K, m, n) stacks.
+
+    ``math.inf`` when no W_k moves anything.  Each t -> ||B_k + t W_k|| is
+    convex, so the feasible t form an interval.  The norm is the largest
+    of |beta + t w|_c over rays that follow operator_norm_report path for
+    path, after the same _unwrap_transforms: the domain-ball vertices x
+    (beta = B x, w = W x, c = b); otherwise the listed dual vertices y of
+    b (beta = B^T y, w = W^T y, c = a*); otherwise, for a bracketed pair,
+    the inscribed polytope scaled by its c, so the exit bounds the
+    report's certified upper end.  The rays exit in closed form when c is
+    Euclidean, a listed polytope, or lp with disjoint supports of each
+    beta and w, and by bisection on the rays otherwise.  A Euclidean pair
+    has no rays and bisects on its largest singular value.
+    """
+    if not np.any(Ws):
+        return math.inf
+    both, a, b = _unwrap_transforms(np.concatenate([Bs, Ws]), a, b)
+    Bs, Ws = both[:len(Bs)], both[len(Bs):]
+    verts, scale, c = ns.ball_vertices(a), 1.0, b
+    if verts is None:
+        if _is_euclidean(a) and _is_euclidean(b):
+            return _bisected_scale(lambda ts: np.max(np.linalg.svd(
+                Bs + ts[:, None, None, None] * Ws, compute_uv=False)[..., 0], axis=1))
+        verts = ns._dual_vertices(b)
+        if verts is not None:
+            # ||A||_{a->b} = ||A^T||_{b*->a*}
+            Bs, Ws, c = Bs.transpose(0, 2, 1), Ws.transpose(0, 2, 1), ns.dual(a)
+        else:
+            verts, scale = a._inscribed
+    beta = scale * np.matmul(verts, Bs.transpose(0, 2, 1)).reshape(-1, c.dim)
+    w = scale * np.matmul(verts, Ws.transpose(0, 2, 1)).reshape(-1, c.dim)
+    if _is_euclidean(c):
+        return _quadratic_exit(beta, w)
+    facets = ns._dual_vertices(c)
+    if facets is not None:
+        return _facet_exit(beta, w, facets)
+    if c.kind == "lp" and not np.any((beta != 0.0) & (w != 0.0)):
+        return _lp_exit(beta, w, c.p)
+    return _bisected_scale(lambda ts: np.max(ns._eval_many(
+        c, (beta + ts[:, None, None] * w).reshape(-1, c.dim)).reshape(len(ts), -1), axis=1))
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # a stack of vector products: bit-equal to x_v @ y_v row by row, which a
+    # row sum or einsum is not
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _quadratic_exit(beta: np.ndarray, w: np.ndarray) -> float:
+    """Largest t >= 0 with |beta_v + t w_v|_2 <= 1 for every row: one quadratic per row.
+
+    Rows with w_v = 0 do not move and are skipped (``math.inf`` when no
+    row moves); a moving row that already starts outside the ball leaves
+    t = 0.
+    """
+    aa = _row_dots(w, w)
+    moving = aa >= 1e-300
+    if not np.any(moving):
+        return math.inf
+    aa, cc = aa[moving], _row_dots(beta[moving], beta[moving])
+    if np.any(cc > 1.0 + 1e-15):
+        return 0.0
+    bb = 2.0 * _row_dots(beta[moving], w[moving])
+    disc = bb * bb - 4.0 * aa * (cc - 1.0)
+    t = (-bb + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * aa)
+    return float(np.min(np.maximum(t, 0.0)))
+
+
+def _facet_exit(beta: np.ndarray, w: np.ndarray, facets: np.ndarray) -> float:
+    """Largest t >= 0 with f.(beta_v + t w_v) <= 1 for every row v and facet row f."""
+    along = w @ facets.T
+    crossing = along > 0.0
+    if not np.any(crossing):
+        return math.inf
+    slack = 1.0 - beta @ facets.T
+    return max(float(np.min(slack[crossing] / along[crossing])), 0.0)
+
+
+def _lp_exit(beta: np.ndarray, w: np.ndarray, p: float) -> float:
+    """Largest t >= 0 with |beta_v + t w_v|_p <= 1 for every row, where no row's
+    beta and w share a nonzero entry: |beta + t w|_p^p = |beta|_p^p + t^p |w|_p^p."""
+    ww = np.sum(np.abs(w) ** p, axis=1)
+    moving = ww > 0.0
+    if not np.any(moving):
+        return math.inf
+    room = np.maximum(1.0 - np.sum(np.abs(beta[moving]) ** p, axis=1), 0.0)
+    return float(np.min((room / ww[moving]) ** (1.0 / p)))
+
+
+def _bisected_scale(norms) -> float:
+    """Largest t >= 0 with norms(t) <= 1 + _EXIT_SLACK, for a convex norms
+    that maps an array of t to one norm each; 0 when t = 0 fails.  The
+    powers 1, 2, ..., 2^20 bracket t (t stays below 2^21), then each call
+    splits the bracket at _SECTIONS interior points, down to adjacent
+    floats."""
+    lo, hi = 0.0, 2.0 ** 21
+    ts = np.concatenate([[0.0], 2.0 ** np.arange(21)])
+    while ts.size:
+        run = int(np.cumprod(norms(ts) <= 1.0 + _EXIT_SLACK).sum())
+        lo = float(ts[run - 1]) if run else lo
+        hi = float(ts[run]) if run < ts.size else hi
+        ts = np.unique(lo + (hi - lo) * np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1))
+        ts = ts[(ts > lo) & (ts < hi)]
+    return lo
 
 
 # -- sign permutations and certificates ----------------------------------
@@ -322,18 +436,22 @@ def _max_sign_norm(map: LinearMap, X: np.ndarray, kappa: np.ndarray) -> float:
 
 
 def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
-                     steps: int = 200, seed: int = 0) -> Optional[InflationCertificate]:
-    """Search for a verified lambda-inflation; None on budget exhaustion.
+                     seed: int = 0) -> Optional[InflationCertificate]:
+    """Search for a verified lambda-inflation; None when no restart certifies.
 
-    Multi-start over eigenbases (SVD-informed plus random), maximizing
-    the sign-invariant volume vol(A) * prod kappa_i by monotone
-    coordinate ascent on the eigenvalues, subject to the max-over-signs
-    operator norm (its certified upper end) staying at most 1 itself,
-    without slack, so verification accepts every candidate the search
-    hands it.  Only the starting point kappa = 1 is screened at the
-    verifier's 1 + VERIFY_TOL.  ``None`` is evidence, not a proof of
-    nonexistence, except for a Euclidean pair, which gets no search:
-    ``euclidean_inflation`` reaches volume 1, the most any contraction has.
+    Multi-start over eigenbases (SVD-informed plus random).  Each restart
+    maximizes the sign-invariant volume vol(A) * prod kappa_i in one
+    sweep: kappa_i grows by the exact ray exit (``_ray_exit``) of all
+    2^n sign patterns along s_i u_i x~_i (x~_i the rows of X^-1), up to
+    _KAPPA_CAP.  The exits keep the max-over-signs operator norm (its
+    certified upper end) at 1 up to rounding, inside verification's
+    1 + VERIFY_TOL.  One sweep is the fixed point: the feasible kappa form
+    a convex set that no sign flip of a kappa_j changes, so its section in
+    kappa_i only shrinks as another |kappa_j| grows.  Only the starting
+    point kappa = 1 is screened, at 1 + VERIFY_TOL.  ``None`` is
+    evidence, not a proof of nonexistence, except for a Euclidean pair,
+    which gets no search: ``euclidean_inflation`` reaches volume 1, the
+    most any contraction has.
     """
     if lam < 0:
         raise PreconditionError("lambda must be nonnegative")
@@ -355,6 +473,7 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
     U_svd, s, Vt = np.linalg.svd(A, full_matrices=False)
     X_svd = Vt.T / np.maximum(s[None, :], 1e-300)
     n = map.n
+    signs = sign_permutations(np.ones(n))
 
     for r in range(restarts):
         rng = rng_for(seed, 3001, r)
@@ -371,36 +490,13 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
         # verification would, since its all-plus pattern is A up to rounding
         if _max_sign_norm(map, X, np.ones(n)) > 1.0 + VERIFY_TOL:
             continue
+        U, X_inv = A @ X, np.linalg.inv(X)
         kappa = np.ones(n)
-        budget = steps
-        improved = True
-        while improved and budget > 0:
-            improved = False
-            for i in range(n):
-                lo, hi = kappa[i], _KAPPA_CAP
-                trial = kappa.copy()
-                trial[i] = min(hi, max(2.0 * lo, 1.0))
-                # exponential reach, then bisect back to the boundary
-                while budget > 0 and _max_sign_norm(map, X, trial) <= 1.0:
-                    lo = trial[i]
-                    trial[i] = min(hi, trial[i] * 2.0)
-                    budget -= 1
-                    if trial[i] >= hi:
-                        break
-                hi_local = trial[i]
-                for _ in range(40):
-                    if budget <= 0:
-                        break
-                    mid = 0.5 * (lo + hi_local)
-                    trial[i] = mid
-                    if _max_sign_norm(map, X, trial) <= 1.0:
-                        lo = mid
-                    else:
-                        hi_local = mid
-                    budget -= 1
-                if lo > kappa[i] * (1 + 1e-12):
-                    improved = True
-                kappa[i] = lo
+        for i in range(n):
+            Bs = sign_matrices(map, InflationCertificate(X, kappa, 0.0, False, math.inf))
+            Ws = signs[:, i, None, None] * np.outer(U[:, i], X_inv[i])
+            kappa[i] = min(kappa[i] + _ray_exit(Bs, Ws, map.domain_norm, map.codomain_norm),
+                           _KAPPA_CAP)
         if vol_A * float(np.prod(kappa)) >= lam - VERIFY_TOL:
             cert = _certificate_for(map, X, kappa)
             if cert.verified and cert.lam >= lam - VERIFY_TOL:
@@ -432,11 +528,13 @@ class PairProbeReport:
 
 
 def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
-                         seed: int, restarts: int = 16, steps: int = 120,
+                         seed: int, restarts: int = 16,
                          include: Optional[list] = None) -> PairProbeReport:
     """Sample maps of operator norm 1 and try to certify each at lambda.
 
-    The failure list is evidence, not proof, of non-inflation.  The
+    Each sample runs two ``inflation_search`` calls of ``restarts``
+    restarts, one exit sweep each.  The failure list is evidence, not
+    proof, of non-inflation.  The
     probe also tests each sample against the normalized target
     vol(|.|_a) * lambda used by the equivalence-class membership
     question.  ``include`` prepends caller-chosen matrices (rescaled
@@ -462,9 +560,8 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
     for idx, G in enumerate(matrices):
         A = G / operator_norm(LinearMap(G, a, b))
         map_ = LinearMap(A, a, b)
-        cert = inflation_search(map_, lam, restarts=restarts, steps=steps,
-                                seed=seed + 13 * idx)
-        cert_n = inflation_search(map_, lam_normalized, restarts=restarts, steps=steps,
+        cert = inflation_search(map_, lam, restarts=restarts, seed=seed + 13 * idx)
+        cert_n = inflation_search(map_, lam_normalized, restarts=restarts,
                                   seed=seed + 13 * idx + 7)
         ok_plain += int(cert is not None)
         ok_norm += int(cert_n is not None)

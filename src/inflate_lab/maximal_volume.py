@@ -30,7 +30,8 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, PreconditionError
-from .linear_analysis import RANK_RTOL, LinearMap, operator_norm_report, vol_matrix
+from .linear_analysis import (RANK_RTOL, LinearMap, _ray_exit, operator_norm_report,
+                              vol_matrix)
 from .seeding import rng_for
 
 FEAS_TOL = 1e-9
@@ -81,96 +82,12 @@ def _norm_bracket(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> tuple
 
 
 def _max_feasible_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
-    """Largest t >= 0 with ||(u|tV)|| <= 1.
-
-    t -> ||(u|tV)|| is convex and <= 1 at t = 0, so the feasible set is
-    an interval.  When a ball has finitely many vertices the norm is the
-    largest of ||beta_v + t w_v||_c over them, and the boundary is the
-    first exit of these rays from the c-ball: domain vertices x give
-    beta = x_1 u, w = V x_rest in c = b; by duality, vertices y of the
-    codomain's dual ball give beta = (y.u, 0), w = (0, V^T y) in the dual
-    of a.  Otherwise bisection keeps the norm's certified upper end at
-    most 1: when c is neither Euclidean nor polytopal, and when a dual
-    ball is a cube too large to list (ns._dual_vertices).
-    """
-    if not np.any(V):
-        return 1.0
-    verts = ns.ball_vertices(a)
-    if verts is not None:
-        beta = verts[:, :1] * u
-        w = np.matmul(V, verts[:, 1:, None])[:, :, 0]
-        c = b
-    else:
-        ys = ns._dual_vertices(b)
-        if ys is None:
-            return _bisected_scale(u, V, a, b)
-        beta = np.zeros((len(ys), a.dim))
-        beta[:, 0] = ys @ u
-        w = np.zeros_like(beta)
-        w[:, 1:] = ys @ V
-        c = ns.dual(a)
-    if ns._is_euclidean(c):
-        return _quadratic_exit(beta, w)
-    facets = ns._dual_vertices(c)
-    if facets is not None:
-        return _facet_exit(beta, w, facets)
-    return _bisected_scale(u, V, a, b)
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # a stack of vector products: bit-equal to x_v @ y_v row by row, which a
-    # row sum or einsum is not
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _quadratic_exit(beta: np.ndarray, w: np.ndarray) -> float:
-    """Largest t >= 0 with |beta_v + t w_v|_2 <= 1 for every row: one quadratic per row.
-
-    Rows with w_v = 0 do not move and are skipped; a moving row that
-    already starts outside the ball leaves t = 0.
-    """
-    aa = _row_dots(w, w)
-    moving = aa >= 1e-300
-    if not np.any(moving):
-        return 1.0
-    aa, cc = aa[moving], _row_dots(beta[moving], beta[moving])
-    if np.any(cc > 1.0 + 1e-15):
-        return 0.0
-    bb = 2.0 * _row_dots(beta[moving], w[moving])
-    disc = bb * bb - 4.0 * aa * (cc - 1.0)
-    t = (-bb + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * aa)
-    return float(np.min(np.maximum(t, 0.0)))
-
-
-def _facet_exit(beta: np.ndarray, w: np.ndarray, facets: np.ndarray) -> float:
-    """Largest t >= 0 with f.(beta_v + t w_v) <= 1 for every row v and facet row f."""
-    along = w @ facets.T
-    crossing = along > 0.0
-    if not np.any(crossing):
-        return 1.0
-    slack = 1.0 - beta @ facets.T
-    return max(float(np.min(slack[crossing] / along[crossing])), 0.0)
-
-
-def _bisected_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
-    # expand then bisect on the upper end; the tiny slack absorbs float
-    # noise when ||(u|0)|| sits exactly on the boundary
-    def feasible(t: float) -> bool:
-        return _norm_bracket(u, t * V, a, b)[1] <= 1.0 + 1e-12
-
-    lo, hi = 0.0, 1.0
-    if feasible(hi):
-        while hi < 1e6 and feasible(2.0 * hi):
-            hi *= 2.0
-        lo = hi
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest t >= 0 with ||(u|tV)|| <= 1, its certified upper end: the ray
+    exit (``_ray_exit``) of (u|0) along (0|V), or 1 where V moves nothing."""
+    B, W = np.zeros((2, 1, len(u), a.dim))
+    B[0, :, 0], W[0, :, 1:] = u, V
+    t = _ray_exit(B, W, a, b)
+    return 1.0 if t == math.inf else t
 
 
 def _rescaled_vol(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm):
@@ -309,7 +226,8 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
 
     u = 0 and the exact cases report ``analytic=True`` and
     ``restarts_used=0``; an exact maximizer passes through the ascent's
-    feasibility projection, so (u|V) sits on the certified boundary.
+    feasibility projection, the ray exit of ``_max_feasible_scale``, so
+    (u|V) sits on the certified boundary.
     Every other input runs ``_ascent`` and reports ``analytic=False``.
     """
     u = np.asarray(u, dtype=float)

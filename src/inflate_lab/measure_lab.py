@@ -762,7 +762,7 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
                 "eps": float(eps),
                 "superlevel_fraction": frac,
                 "sup_dist": sup,
-                "lip_exact": best.exact_lipschitz(),
+                "lip_exact": best.declared_lip,
                 "jac_integral": jacobian_integral(best, box).value,
                 "boxcount": None,
                 "seed": config.seed,

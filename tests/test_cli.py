@@ -83,7 +83,7 @@ class TestRun:
             "map": {"entries": [[1.0, 0.0001], [0.0, 0.0001]],
                     "domain_norm": LINF2, "codomain_norm": EUCL2},
             "lambda": 0.5,
-            "restarts": 4, "steps": 30,
+            "restarts": 4,
         }
         # rescale is on the caller here: this map has norm slightly above 1
         params["map"]["entries"] = [[0.99, 0.0001], [0.0, 0.0001]]
@@ -147,19 +147,31 @@ class TestRun:
         assert err["error"]["type"] == kind
 
     def test_probe_pair(self, capsys):
-        params = {"a": EUCL2, "b": EUCL2, "lambda": 0.9, "samples": 3,
-                  "restarts": 3, "steps": 30}
+        params = {"a": EUCL2, "b": EUCL2, "lambda": 0.9, "samples": 3, "restarts": 3}
         assert run(ExperimentConfig("probe-pair", params, seed=4, threads=2)) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["fraction_certified"] == 1.0
 
     def test_threads_do_not_change_probe_pair(self, capsys):
         params = json.dumps({"a": LINF2, "b": EUCL2, "lambda": 0.3, "samples": 2,
-                             "restarts": 2, "steps": 10})
+                             "restarts": 2})
         outputs = []
         for threads in ("1", "4"):
             assert main(["probe-pair", "--params", params, "--seed", "7",
                          "--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, params", [
+        ("check-inflation", {"map": {"entries": [[0.5, 0.1], [0.2, 0.4]], "domain_norm": LINF2,
+                                     "codomain_norm": EUCL2}, "lambda": 0.1, "restarts": 2}),
+        ("probe-pair", {"a": LINF2, "b": EUCL2, "lambda": 0.3, "samples": 2, "restarts": 2}),
+    ])
+    def test_retired_search_steps_key_is_ignored(self, capsys, command, params):
+        # the search's "steps" budget is gone; old configs that set it still run
+        outputs = []
+        for given in (params, {**params, "steps": 20}):
+            assert main([command, "--params", json.dumps(given), "--seed", "3"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 

@@ -370,10 +370,64 @@ class TestVerifyCertificate:
                 assert la.vol_matrix(M) == pytest.approx(base, rel=1e-9)
 
 
+def reference_kappa_sweep(map_, X, steps=200):
+    """The reach-and-bisect coordinate ascent that one sweep of exact exits
+    replaced in inflation_search, kept as its oracle: each kappa_i doubles while
+    every sign pattern keeps norm <= 1, then bisects back, sweeping until
+    nothing grows or the budget of sign-norm calls runs out."""
+    kappa = np.ones(map_.n)
+    budget = steps
+    improved = True
+    while improved and budget > 0:
+        improved = False
+        for i in range(map_.n):
+            lo, hi = kappa[i], la._KAPPA_CAP
+            trial = kappa.copy()
+            trial[i] = min(hi, max(2.0 * lo, 1.0))
+            while budget > 0 and la._max_sign_norm(map_, X, trial) <= 1.0:
+                lo = trial[i]
+                trial[i] = min(hi, trial[i] * 2.0)
+                budget -= 1
+                if trial[i] >= hi:
+                    break
+            hi_local = trial[i]
+            for _ in range(40):
+                if budget <= 0:
+                    break
+                mid = 0.5 * (lo + hi_local)
+                trial[i] = mid
+                if la._max_sign_norm(map_, X, trial) <= 1.0:
+                    lo = mid
+                else:
+                    hi_local = mid
+                budget -= 1
+            if lo > kappa[i] * (1 + 1e-12):
+                improved = True
+            kappa[i] = lo
+    return kappa
+
+
+HEXAGON = ns.polytopal([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.9], [-0.5, -0.9],
+                        [0.5, -0.9], [-0.5, 0.9]])
+PROBE_PAIRS = {
+    "linf-l2": (ns.linf(2), ns.euclidean(3)),
+    "l1-linf": (ns.l1(2), ns.linf(3)),
+    "hexagon-l2": (HEXAGON, ns.euclidean(2)),
+    "lp3-l2": (ns.lp(2, 3.0), ns.euclidean(3)),
+    "lp3-linf": (ns.lp(2, 3.0), ns.linf(3)),
+    "linf-lp3": (ns.linf(2), ns.lp(3, 3.0)),
+}
+
+
+def _unit_map(a, b, seed):
+    G = np.random.default_rng(seed).standard_normal((b.dim, a.dim))
+    return la.linear_map(G / la.operator_norm(la.linear_map(G, a, b)), a, b)
+
+
 class TestInflationSearch:
     def test_euclidean_pair_finds_unit_inflation(self, rng):
         A = random_contraction(rng, 3, 2)
-        cert = la.inflation_search(eucl_map(A), 0.999, restarts=8, steps=60, seed=4)
+        cert = la.inflation_search(eucl_map(A), 0.999, restarts=8, seed=4)
         assert cert is not None and cert.verified
         assert cert.lam >= 0.999 - 1e-9
 
@@ -381,7 +435,7 @@ class TestInflationSearch:
         A = np.array([[1.0, 1e-4], [0.0, 1e-4]])
         A = A / la.operator_norm(la.linear_map(A, ns.linf(2), ns.euclidean(2)))
         m = la.linear_map(A, ns.linf(2), ns.euclidean(2))
-        cert = la.inflation_search(m, 0.01, restarts=6, steps=60, seed=0)
+        cert = la.inflation_search(m, 0.01, restarts=6, seed=0)
         assert cert is None
 
     @pytest.mark.parametrize("a, b", [(ns.linf(2), ns.euclidean(3)), (ns.l1(2), ns.linf(3))],
@@ -392,7 +446,7 @@ class TestInflationSearch:
         for _ in range(3):
             A = rng.standard_normal((3, 2))
             m = la.linear_map(A / la.operator_norm(la.linear_map(A, a, b)), a, b)
-            cert = la.inflation_search(m, la.vol(m) / 2.0, restarts=2, steps=60, seed=0)
+            cert = la.inflation_search(m, la.vol(m) / 2.0, restarts=2, seed=0)
             assert cert is not None and cert.verified
             assert cert.worst_sign_norm <= 1.0
 
@@ -402,21 +456,21 @@ class TestInflationSearch:
         one_up = np.nextafter(1.0, 2.0)
         m = la.linear_map(np.diag([one_up, one_up]), ns.l1(2), ns.linf(2))
         assert la.operator_norm(m) == one_up
-        cert = la.inflation_search(m, 1.0, restarts=2, steps=20, seed=0)
+        cert = la.inflation_search(m, 1.0, restarts=2, seed=0)
         assert cert is not None and cert.verified
         assert 1.0 < cert.worst_sign_norm <= 1.0 + la.VERIFY_TOL
 
     def test_lambda_zero_trivial(self):
         m = eucl_map(np.diag([0.8, 0.6]))
-        cert = la.inflation_search(m, 0.0, restarts=4, steps=40, seed=0)
+        cert = la.inflation_search(m, 0.0, restarts=4, seed=0)
         assert cert is not None and cert.verified
         assert cert.lam >= la.vol(m) - 1e-9
 
     def test_deterministic(self, rng):
         A = random_contraction(rng, 2, 2)
         m = la.linear_map(A / 1.0001, ns.linf(2), ns.euclidean(2))
-        c1 = la.inflation_search(m, 0.05, restarts=6, steps=80, seed=11)
-        c2 = la.inflation_search(m, 0.05, restarts=6, steps=80, seed=11)
+        c1 = la.inflation_search(m, 0.05, restarts=6, seed=11)
+        c2 = la.inflation_search(m, 0.05, restarts=6, seed=11)
         if c1 is None:
             assert c2 is None
         else:
@@ -424,23 +478,74 @@ class TestInflationSearch:
             assert np.array_equal(c1.eigenvalues, c2.eigenvalues)
 
 
+    @given(pair=st.sampled_from(sorted(PROBE_PAIRS)), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=30)
+    def test_one_exit_sweep_matches_the_reach_and_bisect_loop(self, pair, seed):
+        a, b = PROBE_PAIRS[pair]
+        m = _unit_map(a, b, seed)
+        cert = la.inflation_search(m, 0.0, restarts=4, seed=seed)
+        if cert is None:
+            return
+        assert cert.worst_sign_norm <= 1.0 + la.VERIFY_TOL
+        X, kappa = cert.preimages, cert.eigenvalues
+        reference = reference_kappa_sweep(m, X)
+        base = la._max_sign_norm(m, X, kappa)
+        U, X_inv = m.matrix @ X, np.linalg.inv(X)
+        signs = la.sign_permutations(np.ones(m.n))
+        for i in range(m.n):
+            # where the sign norm barely moves with kappa_i, a norm gap moves
+            # the boundary by gap / slope: the loop accepts a norm that rounds
+            # to 1.0, a bisected exit one up to 1 + _EXIT_SLACK
+            bumped = kappa.copy()
+            bumped[i] *= 1.0 + 1e-6
+            slope = max((la._max_sign_norm(m, X, bumped) - base) / (1e-6 * kappa[i]), 1e-300)
+            gap = 1e-15 + la._EXIT_SLACK
+            assert abs(kappa[i] - reference[i]) <= 1e-9 * kappa[i] + gap / slope
+            # a second sweep of exits gains nothing: one sweep is the fixed point
+            Ws = signs[:, i, None, None] * np.outer(U[:, i], X_inv[i])
+            t = la._ray_exit(la.sign_matrices(m, cert), Ws, a, b)
+            assert kappa[i] == la._KAPPA_CAP or t <= 1e-9 * kappa[i] + 1e-15 / slope
+
+    @pytest.mark.parametrize("lam", [0.0, 1e6], ids=["first-restart", "every-restart"])
+    def test_each_screened_restart_takes_one_exit_per_eigenvalue(self, monkeypatch, lam):
+        a, b = ns.linf(2), ns.euclidean(3)
+        m = _unit_map(a, b, 3)
+        screen, ray_exit = la._max_sign_norm, la._ray_exit
+        passed, exits = [], []
+
+        def counted_screen(*args):
+            value = screen(*args)
+            passed.append(value <= 1.0 + la.VERIFY_TOL)
+            return value
+
+        def counted_exit(*args):
+            exits.append(1)
+            return ray_exit(*args)
+
+        monkeypatch.setattr(la, "_max_sign_norm", counted_screen)
+        monkeypatch.setattr(la, "_ray_exit", counted_exit)
+        cert = la.inflation_search(m, lam, restarts=8, seed=0)
+        assert (cert is not None) == (lam == 0.0)
+        assert sum(passed) > 0
+        assert len(exits) == m.n * sum(passed)
+
+
 class TestPairProbe:
     def test_euclidean_pair_fully_certified(self):
         report = la.inflating_pair_probe(ns.euclidean(2), ns.euclidean(2), 0.999,
-                                         samples=8, seed=5, restarts=4, steps=40)
+                                         samples=8, seed=5, restarts=4)
         assert report.fraction_certified == 1.0
         assert report.failures == []
 
     def test_failures_near_degenerate_direction(self):
         bad = np.array([[1.0, 0.0], [0.0, 1e-4]])
         report = la.inflating_pair_probe(ns.linf(2), ns.euclidean(2), 0.1,
-                                         samples=2, seed=5, restarts=4, steps=40,
-                                         include=[bad])
+                                         samples=2, seed=5, restarts=4, include=[bad])
         assert len(report.failures) >= 1
 
     def test_lambda_zero_always_certified_euclidean(self):
         report = la.inflating_pair_probe(ns.euclidean(2), ns.euclidean(3), 0.0,
-                                         samples=6, seed=2, restarts=4, steps=40)
+                                         samples=6, seed=2, restarts=4)
         assert report.fraction_certified == 1.0
 
 

@@ -55,7 +55,7 @@ def reference_quadratic_exit(beta, w):
         disc = bb * bb - 4.0 * aa * (cc - 1.0)
         t_v = (-bb + math.sqrt(max(disc, 0.0))) / (2.0 * aa)
         t_best = min(t_best, max(t_v, 0.0))
-    return 1.0 if t_best is math.inf else float(t_best)
+    return float(t_best)
 
 
 @st.composite
@@ -73,11 +73,18 @@ def _ray_sets(draw):
 @settings(max_examples=300)
 def test_quadratic_exit_is_bit_equal_to_the_row_loop(rays):
     beta, w = rays
-    got = mv._quadratic_exit(beta, w)
+    got = la._quadratic_exit(beta, w)
     assert np.float64(got).tobytes() == np.float64(reference_quadratic_exit(beta, w)).tobytes()
 
 
+LP3_WARPED = ns.transformed(ns.lp(2, 3.0), [[1.0, 0.4], [0.1, 0.8]])
+
+
 class TestFeasibleScale:
+    # one pair per path of la._ray_exit: domain vertices into an l2 or listed
+    # polytope codomain, dual vertices into an l2 dual, the disjoint-support lp
+    # form, inscribed rays, bisection on rays and on the norm.  The dual path
+    # never meets a polytopal dual of the domain: a polytope domain has vertices.
     @pytest.mark.parametrize("a, b", [
         (ns.l1(2), ns.linf(3)),
         (ns.linf(2), ns.l1(3)),
@@ -85,34 +92,53 @@ class TestFeasibleScale:
         (ns.euclidean(2), ns.linf(3)),
         (ns.linf(2), ns.l1(12)),
         (ns.euclidean(2), ns.l1(12)),
-    ], ids=["l1-linf", "linf-l1", "polytopal", "l2-linf", "linf-l1_12", "l2-l1_12"])
+        (ns.linf(2), ns.euclidean(3)),
+        (ns.lp(2, 3.0), ns.linf(3)),
+        (ns.lp(2, 3.0), ns.euclidean(3)),
+        (ns.linf(2), ns.lp(3, 3.0)),
+        (ns.euclidean(2), ns.euclidean(3)),
+        (LP3_WARPED, ns.euclidean(3)),
+    ], ids=["l1-linf", "linf-l1", "polytopal", "l2-linf", "linf-l1_12", "l2-l1_12",
+            "linf-l2", "lp3-linf", "lp3-l2", "linf-lp3", "l2-l2", "Wlp3-l2"])
     def test_ray_exit_is_feasible_and_tight(self, a, b, rng):
-        def norm(u, V):
-            M = np.concatenate([u[:, None], V], axis=1)
-            report = la.operator_norm_report(M[None], a, b)
-            assert report.exact
-            return float(report.values[0])
+        def norm(Ms):
+            return float(np.max(la.operator_norm_report(Ms, a, b).values))
 
-        m = b.dim
-        for _ in range(20):
-            u = rng.standard_normal(m)
-            u *= 0.5 / norm(u, np.zeros((m, 1)))
-            V = rng.standard_normal((m, 1))
-            t = mv._max_feasible_scale(u, V, a, b)
+        m, n = b.dim, a.dim
+        for trial in range(20):
+            if trial % 2:  # one column ray, as max_volume scales it
+                u = rng.standard_normal(m)
+                Bs = np.zeros((1, m, n))
+                Bs[0, :, 0] = u
+                Bs *= 0.5 / norm(Bs)
+                Ws = np.zeros_like(Bs)
+                Ws[0, :, 1:] = rng.standard_normal((m, n - 1))
+                t = mv._max_feasible_scale(Bs[0, :, 0], Ws[0, :, 1:], a, b)
+            else:  # a stack, as inflation_search grows an eigenvalue
+                Bs = rng.standard_normal((3, m, n))
+                Bs *= 0.5 / norm(Bs)
+                Ws = rng.standard_normal((3, m, n))
+                t = la._ray_exit(Bs, Ws, a, b)
             assert 0.0 < t < 1e6
-            assert norm(u, t * V) <= 1.0 + 1e-12
-            assert norm(u, (1.0 + 1e-9) * t * V) > 1.0
+            assert norm(Bs + t * Ws) <= 1.0 + 1e-12
+            assert norm(Bs + (1.0 + 1e-9) * t * Ws) > 1.0
+
+    def test_ray_exit_without_motion_is_unbounded(self):
+        Bs = np.full((2, 3, 2), 0.1)
+        assert la._ray_exit(Bs, np.zeros_like(Bs), ns.linf(2), ns.euclidean(3)) == math.inf
+        assert mv._max_feasible_scale(Bs[0, :, 0], np.zeros((3, 1)), ns.linf(2),
+                                      ns.euclidean(3)) == 1.0
 
     def test_l1_codomain_beyond_the_dual_cube_limit_bisects(self):
         # the facets of l1(21) are the 2^21 cube, past the enumeration guard:
-        # the exit bisects on the exact domain-vertex norm instead
+        # the exit bisects on the domain-vertex rays instead
         a, b = ns.linf(2), ns.l1(21)
         u = np.zeros(21)
         u[0] = 0.5
         V = np.linspace(-1.0, 1.0, 21)[:, None]
         t = mv._max_feasible_scale(u, V, a, b)
         norm = la.operator_norm_report(np.concatenate([u[:, None], t * V], axis=1)[None], a, b)
-        # the bisection's slack is 1e-12 relative, which rounds to 1.00009e-12
+        # the bisection keeps 1e-13 of slack on the rays
         assert 0.0 < t and abs(float(norm.values[0]) - 1.0) <= 2e-12
         res = mv._ascent(u, a, b, restarts=2, seed=0, iters=20)
         assert res.value > 0.0 and res.feasibility_gap <= 2e-12
@@ -286,9 +312,18 @@ class TestExactPath:
             res = mv.max_volume(u, a, ns.linf(m))
             assert res.analytic
             widths = (1.0 - np.abs(u) ** q) ** (1.0 / q)
-            # lp3 and lp1.5 sections are not polytopes: the feasibility projection
-            # bisects, with 1e-12 of slack on the norm
             assert res.value == pytest.approx(box_vertex_mv(u, widths), rel=1e-11)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_lp_into_linf_takes_the_closed_form_exit(self, p, rng):
+        # the dual rays (y.u, 0) and (0, V^T y) have disjoint supports, so the
+        # feasibility projection exits in closed form, without bisection slack
+        q = p / (p - 1.0)
+        for m in (2, 3, 4):
+            u = rng.uniform(-0.9, 0.9, m)
+            res = mv.max_volume(u, ns.lp(2, p), ns.linf(m))
+            widths = (1.0 - np.abs(u) ** q) ** (1.0 / q)
+            assert res.value == pytest.approx(box_vertex_mv(u, widths), rel=1e-14)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_linf_into_l2_closed_form(self, m, rng):
@@ -306,7 +341,7 @@ class TestExactPath:
         res = mv.max_volume(u, ns.euclidean(2), ns.euclidean(3))
         assert res.analytic
         assert res.value == pytest.approx(0.7, rel=1e-11)
-        # the bisected exit on the singular-value norm keeps 1e-12 of slack
+        # the bisected exit on the singular-value norm keeps 1e-13 of slack
         assert res.feasibility_gap <= 2e-12
 
     def test_past_the_enumeration_cap_the_ascent_runs(self):
