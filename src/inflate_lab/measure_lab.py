@@ -6,7 +6,9 @@ Exactness policy: quantities derived from piecewise-affine structure
 (cell operator norms, cell volumes, measures of cells) are computed
 exactly; everything driven by sampling (two-point Lipschitz quotients,
 sup distances, box-counting) is an estimate and carries its resolution
-parameters and, where available, an empirical error bound.
+parameters and, where available, an empirical error bound.  Planar
+coverage is certified by winding number, a lower bound given the
+caller's Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -238,6 +240,14 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(keys.shape, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def _unpack_keys(keys: np.ndarray, d: int) -> np.ndarray:
+    """Rows of integer box indices back from _pack_keys's keys."""
+    bits = 63 // d
+    off = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    return np.stack([((keys >> (bits * (d - 1 - j))) & mask) - off for j in range(d)], axis=1)
 
 
 def _box_keys(points: np.ndarray, box_size: float) -> np.ndarray:
@@ -578,51 +588,97 @@ def _quick_lip(g, E, seed) -> float:
 
 def coverage_check(g, radius: float, target_radius: float, grid: float,
                    lip_hint: float = 3.0) -> MeasureReport:
-    """Fraction of the target disc grid covered by the image sample cloud.
+    """Fraction of the target disc grid certified to lie in g(B(0, radius)), by degree.
 
-    Verifies (at resolution ``grid``) that g(B(0, radius)) covers
-    B(0, target_radius): a target grid point counts as covered when an
-    image sample lands within one grid cell of it.  1.0 means full
-    coverage at this resolution.
+    g is evaluated once, on a ring of N = ceil(4 pi radius lip_hint / s)
+    points of the boundary circle, s = grid / 4.  If lip_hint bounds the
+    Lipschitz constant of g, every edge of the closed polygon P through
+    the ring images is at most s / 2 long and P lies within
+    lip_hint * arc / 2 <= s / 4 of g(circle), so the straight homotopy
+    between them misses any point q farther than s / 4 from P, and a
+    nonzero winding number of P around q puts q in g(B) (degree theory).
+    The winding numbers of an s-spaced lattice over the target window come
+    from signed edge crossings per lattice row and one cumulative sum.  A
+    lattice point is certified when its winding number is nonzero and its
+    s-cell lies outside the 3 x 3 dilation of the ring vertices' cells;
+    such a point is at least 3 s / 4 from P.  A target grid point counts
+    as covered when a certified point lies in its 3 x 3 block of grid
+    cells.  The value is a certified lower bound given lip_hint; the ring's
+    own chord quotients must not exceed it.
     """
-    if radius <= 0 or target_radius <= 0 or grid <= 0:
-        raise PreconditionError("radii and grid must be positive")
-    h = grid / (2.0 * max(lip_hint, 1e-6))
-    count = int(math.ceil(2.0 * radius / h)) + 1
-    if count ** 2 > _MAX_CLOUD_POINTS:
-        raise NumericalFailure("coverage cloud guard")
-    ax = np.linspace(-radius, radius, count)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-    # include the exact boundary circle, which drives the degree argument
-    theta = np.linspace(0.0, 2.0 * math.pi, 4 * count, endpoint=False)
+    if radius <= 0 or target_radius <= 0 or grid <= 0 or lip_hint <= 0:
+        raise PreconditionError("radii, grid and lip_hint must be positive")
+    targets, covered, ring_count = _certified_targets(g, radius, target_radius, grid, lip_hint)
+    return MeasureReport(
+        quantity="coverage_ratio",
+        value=float(np.mean(covered)) if targets.size else 1.0,
+        resolution={"grid": grid, "radius": radius, "target_radius": target_radius,
+                    "targets": int(targets.shape[0]), "ring": ring_count},
+        seed=0,
+        error_bound=None,
+    )
+
+
+def _certified_targets(g, radius: float, target_radius: float, grid: float,
+                       lip_hint: float):
+    """coverage_check's targets, which of them are covered, and the ring's size."""
+    s = grid / 4.0
+    ring_count = 4.0 * math.pi * radius * lip_hint / s
+    half = target_radius / grid
+    # the lattice is at most 4 (2 half + 4) points on a side
+    if not (ring_count <= _MAX_CLOUD_POINTS and (8.0 * half + 16.0) ** 2 <= _MAX_RASTER_BOXES):
+        raise NumericalFailure("coverage ring guard")
+    ring_count = max(math.ceil(ring_count), 3)
+    # grid cells of the targets' 3 x 3 blocks, 4 x 4 lattice points to a cell
+    c_lo = math.floor(-half) - 1
+    nc = math.floor(half) + 2 - c_lo
+    side, lo = 4 * nc, 4 * c_lo
+
+    theta = 2.0 * math.pi * np.arange(ring_count) / ring_count
     ring = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = np.concatenate([pts, ring], axis=0)
-    img = batch_call(_as_batch(g, 2), pts)
+    img = batch_call(_as_batch(g, 2), ring)
     if img.shape[1] != 2:
         raise PreconditionError("coverage_check is planar: map must land in R^2")
-    img_keys = _distinct(_box_keys(img, grid))
+    nxt = np.roll(img, -1, axis=0)
+    quotient = np.max(np.linalg.norm(nxt - img, axis=1)
+                      / np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1))
+    if not quotient <= lip_hint * (1.0 + 1e-9):
+        raise PreconditionError(
+            f"coverage ring chord quotient {quotient:.6g} exceeds lip_hint {lip_hint}")
+    cells = _unpack_keys(_box_keys(img, s), 2)
+
+    # winding numbers: an edge crossing lattice row y_j (half-open in y) adds
+    # its sign to every lattice point right of the crossing; an edge is at
+    # most s / 2 long, so only the rows floor(low end / s) and the next can meet it
+    rows = np.floor(np.minimum(img[:, 1], nxt[:, 1]) / s).astype(np.int64)
+    crossings = np.zeros((side, side + 1), dtype=np.int32)
+    for j in (rows, rows + 1):
+        y = j * s
+        up = (img[:, 1] <= y) & (y < nxt[:, 1])
+        down = (nxt[:, 1] <= y) & (y < img[:, 1])
+        hit = (up | down) & (j >= lo) & (j < lo + side)
+        a, b, yh = img[hit], nxt[hit], y[hit]
+        x = a[:, 0] + (yh - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
+        col = np.clip(np.floor(x / s).astype(np.int64) + 1 - lo, 0, side)
+        np.add.at(crossings, (j[hit] - lo, col), np.where(up[hit], 1, -1).astype(np.int32))
+    certified = np.cumsum(crossings, axis=1, dtype=np.int32)[:, :side] != 0
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            ix, iy = cells[:, 0] + dx - lo, cells[:, 1] + dy - lo
+            keep = (ix >= 0) & (ix < side) & (iy >= 0) & (iy < side)
+            certified[iy[keep], ix[keep]] = False
+    cell_ok = certified.reshape(nc, 4, nc, 4).any(axis=(1, 3))
 
     t_ax = np.arange(-target_radius, target_radius + grid, grid)
     TX, TY = np.meshgrid(t_ax, t_ax, indexing="ij")
     targets = np.stack([TX.ravel(), TY.ravel()], axis=1)
     targets = targets[np.linalg.norm(targets, axis=1) <= target_radius]
+    base_idx = np.floor(targets / grid).astype(np.int64) - c_lo
     covered = np.zeros(targets.shape[0], dtype=bool)
-    base_idx = np.floor(targets / grid).astype(np.int64)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            keys = _pack_keys(base_idx + np.array([dx, dy]))
-            pos = np.minimum(np.searchsorted(img_keys, keys), img_keys.size - 1)
-            covered |= img_keys[pos] == keys
-    return MeasureReport(
-        quantity="coverage_ratio",
-        value=float(np.mean(covered)) if targets.size else 1.0,
-        resolution={"grid": grid, "radius": radius, "target_radius": target_radius,
-                    "targets": int(targets.shape[0])},
-        seed=0,
-        error_bound=None,
-    )
+            covered |= cell_ok[base_idx[:, 1] + dy, base_idx[:, 0] + dx]
+    return targets, covered, ring_count
 
 
 # -- experiment drivers ------------------------------------------------------

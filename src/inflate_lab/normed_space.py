@@ -90,6 +90,11 @@ class Norm:
         return ConvexHull(self.vertices)
 
     @cached_property
+    def _qmc_volume(self) -> "VolumeReport":
+        """The seeded quasi-Monte-Carlo unit-ball volume of an lp norm, sampled once per norm."""
+        return _qmc_ball_volume(self)
+
+    @cached_property
     def _facets(self) -> tuple:
         """Facet description (A, c) of the polytopal unit ball: B = {x : A x <= c}."""
         verts = self.vertices
@@ -334,7 +339,7 @@ def ball_volume_report(norm: Norm) -> VolumeReport:
             return VolumeReport(2.0 ** n / math.factorial(n), 0.0, "closed-form")
         if norm.p == 2:
             return VolumeReport(_euclidean_ball_volume(n), 0.0, "closed-form")
-        return _qmc_ball_volume(norm)
+        return norm._qmc_volume
     if norm.kind == "polytopal":
         if n == 1:
             return VolumeReport(2.0 * float(np.max(np.abs(norm.vertices))), 0.0, "triangulation")

@@ -397,38 +397,90 @@ class TestKeyKernels:
 
 
 def reference_coverage(g, radius, target_radius, grid, lip_hint):
-    """coverage_check's former membership test: np.unique image keys, nine np.isin calls."""
-    h = grid / (2.0 * lip_hint)
-    count = int(math.ceil(2.0 * radius / h)) + 1
-    ax = np.linspace(-radius, radius, count)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-    theta = np.linspace(0.0, 2.0 * math.pi, 4 * count, endpoint=False)
-    pts = np.concatenate([pts, radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)])
-    img_keys = np.unique(ml._box_keys(g(pts), grid))
+    """coverage_check by brute force over the ring: per lattice point, the
+    winding number sums the signed crossings of every edge, the exclusion
+    compares its cell with every ring vertex's cell, and every certified
+    point is checked at least 3 s / 4 from the polygon by exact
+    point-to-segment distances."""
+    s = grid / 4.0
+    count = max(math.ceil(4.0 * math.pi * radius * lip_hint / s), 3)
+    theta = 2.0 * math.pi * np.arange(count) / count
+    a = g(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    b = np.roll(a, -1, axis=0)
     t_ax = np.arange(-target_radius, target_radius + grid, grid)
     TX, TY = np.meshgrid(t_ax, t_ax, indexing="ij")
     targets = np.stack([TX.ravel(), TY.ravel()], axis=1)
     targets = targets[np.linalg.norm(targets, axis=1) <= target_radius]
-    base_idx = np.floor(targets / grid).astype(np.int64)
-    covered = np.zeros(targets.shape[0], dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            covered |= np.isin(ml._pack_keys(base_idx + np.array([dx, dy])), img_keys)
+    base = np.floor(targets / grid).astype(np.int64)
+    offsets = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    cells = np.unique((base[:, None, :] + offsets).reshape(-1, 2), axis=0)
+    sub = np.array([(i, j) for i in range(4) for j in range(4)])
+    idx = (4 * cells[:, None, :] + sub).reshape(-1, 2)
+    vertex_cells = np.floor(a / s).astype(np.int64)
+    certified = []
+    for chunk in np.array_split(idx, max(1, len(idx) // 1000)):
+        q = chunk * s
+        qx, qy = q[:, :1], q[:, 1:]
+        up = (a[:, 1] <= qy) & (qy < b[:, 1])
+        down = (b[:, 1] <= qy) & (qy < a[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = a[:, 0] + (qy - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
+        right = x > qx
+        winding = np.sum(up & right, axis=1) - np.sum(down & right, axis=1)
+        cheb = np.max(np.abs(chunk[:, None, :] - vertex_cells), axis=2)
+        ok = (winding != 0) & (np.min(cheb, axis=1) >= 2)
+        e = b - a
+        t = np.clip(np.sum((q[ok][:, None, :] - a) * e, axis=2)
+                    / np.maximum(np.sum(e * e, axis=1), 1e-300), 0.0, 1.0)
+        dist = np.linalg.norm(a + t[:, :, None] * e - q[ok][:, None, :], axis=2)
+        assert np.all(np.min(dist, axis=1) >= 0.75 * s * (1 - 1e-9))
+        certified.append(chunk[ok] // 4)
+    good = {tuple(c) for c in np.concatenate(certified)}
+    covered = [any((bx + dx, by + dy) in good for dx, dy in offsets) for bx, by in base]
     return float(np.mean(covered))
 
 
 class TestCoverage:
-    @pytest.mark.parametrize("g", [
-        lambda xs: 0.5 * xs,
-        lambda xs: 0.7 * xs + np.array([0.25, -0.1]),
-        lambda xs: np.stack([xs[:, 0], 0.2 * xs[:, 1] ** 2], axis=1),
+    @pytest.mark.parametrize("g, expected", [
+        (lambda xs: 0.5 * xs, "partial"),
+        (lambda xs: 0.7 * xs + np.array([0.25, -0.1]), "partial"),
+        # the boundary image folds back on itself: degree 0 everywhere
+        (lambda xs: np.stack([xs[:, 0], 0.2 * xs[:, 1] ** 2], axis=1), "none"),
     ], ids=["shrunk", "shifted", "folded"])
-    def test_partial_cover_matches_isin_reference(self, g):
-        rep = ml.coverage_check(g, 1.0, 0.9, 1.0 / 200, lip_hint=1.0)
-        assert 0.0 < rep.value < 1.0
-        assert rep.value == reference_coverage(g, 1.0, 0.9, 1.0 / 200, 1.0)
+    def test_matches_brute_force_winding_reference(self, g, expected):
+        rep = ml.coverage_check(g, 1.0, 0.9, 1.0 / 16, lip_hint=1.0)
+        if expected == "partial":
+            assert 0.0 < rep.value < 1.0
+        else:
+            assert rep.value == 0.0
+        assert rep.value == reference_coverage(g, 1.0, 0.9, 1.0 / 16, 1.0)
+
+    def test_folded_map_is_not_certified(self):
+        g = lambda xs: np.stack([xs[:, 0], 0.2 * xs[:, 1] ** 2], axis=1)  # noqa: E731
+        assert ml.coverage_check(g, 1.0, 0.9, 1.0 / 200, lip_hint=1.0).value == 0.0
+
+    def test_shrunk_map_sound_and_tight(self):
+        grid = 1.0 / 200
+        targets, covered, _ = ml._certified_targets(lambda xs: 0.5 * xs, 1.0, 0.9, grid, 1.0)
+        r = np.linalg.norm(targets, axis=1)
+        assert np.all(r[covered] <= 0.5 + 2 * grid * math.sqrt(2))
+        assert np.all(covered[r <= 0.5 - 2 * grid])
+
+    def test_lipschitz_hint_below_ring_quotient_raises(self):
+        with pytest.raises(PreconditionError, match="chord quotient"):
+            ml.coverage_check(lambda xs: xs, 1.0, 1.0, 1.0 / 200, lip_hint=0.5)
+
+    @pytest.mark.parametrize("grid, lip_hint", [(1e-2, 1e7), (1e-6, 1e-3)],
+                             ids=["ring", "lattice"])
+    def test_ring_guard_runs_before_allocation(self, grid, lip_hint):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalFailure, match="coverage ring guard"):
+                ml.coverage_check(lambda xs: xs, 1.0, 1.0, grid, lip_hint=lip_hint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_identity_full(self):
         rep = ml.coverage_check(lambda xs: xs, 1.0, 1.0, 1.0 / 200, lip_hint=1.0)

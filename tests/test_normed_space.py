@@ -90,6 +90,23 @@ class TestBallVolume:
         exact = 4.0 * math.gamma(1 + 1 / 3.0) ** 2 / math.gamma(1 + 2 / 3.0)
         assert report.value == pytest.approx(exact, rel=0.02)
 
+    def test_qmc_volume_sampled_once_per_norm(self, monkeypatch):
+        sampled = []
+        qmc = ns._qmc_ball_volume
+
+        def counting(norm):
+            sampled.append(norm)
+            return qmc(norm)
+
+        monkeypatch.setattr(ns, "_qmc_ball_volume", counting)
+        norm = ns.lp(2, 3.0)
+        first = ns.ball_volume_report(norm)
+        assert ns.vol_of_norm(norm) == 4.0 / first.value
+        assert ns.ball_volume_report(norm) == first
+        assert len(sampled) == 1
+        # the seeded sample: a fresh norm gets the same value
+        assert ns.ball_volume_report(ns.lp(2, 3.0)) == first
+
     def test_polytopal_queries_share_one_hull(self, monkeypatch):
         import scipy.spatial
 
