@@ -369,28 +369,23 @@ def _cmd_calibrate(params: dict, seed: int) -> dict:
     return {"n": n, "m": m, "box_size": box_size, "calibration": value}
 
 
+_HANDLERS = {
+    "check-inflation": _cmd_check_inflation,
+    "probe-pair": _cmd_probe_pair,
+    "mv": _cmd_mv,
+    "inflate": _cmd_inflate,
+    "glue": _cmd_glue,
+    "experiment-positive": _cmd_experiment_positive,
+    "experiment-negative": _cmd_experiment_negative,
+    "calibrate": _cmd_calibrate,
+}
+
+
 def run(config: ExperimentConfig) -> int:
     """Validate, dispatch, write reports; returns the process exit code."""
     try:
         _validate(config)
-        if config.command == "check-inflation":
-            report = _cmd_check_inflation(config.params, config.seed)
-        elif config.command == "probe-pair":
-            report = _cmd_probe_pair(config.params, config.seed)
-        elif config.command == "mv":
-            report = _cmd_mv(config.params, config.seed)
-        elif config.command == "inflate":
-            report = _cmd_inflate(config.params, config.seed)
-        elif config.command == "glue":
-            report = _cmd_glue(config.params, config.seed)
-        elif config.command == "experiment-positive":
-            report = _cmd_experiment_positive(config.params, config.seed)
-        elif config.command == "experiment-negative":
-            report = _cmd_experiment_negative(config.params, config.seed)
-        elif config.command == "calibrate":
-            report = _cmd_calibrate(config.params, config.seed)
-        else:  # unreachable after validation
-            raise PreconditionError(f"unknown command {config.command!r}")
+        report = _HANDLERS[config.command](config.params, config.seed)
     except PreconditionError as exc:
         _emit_error("precondition", exc)
         return 2

@@ -537,8 +537,10 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
     proof, of non-inflation.  The
     probe also tests each sample against the normalized target
     vol(|.|_a) * lambda used by the equivalence-class membership
-    question.  ``include`` prepends caller-chosen matrices (rescaled
-    like the random ones) to the sample list, e.g. near-degenerate maps.
+    question; that target is exact, since ``ns.vol_of_norm`` takes the
+    domain ball's volume in closed form.  ``include`` prepends
+    caller-chosen matrices (rescaled like the random ones) to the sample
+    list, e.g. near-degenerate maps.
     Samples run one after another, in sample order: each is small-array
     work that holds the GIL, so threads would not speed them up.
     """

@@ -7,9 +7,11 @@ gauge of the convex hull of a finite symmetric spanning vertex set) and
 linear map W, so that |x|_{W(a)} = |W^-1 x|_a and W(B_a) = B_{W(a)}).
 
 The queries answered here: evaluation, the dual norm, the vertices of
-a polytopal ball, Lebesgue volume of the unit ball, the normalizing factor 2^n / H^n(B) that converts the
-Euclidean-induced Hausdorff measure into the norm-induced one, and
-extremal / strongly-extremal analysis of boundary points.
+a polytopal ball, the Lebesgue volume of the unit ball (a closed form
+for every kind, never sampled), the normalizing factor 2^n / H^n(B)
+that converts the Euclidean-induced Hausdorff measure into the
+norm-induced one, and extremal / strongly-extremal analysis of
+boundary points.
 """
 
 from __future__ import annotations
@@ -22,14 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionError
-from .seeding import rng_for
+from .errors import DimensionMismatch, NumericalFailure, PreconditionError
 
 BOUNDARY_RTOL = 1e-9  # relative tolerance deciding "u lies on the unit sphere"
-
-_QMC_MIN_POINTS = 2 ** 16
-_QMC_REPLICATES = 8
-_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 _POLYGON_VERTICES = 1024  # inscribed polygon of an operator-norm bracket, n = 2
 _HULL_LATTICE = 12  # cube-surface lattice spacing 1/12 of the bracket, n = 3
@@ -88,11 +85,6 @@ class Norm:
         from scipy.spatial import ConvexHull
 
         return ConvexHull(self.vertices)
-
-    @cached_property
-    def _qmc_volume(self) -> "VolumeReport":
-        """The seeded quasi-Monte-Carlo unit-ball volume of an lp norm, sampled once per norm."""
-        return _qmc_ball_volume(self)
 
     @cached_property
     def _facets(self) -> tuple:
@@ -313,59 +305,61 @@ def _dual_vertices(norm: Norm) -> Optional[np.ndarray]:
 @dataclass(frozen=True)
 class VolumeReport:
     value: float
-    error_bound: float  # 0 when the value is exact
+    error_bound: float  # always 0: every volume is a closed form
     method: str
 
 
 def _euclidean_ball_volume(n: int) -> float:
+    if n == 1:
+        return 2.0  # the formula reads 1.9999999999999998: math.gamma(1.5) rounds
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def ball_volume_report(norm: Norm) -> VolumeReport:
-    """Lebesgue volume of the unit ball with a quality tag.
+def _lp_ball_volume(n: int, p: float) -> float:
+    """Dirichlet's formula (2 Gamma(1 + 1/p))^n / Gamma(1 + n/p); p = inf gives 2^n exactly."""
+    return (2.0 * math.gamma(1.0 + 1.0 / p)) ** n / math.gamma(1.0 + n / p)
 
-    Closed form for euclidean and lp with p in {1, 2, inf}; exact hull
-    triangulation for polytopal; |det W| scaling for transformed.  Any
-    other lp falls back to scrambled-Sobol quasi-Monte-Carlo with a 99%
-    confidence radius.
-    """
+
+def _volume(norm: Norm) -> tuple:
+    """(volume, method) of the unit ball; may overflow."""
     n = norm.dim
-    if norm.kind == "euclidean":
-        return VolumeReport(_euclidean_ball_volume(n), 0.0, "closed-form")
+    if _is_euclidean(norm):
+        return _euclidean_ball_volume(n), "closed-form"
+    if norm.kind == "lp" and norm.p == 1:
+        return 2.0 ** n / math.factorial(n), "closed-form"
     if norm.kind == "lp":
-        if norm.p == math.inf:
-            return VolumeReport(2.0 ** n, 0.0, "closed-form")
-        if norm.p == 1:
-            return VolumeReport(2.0 ** n / math.factorial(n), 0.0, "closed-form")
-        if norm.p == 2:
-            return VolumeReport(_euclidean_ball_volume(n), 0.0, "closed-form")
-        return norm._qmc_volume
+        return _lp_ball_volume(n, norm.p), "closed-form"
     if norm.kind == "polytopal":
         if n == 1:
-            return VolumeReport(2.0 * float(np.max(np.abs(norm.vertices))), 0.0, "triangulation")
-        return VolumeReport(float(norm._hull.volume), 0.0, "triangulation")
+            return 2.0 * float(np.max(np.abs(norm.vertices))), "triangulation"
+        return float(norm._hull.volume), "triangulation"
     if norm.kind == "transformed":
-        inner = ball_volume_report(norm.base)
-        det = abs(float(np.linalg.det(norm.W)))
-        return VolumeReport(inner.value * det, inner.error_bound * det, inner.method)
+        value, method = _volume(norm.base)
+        return value * abs(float(np.linalg.det(norm.W))), method
     raise PreconditionError(f"unknown norm kind {norm.kind!r}")
 
 
-def _qmc_ball_volume(norm: Norm) -> VolumeReport:
-    # The ball sits inside [-1, 1]^n for p >= 1, so integrate the indicator there.
-    from scipy.stats import qmc
+def _finite_positive(value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise NumericalFailure(f"ball volume guard: {value!r} is not a finite positive float")
+    return value
 
-    n = norm.dim
-    estimates = []
-    for rep in range(_QMC_REPLICATES):
-        sampler = qmc.Sobol(d=n, scramble=True, seed=rng_for(20_000_101, rep))
-        pts = 2.0 * sampler.random(_QMC_MIN_POINTS) - 1.0
-        inside = _eval_many(norm, pts) <= 1.0
-        estimates.append(2.0 ** n * float(np.mean(inside)))
-    value = float(np.mean(estimates))
-    spread = float(np.std(estimates, ddof=1)) if len(estimates) > 1 else 0.0
-    radius = _Z99 * spread / math.sqrt(len(estimates))
-    return VolumeReport(value, radius, "qmc")
+
+def ball_volume_report(norm: Norm) -> VolumeReport:
+    """Lebesgue volume of the unit ball with a quality tag; exact on every path.
+
+    Closed forms: pi^(n/2) / Gamma(n/2 + 1) for euclidean and lp with
+    p = 2, 2^n / n! for p = 1, Dirichlet's formula for every other p
+    (p = inf included), hull triangulation for polytopal, and |det W|
+    scaling for transformed.  Nothing is sampled, so error_bound is 0.
+    A volume outside the float range (an overflow on the way, a zero or
+    an infinity) raises NumericalFailure ("ball volume guard").
+    """
+    try:
+        value, method = _volume(norm)
+    except OverflowError as exc:
+        raise NumericalFailure(f"ball volume guard: {exc}") from exc
+    return VolumeReport(_finite_positive(value), 0.0, method)
 
 
 def ball_volume(norm: Norm) -> float:
@@ -373,8 +367,13 @@ def ball_volume(norm: Norm) -> float:
 
 
 def vol_of_norm(norm: Norm) -> float:
-    """2^n / H^n(B): converts H^n into the norm-induced Hausdorff measure."""
-    return 2.0 ** norm.dim / ball_volume(norm)
+    """2^n / H^n(B): converts H^n into the norm-induced Hausdorff measure; guarded like the volume."""
+    volume = ball_volume(norm)
+    try:
+        ratio = 2.0 ** norm.dim / volume
+    except OverflowError as exc:
+        raise NumericalFailure(f"ball volume guard: {exc}") from exc
+    return _finite_positive(ratio)
 
 
 # -- extremal analysis -------------------------------------------------

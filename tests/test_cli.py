@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import inflate_lab
+from inflate_lab import cli
 from inflate_lab import linear_analysis as la
 from inflate_lab import maximal_volume as mv
 from inflate_lab import measure_lab as ml
@@ -285,6 +286,9 @@ class TestConfigRoundTrip:
 
 
 class TestEntryPoint:
+    def test_every_command_has_one_handler(self):
+        assert cli._HANDLERS.keys() == cli._SCHEMAS.keys()
+
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -242,6 +242,21 @@ def test_bracket_for_n2_leaves_scipy_spatial_unimported():
     assert out.stdout.strip() == "False"
 
 
+def test_lp_volumes_and_pair_probe_leave_scipy_stats_unimported():
+    code = ("import sys\n"
+            "from inflate_lab import linear_analysis as la, normed_space as ns\n"
+            "ns.ball_volume_report(ns.lp(2, 3.0))\n"
+            "ns.ball_volume_report(ns.lp(3, 1.5))\n"
+            "la.inflating_pair_probe(ns.lp(2, 3.0), ns.euclidean(3), 1.0, 1, 0)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(la.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 class TestSignPermutations:
     def test_pair(self):
         got = {tuple(row) for row in la.sign_permutations([2.0, 3.0])}
@@ -547,6 +562,11 @@ class TestPairProbe:
         report = la.inflating_pair_probe(ns.euclidean(2), ns.euclidean(3), 0.0,
                                          samples=6, seed=2, restarts=4)
         assert report.fraction_certified == 1.0
+
+    def test_lp_domain_normalized_target_is_exact(self):
+        report = la.inflating_pair_probe(ns.lp(2, 3.0), ns.euclidean(3), 1.0, 1, 0)
+        # 4 / vol(B_3^2), Dirichlet's closed form
+        assert report.normalized_lam == 4 / 3.533277500570902 == 1.1320933607263186
 
 
 class TestSerialization:

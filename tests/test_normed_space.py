@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inflate_lab import normed_space as ns
-from inflate_lab.errors import DimensionMismatch, PreconditionError
+from inflate_lab.errors import DimensionMismatch, NumericalFailure, PreconditionError
 
 CROSS_2D = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 
@@ -26,6 +26,22 @@ def gauge_by_bisection(inside, x, iters=60):
         else:
             lo = mid
     return hi
+
+
+def slice_volume(n, p):
+    """Independent oracle: vol_k = vol_{k-1} * 2 int_0^1 (1 - t^p)^((k-1)/p) dt, vol_1 = 2.
+
+    The slice of the lp ball at height t is the (k-1)-ball scaled by
+    (1 - t^p)^(1/p); scipy.integrate.quad integrates its volume.
+    """
+    from scipy.integrate import quad
+
+    vol = 2.0
+    for k in range(2, n + 1):
+        width, _ = quad(lambda t: (1.0 - t ** p) ** ((k - 1) / p), 0.0, 1.0,
+                        epsabs=0.0, epsrel=1e-13, limit=200)
+        vol *= 2.0 * width
+    return vol
 
 
 class TestNormEval:
@@ -67,7 +83,7 @@ class TestNormEval:
 
 class TestBallVolume:
     def test_linf_all_dims(self):
-        for n in range(1, 5):
+        for n in range(1, 1024):
             assert ns.ball_volume(ns.linf(n)) == 2.0 ** n
 
     def test_euclidean_disc(self):
@@ -82,30 +98,36 @@ class TestBallVolume:
         assert ns.ball_volume(ns.polytopal(CROSS_2D)) == pytest.approx(shoelace, abs=1e-9)
         assert ns.ball_volume(ns.l1(2)) == pytest.approx(2.0, abs=1e-12)
 
-    def test_generic_lp_qmc_reports_error(self):
-        report = ns.ball_volume_report(ns.lp(2, 3.0))
-        assert report.method == "qmc"
-        assert report.error_bound > 0
-        # closed-form cross-check: 2^n Gamma(1+1/p)^n / Gamma(1+n/p)
-        exact = 4.0 * math.gamma(1 + 1 / 3.0) ** 2 / math.gamma(1 + 2 / 3.0)
-        assert report.value == pytest.approx(exact, rel=0.02)
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 7.5])
+    def test_dirichlet_matches_slice_oracle(self, p):
+        for n in range(1, 7):
+            report = ns.ball_volume_report(ns.lp(n, p))
+            assert report == ns.VolumeReport(report.value, 0.0, "closed-form")
+            assert report.value == pytest.approx(slice_volume(n, p), rel=1e-10)
 
-    def test_qmc_volume_sampled_once_per_norm(self, monkeypatch):
-        sampled = []
-        qmc = ns._qmc_ball_volume
+    def test_dirichlet_agrees_with_the_kept_closed_forms(self):
+        for p in (1.0, 2.0):
+            for n in range(1, 21):
+                assert ns._lp_ball_volume(n, p) == pytest.approx(
+                    ns.ball_volume(ns.lp(n, p)), rel=1e-14)
 
-        def counting(norm):
-            sampled.append(norm)
-            return qmc(norm)
+    @pytest.mark.parametrize("norm", [
+        ns.euclidean(1), ns.lp(1, 1.0), ns.lp(1, 1.5), ns.lp(1, 2.0), ns.lp(1, 3.0),
+        ns.linf(1), ns.polytopal([[1.0], [-1.0]])])
+    def test_every_norm_on_the_line_reads_two(self, norm):
+        assert ns.ball_volume(norm) == 2.0
+        assert ns.vol_of_norm(norm) == 1.0
 
-        monkeypatch.setattr(ns, "_qmc_ball_volume", counting)
-        norm = ns.lp(2, 3.0)
-        first = ns.ball_volume_report(norm)
-        assert ns.vol_of_norm(norm) == 4.0 / first.value
-        assert ns.ball_volume_report(norm) == first
-        assert len(sampled) == 1
-        # the seeded sample: a fresh norm gets the same value
-        assert ns.ball_volume_report(ns.lp(2, 3.0)) == first
+    @pytest.mark.parametrize("query, norm", [
+        (ns.ball_volume_report, ns.euclidean(400)),  # math.gamma overflows
+        (ns.ball_volume_report, ns.l1(200)),  # n! does not fit a float
+        (ns.ball_volume_report, ns.lp(600, 3.0)),  # Dirichlet's Gamma(1 + n/p) overflows
+        (ns.vol_of_norm, ns.linf(1100)),  # 2^n overflows
+        (ns.vol_of_norm, ns.euclidean(340)),  # a finite volume, an infinite ratio
+    ])
+    def test_volume_outside_the_float_range_raises_the_guard(self, query, norm):
+        with pytest.raises(NumericalFailure, match="ball volume guard"):
+            query(norm)
 
     def test_polytopal_queries_share_one_hull(self, monkeypatch):
         import scipy.spatial
@@ -142,6 +164,11 @@ class TestVolOfNorm:
         assert ns.vol_of_norm(ns.linf(3)) == 1.0
         assert ns.vol_of_norm(ns.euclidean(2)) == pytest.approx(4.0 / math.pi, abs=1e-12)
         assert ns.vol_of_norm(ns.l1(2)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_lp_in_thirty_dimensions(self):
+        got = ns.vol_of_norm(ns.lp(30, 3.0))
+        assert math.isfinite(got)
+        assert got == pytest.approx(2.0 ** 30 / slice_volume(30, 3.0), rel=1e-10)
 
     def test_change_of_variables(self, rng):
         for base in (ns.euclidean(2), ns.linf(2), ns.polytopal(CROSS_2D)):
