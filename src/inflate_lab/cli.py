@@ -330,7 +330,7 @@ def _cmd_glue(params: dict, seed: int) -> dict:
     from .seeding import rng_for
 
     pts = sample_box(box, probes, rng_for(seed, 17))
-    sup = float(np.max(ns._eval_many(b, glued.eval_many(pts) - co.batch_call(base, pts))))
+    sup = float(np.max(ns._eval_many(b, glued.eval_many(pts) - base(pts))))
     return {
         "lip_bound": glued.lip_bound,
         "sampled_lip": lip.value,

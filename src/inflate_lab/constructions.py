@@ -499,13 +499,6 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
     return pam
 
 
-def batch_call(g, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a batch callable or an object exposing eval_many."""
-    if hasattr(g, "eval_many"):
-        return np.asarray(g.eval_many(xs), dtype=float)
-    return np.asarray(g(xs), dtype=float)
-
-
 # -- gluing ------------------------------------------------------------------
 
 
@@ -550,9 +543,10 @@ class PatchSpec:
 
     ``patch_sets`` are boxes ((n, 2) arrays) or point clouds ((k, n)
     arrays); ``radii`` their neighborhood radii in (0, 1]; ``patch_maps``
-    batch callables defined on the neighborhoods; ``base_map`` the
-    global batch callable f; ``delta`` the patch closeness scale
-    (||g_i - f|| <= delta * rho_i on each neighborhood).
+    the maps defined on the neighborhoods; ``base_map`` the global map f;
+    ``delta`` the patch closeness scale (||g_i - f|| <= delta * rho_i on
+    each neighborhood).  Each map may be a batch callable, a single-point
+    callable, or a piecewise-affine or glued map (see _as_batch).
     """
 
     patch_sets: tuple
@@ -586,6 +580,9 @@ class GluedMap:
         self.spec = spec
         self.lip_base = float(lip_base)
         self.lip_bound = float(lip_base) + 4.0 * spec.delta
+        n = spec.domain_norm.dim
+        self._base = _as_batch(spec.base_map, n)
+        self._patches = tuple(_as_batch(g_i, n) for g_i in spec.patch_maps)
 
     def chi(self, xs: np.ndarray, i: int) -> np.ndarray:
         rho = self.spec.radii[i]
@@ -594,12 +591,12 @@ class GluedMap:
 
     def eval_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = batch_call(self.spec.base_map, xs).copy()
-        for i, g_i in enumerate(self.spec.patch_maps):
+        out = self._base(xs).copy()
+        for i, g_i in enumerate(self._patches):
             w = self.chi(xs, i)
             active = w > 0.0
             if np.any(active):
-                diff = batch_call(g_i, xs[active]) - out[active]
+                diff = g_i(xs[active]) - out[active]
                 out[active] += w[active, None] * diff
         return out
 
@@ -626,17 +623,17 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
             if gap <= spec.radii[i] + spec.radii[j]:
                 raise PreconditionError(
                     f"patch neighborhoods {i} and {j} overlap (gap {gap:.3g})")
+    glued = GluedMap(spec, L)
     rng = rng_for(seed, 606)
-    for i, (patch_set, rho, g_i) in enumerate(zip(spec.patch_sets, spec.radii, spec.patch_maps)):
+    for i, (patch_set, rho, g_i) in enumerate(zip(spec.patch_sets, spec.radii, glued._patches)):
         pts = _sample_neighborhood(patch_set, rho, 160, rng, spec.domain_norm)
         if pts.shape[0] == 0:
             continue
-        dev = ns._eval_many(spec.codomain_norm,
-                            batch_call(g_i, pts) - batch_call(spec.base_map, pts))
+        dev = ns._eval_many(spec.codomain_norm, g_i(pts) - glued._base(pts))
         if float(np.max(dev)) > spec.delta * rho * (1 + 1e-9) + 1e-12:
             raise PreconditionError(
                 f"patch {i} deviates {float(np.max(dev)):.3g} > delta*rho = {spec.delta * rho:.3g}")
-    return GluedMap(spec, L)
+    return glued
 
 
 def _sample_neighborhood(patch_set, rho, count, rng, norm) -> np.ndarray:
@@ -727,8 +724,10 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     The grid starts at 2 cells per axis (or the grid of a GridSubset E)
     and doubles while the fits are too coarse, up to 64; cores keep at
     least 0.9 of their cell's width; for a non-Euclidean pair each cell's
-    certificate search runs 16 restarts.  ``f_lip`` replaces
-    the sampled Lipschitz estimate of f when the caller knows it.
+    certificate search runs 16 restarts.  ``f_lip`` is Lip(f) from a_E to
+    b when the caller knows it (the CLI passes the exact constant of its
+    zero or affine maps); without it, Lip(f) is read by _sampled_lipschitz,
+    a lower bound.
     """
     if not (0 <= eta < 1):
         raise PreconditionError("eta must lie in [0, 1)")
@@ -748,7 +747,7 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         return None, report
 
     fbatch = fbatch_orig = _as_batch(f, n)
-    est_lip = f_lip if f_lip is not None else _sampled_lip(fbatch, box, a, b, seed)
+    est_lip = f_lip if f_lip is not None else _sampled_lipschitz(fbatch, E, a, b, seed)
     if est_lip > 1.0 + 1e-6:
         raise PreconditionError(f"Lip(f) ~ {est_lip} >= 1")
 
@@ -758,7 +757,7 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     # f itself is pre-scaled to Lipschitz constant L0, charging
     # (1 - scale) * sup|f| against the eps budget.
     rng0 = rng_for(seed, 31)
-    sup_f = float(np.max(ns._eval_many(b, np.asarray(fbatch(sample_box(box, 512, rng0)), dtype=float))))
+    sup_f = float(np.max(ns._eval_many(b, fbatch(sample_box(box, 512, rng0)))))
     target_core = min(eta + 0.35 * (1.0 - eta), 0.995)
     L0 = max(target_core ** (1.0 / (2.0 * n)), 0.3)
     if est_lip > L0 and sup_f > 1e-12:
@@ -793,43 +792,72 @@ class _FitTooCoarse(Exception):
 
 
 def _as_batch(f: Callable, n: int) -> Callable:
-    """Accept either a batch callable or a single-point callable.
+    """The batch form of f, returning float arrays: the one adapter for map arguments.
 
-    f is taken as a batch callable when it maps a (2, n) probe of two
-    distinct points with nonzero coordinates to two rows, unless f
-    called on each point alone returns rows of that shape that differ
-    from them.  A row count alone does not tell: x -> (x_0, 0.5 x_1)
-    also returns two rows on a (2, 2) input.
+    f may be a piecewise-affine or glued map, a batch callable, or a
+    single-point callable.  f is taken as a batch callable when it maps a
+    (2, n) probe of two distinct points with nonzero coordinates to two
+    rows, unless f called on each point alone returns rows of that shape
+    that differ from them.  A row count alone does not tell:
+    x -> (x_0, 0.5 x_1) also returns two rows on a (2, 2) input.  The
+    single-point form takes a lone point as a batch of one, so it is
+    taken for a batch callable when adapted again.
     """
     if isinstance(f, (PiecewiseAffineMap, GluedMap)):
         return f.eval_many
+    batch = lambda xs: np.asarray(f(xs), dtype=float)  # noqa: E731
     probe = np.stack([np.linspace(0.3, 0.7, n), np.linspace(0.6, 0.2, n)])
     try:
-        out = np.asarray(f(probe), dtype=float)
+        out = batch(probe)
     except Exception:
         out = None
     if out is not None and out.ndim == 2 and out.shape[0] == 2:
         try:
             rows = [np.asarray(f(x), dtype=float) for x in probe]
         except (IndexError, TypeError, ValueError):
-            return f
+            return batch
         if any(row.shape != out.shape[1:] for row in rows) or \
                 np.allclose(rows, out, rtol=1e-12, atol=1e-12):
-            return f
-    return lambda xs: np.stack([np.asarray(f(x), dtype=float) for x in xs], axis=0)
+            return batch
+    return lambda xs: np.stack([np.asarray(f(x), dtype=float) for x in np.atleast_2d(xs)])
 
 
-def _sampled_lip(fbatch, box, a, b, seed) -> float:
-    rng = rng_for(seed, 777)
-    xs = sample_box(box, 400, rng)
-    ys = sample_box(box, 400, rng)
-    near = xs + (ys - xs) * 1e-4
-    ys = np.concatenate([ys, near], axis=0)
+def _sample_pairs(E, count: int, rng: np.random.Generator):
+    """``count`` point pairs (xs, ys) in E.
+
+    For a GridSubset both points of a pair lie in one occupied cell, drawn
+    uniformly among the cells; for a box the pairs are independent draws
+    over the whole box.
+    """
+    if isinstance(E, GridSubset):
+        occupied = [cell for _, cell in E.cells()]
+        pts = np.stack([sample_box(occupied[int(rng.integers(0, len(occupied)))], 2, rng)
+                        for _ in range(count)])
+        return pts[:, 0], pts[:, 1]
+    box = as_box(E)
+    return sample_box(box, count, rng), sample_box(box, count, rng)
+
+
+def _sampled_lipschitz(fbatch: Callable, E, a: ns.Norm, b: ns.Norm, seed: int,
+                       pairs: int = 2000) -> float:
+    """Largest quotient ||f(x) - f(y)||_b / ||x - y||_a over sampled pairs: a lower bound on Lip(f).
+
+    The one Lipschitz sampler.  It draws ``pairs`` pairs in E from the
+    stream rng_for(seed, 51) (see _sample_pairs), and with each pair (x, y)
+    the near pair (x, x + 1e-4 diam (y - x) / ||y - x||_a), where diam is
+    the a-diameter of E's bounding box.  fbatch is a batch callable.
+    """
+    box = domain_box(E)
+    xs, ys = _sample_pairs(E, pairs, rng_for(seed, 51))
+    diam = float(ns.norm_eval(a, box[:, 1] - box[:, 0]))
+    near = xs + (ys - xs) * (1e-4 * diam / np.maximum(
+        ns._eval_many(a, ys - xs), 1e-300))[:, None]
     xs = np.concatenate([xs, xs], axis=0)
+    ys = np.concatenate([ys, near], axis=0)
     da = ns._eval_many(a, xs - ys)
-    ok = da > 1e-14
-    db = ns._eval_many(b, np.asarray(fbatch(xs[ok]), dtype=float) - np.asarray(fbatch(ys[ok]), dtype=float))
-    return float(np.max(db / da[ok])) if np.any(ok) else 0.0
+    keep = da > 1e-14
+    quot = ns._eval_many(b, fbatch(xs[keep]) - fbatch(ys[keep])) / da[keep]
+    return float(np.max(quot)) if quot.size else 0.0
 
 
 def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
@@ -857,7 +885,7 @@ def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
         budget = delta_glue * rho
 
         stencil = _stencil(cell, 5)
-        values = np.asarray(fbatch(stencil), dtype=float)
+        values = fbatch(stencil)
         M_fit, c_fit = _affine_fit(stencil, values)
         fit_err = float(np.max(ns._eval_many(b, values - stencil @ M_fit.T - c_fit)))
         if fit_err > 0.30 * budget:
@@ -892,7 +920,7 @@ def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
     rng = rng_for(seed, 9090)
     probes = sample_box(box, 10_000, rng)
     sup_dist = float(np.max(ns._eval_many(
-        b, glued.eval_many(probes) - np.asarray(fbatch_orig(probes), dtype=float))))
+        b, glued.eval_many(probes) - fbatch_orig(probes))))
 
     report = InflateReport(
         achieved_integral=float(achieved),

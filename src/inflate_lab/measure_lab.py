@@ -21,10 +21,9 @@ import numpy as np
 
 from . import normed_space as ns
 from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, _node_values,
-                            batch_call, inflate_on_set, pa_from_axis_slopes)
+                            _sampled_lipschitz, inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
-from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
-                       sample_box)
+from .geometry import GridSubset, as_box, box_overlap, domain_box, domain_measure
 from .linear_analysis import LinearMap, operator_norm, operator_norm_report, vol_matrix
 from .maximal_volume import max_volume
 from .seeding import rng_for
@@ -52,28 +51,19 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
                        seed: int = 0) -> MeasureReport:
     """Max sampled two-point quotient; exact cell norms when available.
 
-    The sampled maximum is always a lower bound on the true constant.
-    For piecewise-affine maps the exact per-cell operator norm maximum
-    is included (it equals the true constant on convex domains); for
-    glued maps the exact core values are combined with the sampled
-    quotients across the blend bands.
+    The sampled maximum is _sampled_lipschitz over ``pairs`` pairs in the
+    domain, always a lower bound on the true constant.  For
+    piecewise-affine maps the exact per-cell operator norm maximum is
+    included (it equals the true constant on convex domains); for glued
+    maps the exact core values are combined with the sampled quotients
+    across the blend bands.  f may be a batch or a single-point callable.
     """
-    box = domain_box(domain)
     if pairs < 1:
         raise PreconditionError("need at least one sample pair")
     if domain_measure(domain) <= 0.0:
         raise PreconditionError("empty domain")
-    fbatch = _as_batch(f, box.shape[0])
-    xs, ys = _sample_pairs(domain, pairs, rng_for(seed, 51))
-    diam = float(ns.norm_eval(a, box[:, 1] - box[:, 0]))
-    near = xs + (ys - xs) * (1e-4 * diam / np.maximum(
-        ns._eval_many(a, ys - xs), 1e-300))[:, None]
-    xs = np.concatenate([xs, xs], axis=0)
-    ys = np.concatenate([ys, near], axis=0)
-    da = ns._eval_many(a, xs - ys)
-    keep = da > 1e-14
-    quot = ns._eval_many(b, batch_call(fbatch, xs[keep]) - batch_call(fbatch, ys[keep])) / da[keep]
-    sampled = float(np.max(quot)) if quot.size else 0.0
+    fbatch = _as_batch(f, domain_box(domain).shape[0])
+    sampled = _sampled_lipschitz(fbatch, domain, a, b, seed, pairs)
 
     exact = None
     if isinstance(f, PiecewiseAffineMap):
@@ -88,22 +78,6 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
         resolution={"pairs": pairs, "exact_cells": exact},
         seed=seed,
     )
-
-
-def _sample_pairs(E, count: int, rng: np.random.Generator):
-    """``count`` point pairs (xs, ys) in E.
-
-    For a GridSubset both points of a pair lie in one occupied cell, drawn
-    uniformly among the cells; for a box the pairs are independent draws
-    over the whole box.
-    """
-    if isinstance(E, GridSubset):
-        occupied = _boxes(E)
-        pts = np.stack([sample_box(occupied[int(rng.integers(0, len(occupied)))], 2, rng)
-                        for _ in range(count)])
-        return pts[:, 0], pts[:, 1]
-    box = as_box(E)
-    return sample_box(box, count, rng), sample_box(box, count, rng)
 
 
 # -- cell-measure integrals --------------------------------------------------
@@ -509,7 +483,9 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     rasterized piece by piece on the part of E inside each piece's
     domain (see _affine_pieces); for glued maps that leaves out the
     blend bands, making the value a lower bound there.  Other maps are
-    sampled on a point cloud over the boxes of E (see _boxes).  The
+    sampled on a point cloud over the boxes of E (see _boxes), spaced
+    box_size / (2 lip_hint); without lip_hint, the Euclidean
+    _sampled_lipschitz of g on E stands in.  The
     reported error bound is empirical, from calibration behaviour; both
     over- and under-counting are possible at patch boundaries and
     overlaps.
@@ -530,8 +506,8 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         fbatch = _as_batch(g, n)
         boxes = _boxes(E)  # none for an empty GridSubset, whose image has measure 0
         raw = 0.0 if not boxes else _cloud_boxcount(
-            fbatch, boxes, n, box_size,
-            lip_hint if lip_hint is not None else _quick_lip(fbatch, E, seed))
+            fbatch, boxes, n, box_size, lip_hint if lip_hint is not None else
+            _sampled_lipschitz(fbatch, E, ns.euclidean(n), ns.euclidean(m), seed))
         method = "cloud"
     cal = _calibration(n, m, box_size)
     value = raw / cal
@@ -557,7 +533,7 @@ def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, box_size: float,
     seen = []
     for axes in grids:
         if n == 1:
-            img = batch_call(fbatch, axes[0][:, None])
+            img = fbatch(axes[0][:, None])
             seen.append(_distinct(_box_keys(img, box_size)))
             continue
         rest = np.meshgrid(*axes[1:], indexing="ij")
@@ -568,19 +544,9 @@ def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, box_size: float,
             pts = np.concatenate(
                 [np.repeat(block, rest.shape[0])[:, None],
                  np.tile(rest, (block.shape[0], 1))], axis=1)
-            seen.append(_distinct(_box_keys(batch_call(fbatch, pts), box_size)))
+            seen.append(_distinct(_box_keys(fbatch(pts), box_size)))
     count = _distinct(np.concatenate(seen)).size
     return count * box_size ** n
-
-
-def _quick_lip(g, E, seed) -> float:
-    """Sampled Lipschitz quotient of g over pairs in E (see _sample_pairs)."""
-    xs, ys = _sample_pairs(E, 300, rng_for(seed, 99))
-    d = np.linalg.norm(xs - ys, axis=1)
-    keep = d > 1e-12
-    fx = batch_call(g, xs[keep])
-    fy = batch_call(g, ys[keep])
-    return float(np.max(np.linalg.norm(fx - fy, axis=1) / d[keep])) if np.any(keep) else 1.0
 
 
 # -- planar coverage check ---------------------------------------------------
@@ -636,7 +602,7 @@ def _certified_targets(g, radius: float, target_radius: float, grid: float,
 
     theta = 2.0 * math.pi * np.arange(ring_count) / ring_count
     ring = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    img = batch_call(_as_batch(g, 2), ring)
+    img = _as_batch(g, 2)(ring)
     if img.shape[1] != 2:
         raise PreconditionError("coverage_check is planar: map must land in R^2")
     nxt = np.roll(img, -1, axis=0)
@@ -720,10 +686,13 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
     a = ns.norm_from_json({"dim": n, "kind": config.domain_kind})
     b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})
     fbatch = map_from_descriptor(config.f, n, config.m)
+    # Lip(f) of a descriptor is exact: 0, or ||M||_{a->b}
+    f_lip = 0.0 if config.f["kind"] == "zero" else operator_norm(
+        LinearMap(np.asarray(config.f["linear"], dtype=float), a, b))
     records = []
     for eps in config.eps_schedule:
         glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),
-                                    config.eta, config.seed)
+                                    config.eta, config.seed, f_lip=f_lip)
         jac = jacobian_integral(glued, box)
         record = {
             "eps": float(eps),
@@ -737,9 +706,8 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
             "seed": config.seed,
         }
         if config.run_boxcount and config.m > n:
-            bc = boxcount_image_measure(glued, box, config.m, config.box_size,
-                                        lip_hint=rep.lip_glue_bound)
-            record["boxcount"] = bc.value
+            record["boxcount"] = boxcount_image_measure(glued, box, config.m,
+                                                        config.box_size).value
         records.append(record)
     return {"experiment": "positive", "config": _config_json(config), "records": records}
 

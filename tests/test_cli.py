@@ -42,11 +42,26 @@ FORWARDED = [
 SRC = os.path.dirname(os.path.dirname(inflate_lab.__file__))
 
 
+def child_env() -> dict:
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args, cwd=None):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "inflate_lab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, "-m", "inflate_lab", *args],
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
+    if proc.returncode == 0:
+        assert proc.stderr == ""  # no warning, no error object
+    return proc
+
+
+def test_import_binds_the_cli_module():
+    # the benchmark tracer wraps cli._validate and cli.run in every job, also
+    # in jobs that never import the CLI themselves
+    code = "import sys, inflate_lab; print('inflate_lab.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env())
+    assert out.stdout.strip() == "True", out.stderr
 
 
 class TestRun:

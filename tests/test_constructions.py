@@ -349,6 +349,46 @@ class TestGluePatches:
         with pytest.raises(PreconditionError, match="deviates"):
             co.glue_patches(spec, 0.0)
 
+    def test_single_point_maps_glue_like_their_batch_forms(self):
+        def base_pt(x):
+            return np.array([0.5 * x[0], 0.5 * x[1], 0.0])
+
+        def patch_pt(x):
+            return np.array([0.5 * x[0], 0.5 * x[1], 0.01 * x[0] * x[1]])
+
+        def base(xs):
+            return np.stack([0.5 * xs[:, 0], 0.5 * xs[:, 1], np.zeros(len(xs))], axis=1)
+
+        def patch(xs):
+            return np.stack([0.5 * xs[:, 0], 0.5 * xs[:, 1], 0.01 * xs[:, 0] * xs[:, 1]],
+                            axis=1)
+
+        cores = (np.array([[0.0, 0.3], [0.0, 0.3]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
+
+        def glued(f, g):
+            spec = co.PatchSpec(cores, (0.1, 0.1), (g, g), f, 0.2,
+                                ns.euclidean(2), ns.euclidean(3))
+            return co.glue_patches(spec, 0.5)
+
+        xs = np.random.default_rng(3).uniform(-0.2, 1.2, (2000, 2))
+        expected = glued(base, patch).eval_many(xs)
+        for f, g in ((base_pt, patch_pt), (base_pt, patch), (base, patch_pt)):
+            g_glued = glued(f, g)
+            assert np.array_equal(g_glued.eval_many(xs), expected)
+            assert [piece for _, piece in g_glued.pieces()] == [g, g]
+
+
+def test_batch_form_adapts_to_itself():
+    # the single-point f reads a lone coordinate too, with another value
+    def f(x):
+        return x ** 2 / (1.0 + np.sum(x ** 2))
+
+    xs = np.random.default_rng(4).uniform(-1, 1, (50, 2))
+    once = co._as_batch(f, 2)
+    expected = np.stack([f(x) for x in xs])
+    assert np.array_equal(once(xs), expected)
+    assert np.array_equal(co._as_batch(once, 2)(xs), expected)
+
 
 class TestMargins:
     def test_lsc_margin_examples(self):

@@ -86,6 +86,27 @@ class TestEstimateLipschitz:
             ml.estimate_lipschitz(pam, np.array([[0.0, 0.0], [0.0, 0.0]]),
                                   ns.euclidean(2), ns.euclidean(2), pairs=0, seed=0)
 
+    def test_values_are_pinned(self):
+        # read before the sampler moved into constructions, bit for bit
+        e2, e3 = ns.euclidean(2), ns.euclidean(3)
+        pam = graph_fixture(np.random.default_rng(7))
+        cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
+        spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),
+                            lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1),
+                            0.1, e2, e3)
+        glued = co.glue_patches(spec, 1.0)
+        mask = np.array([[True, False, False], [False, True, True], [False, False, True]])
+        E = GridSubset(UNIT, (3, 3), mask)
+        f = lambda xs: np.stack([np.sin(3 * xs[:, 0]), xs[:, 0] * xs[:, 1]], axis=1)  # noqa: E731
+        cases = [
+            ((pam, UNIT, e2, e3, 500, 4), "0x1.31eebbe64cbbap+0"),
+            ((glued, UNIT, e2, e3, 700, 5), "0x1.00000000005acp+0"),
+            ((f, E, ns.lp(2, 3.0), ns.linf(2), 300, 6), "0x1.79e347ee535b5p+1"),
+        ]
+        for (g, domain, a, b, pairs, seed), value in cases:
+            rep = ml.estimate_lipschitz(g, domain, a, b, pairs=pairs, seed=seed)
+            assert rep.value == float.fromhex(value)
+
 
 class TestJacobianIntegral:
     def test_identity_unit_square(self):
@@ -274,16 +295,20 @@ class TestBoxcount:
         def g(xs):
             return np.stack([xs[:, 0], xs[:, 1], 50.0 * np.maximum(xs[:, 0] - 0.5, 0.0)], axis=1)
 
+        e2, e3 = ns.euclidean(2), ns.euclidean(3)
         E = quarter_cell()
-        assert ml._quick_lip(g, E, 0) == pytest.approx(1.0, abs=1e-12)
+        assert co._sampled_lipschitz(g, E, e2, e3, 0) == pytest.approx(1.0, abs=1e-12)
         rep = ml.boxcount_image_measure(g, E, 3, 1e-3)
         assert rep.value == ml.boxcount_image_measure(g, E, 3, 1e-3, lip_hint=1.0).value
         assert abs(rep.value - 0.25) <= rep.error_bound
-        # on a plain box the pairs are still drawn over the whole box
-        rng = rng_for(0, 99)
-        xs, ys = rng.random((300, 2)), rng.random((300, 2))
+        # on a plain box the pairs are drawn over the whole box: the far
+        # pairs of the stream, with no near pairs, already read the slope 50
+        rng = rng_for(0, 51)
+        xs, ys = rng.random((2000, 2)), rng.random((2000, 2))
         quot = np.linalg.norm(g(xs) - g(ys), axis=1) / np.linalg.norm(xs - ys, axis=1)
-        assert ml._quick_lip(g, UNIT, 0) == float(np.max(quot))
+        sampled = co._sampled_lipschitz(g, UNIT, e2, e3, 0)
+        assert 40.0 < float(np.max(quot)) <= sampled * (1 + 1e-12)
+        assert sampled <= math.hypot(1.0, 50.0) * (1 + 1e-12)
 
     def test_cloud_takes_a_single_point_map_without_a_hint(self):
         # the map is wrapped for batches once, before the sampled hint uses it
@@ -641,6 +666,23 @@ class TestExperiments:
             assert rec["jac_integral"] >= 0.5 * 4.0 - 1e-9
             assert rec["sup_dist"] <= rec["eps"]
             assert rec["lip_exact"] <= 1.0 + 1e-9
+
+    def test_positive_takes_lip_f_exactly(self, monkeypatch):
+        # a descriptor's Lip(f) is 0 or ||M||_{a->b}; nothing samples it
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("Lip(f) was sampled")
+
+        monkeypatch.setattr(co, "_sampled_lipschitz", no_sampling)
+        monkeypatch.setattr(ml, "_sampled_lipschitz", no_sampling)
+        # ||M|| = 0.95 lies above the headroom L0 = 0.675^(1/4) of eta = 0.5
+        affine = {"kind": "affine", "linear": [[0.95, 0.0], [0.0, 0.5], [0.0, 0.0]]}
+        for f in ({"kind": "zero"}, affine):
+            config = ml.PositiveConfig(box=UNIT, m=3, f=f, eta=0.5, lam=1.0,
+                                       eps_schedule=(0.2,), seed=2)
+            rec = ml.run_positive_experiment(config)["records"][0]
+            assert rec["jac_integral"] >= 0.5 - 1e-9
+            assert rec["sup_dist"] <= rec["eps"]
+            assert rec["lip_glue_bound"] <= 1.0
 
     def test_negative_trend_at_calibrated_threshold(self):
         # every admissible map has superlevel fraction at most 2 eps / t^2
