@@ -83,8 +83,8 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         half = span / (2.0 * meshes)
         breaks = lo + np.arange(2 * meshes + 1) * half
         breaks[-1] = hi
-        signs = np.tile([1.0, -1.0], meshes)
-        return CoordinateCurve(breaks, signs[:, None] * u[None, :], np.zeros_like(u))
+        return CoordinateCurve(breaks, _signed_rows(u, np.tile([1.0, -1.0], meshes)),
+                               np.zeros_like(u))
 
     if not (math.isfinite(len_a) and math.isfinite(len_u)):
         raise PreconditionError(f"lengths must be finite: |A(1)| = {len_a}, |u| = {len_u}")
@@ -102,7 +102,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     if abs(kappa) <= 1.0 + 1e-12 or span * (kappa * kappa - 1.0) * len_a / (2.0 * abs(kappa)) <= 0.9 * eps:
         # single affine segment already stays within budget
         sign = 1.0 if kappa > 0 else -1.0
-        return CoordinateCurve(np.array([lo, hi]), sign * u[None, :], anchor)
+        return CoordinateCurve(np.array([lo, hi]), _signed_rows(u, np.array([sign])), anchor)
 
     h = 1.8 * eps * abs(kappa) / ((kappa * kappa - 1.0) * len_a)
     meshes = _guard_segments(span, h)
@@ -111,14 +111,13 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     # mesh j climbs from its start to the turn with +u, then returns to its
     # end with -u; a turn within 1e-15 of either end drops the turn and the
     # mesh becomes one segment with the sign of its longer half
-    starts = lo + np.arange(meshes) * h
-    ends = starts + h
-    ends[-1] = hi
-    turns = starts + alpha
     breaks = np.empty(2 * meshes + 1)
     breaks[0] = lo
-    breaks[1::2] = turns
-    breaks[2::2] = ends
+    turns, ends = breaks[1::2], breaks[2::2]
+    starts = lo + np.arange(meshes) * h
+    np.add(starts, h, out=ends)
+    ends[-1] = hi
+    np.add(starts, alpha, out=turns)
     signs = np.tile([1.0, -1.0], meshes)
     inner = (turns > starts + 1e-15) & (turns < ends - 1e-15)
     drop = np.flatnonzero(~inner)
@@ -126,7 +125,12 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         signs[2 * drop + 1] = 1.0 if alpha >= h / 2 else -1.0
         breaks = np.delete(breaks, 2 * drop + 1)
         signs = np.delete(signs, 2 * drop)
-    return CoordinateCurve(breaks, signs[:, None] * u[None, :], anchor)
+    return CoordinateCurve(breaks, _signed_rows(u, signs), anchor)
+
+
+def _signed_rows(u: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The (K, m) slope rows signs[k] * u, stored column by column."""
+    return np.multiply.outer(u, signs).T
 
 
 def _guard_segments(span: float, h: float) -> int:
@@ -150,35 +154,51 @@ def _guard_segments(span: float, h: float) -> int:
 def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Values of continuous piecewise-affine curves at their breakpoints, shape (..., K+1, m).
 
-    ``slopes`` is (..., K, m) and ``anchor`` (..., m); leading axes are a
-    stack of curves on the same breakpoints.
+    ``slopes`` is (..., K, m) in any memory order and ``anchor`` (..., m);
+    leading axes are a stack of curves on the same breakpoints.  The
+    result takes the slopes' memory order, so a column-major (K, m)
+    zigzag gets column-major node values and every cumsum runs down a
+    contiguous column.
     """
-    steps = slopes * np.diff(breaks)[:, None]
-    out = np.empty(steps.shape[:-2] + (steps.shape[-2] + 1, steps.shape[-1]))
+    k, m = slopes.shape[-2:]
+    out = np.empty_like(slopes, dtype=float, shape=slopes.shape[:-2] + (k + 1, m))
     out[..., 0, :] = anchor
-    np.cumsum(steps, axis=-2, out=out[..., 1:, :])
-    out[..., 1:, :] += anchor[..., None, :]
+    steps = out[..., 1:, :]
+    np.multiply(slopes, np.diff(breaks)[:, None], out=steps)
+    np.cumsum(steps, axis=-2, out=steps)
+    steps += anchor[..., None, :]
     return out
 
 
 @dataclass(frozen=True)
 class CoordinateCurve:
-    """Continuous piecewise-affine curve R -> R^m with arbitrary per-segment slopes."""
+    """Continuous piecewise-affine curve R -> R^m with arbitrary per-segment slopes.
 
-    breakpoints: np.ndarray  # (K+1,)
+    ``slopes`` may be in any memory order; zigzag_curve stores them
+    column-major, and the node values follow the slopes' order.
+    """
+
+    breakpoints: np.ndarray  # (K+1,) finite, strictly increasing
     slopes: np.ndarray       # (K, m)
-    anchor: np.ndarray       # value at breakpoints[0]
+    anchor: np.ndarray       # (m,) value at breakpoints[0]
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
         s = np.asarray(self.slopes, dtype=float)
-        if b.ndim != 1 or b.shape[0] < 2 or np.any(np.diff(b) <= 0):
-            raise PreconditionError("breakpoints must be strictly increasing")
+        a = np.asarray(self.anchor, dtype=float)
+        # every comparison with NaN is False, so strictly increasing
+        # breakpoints with finite ends are all finite
+        if (b.ndim != 1 or b.shape[0] < 2 or not (math.isfinite(b[0]) and math.isfinite(b[-1]))
+                or not np.all(b[1:] > b[:-1])):
+            raise PreconditionError("breakpoints must be finite and strictly increasing")
         if s.ndim != 2 or s.shape[0] != b.shape[0] - 1:
             raise PreconditionError("need one slope vector per segment")
+        if a.shape != s.shape[1:]:
+            raise DimensionMismatch(f"anchor shape {a.shape} does not match slope rows of "
+                                    f"length {s.shape[1]}")
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "slopes", s)
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        object.__setattr__(self, "anchor", a)
 
     @cached_property
     def _values(self) -> np.ndarray:

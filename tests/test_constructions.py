@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from inflate_lab import constructions as co
 from inflate_lab import linear_analysis as la
 from inflate_lab import normed_space as ns
-from inflate_lab.errors import NumericalFailure, PreconditionError
+from inflate_lab.errors import DimensionMismatch, NumericalFailure, PreconditionError
 from inflate_lab.geometry import GridSubset
 
 
@@ -106,6 +108,25 @@ class TestZigzag:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_build_and_node_values_peak_bytes_per_segment(self):
+        # column-major slopes and node values: building about 9e4 segments
+        # peaks near 45.5 bytes a segment, and the node values near 64 with the
+        # curve's own arrays; a (K, m) temporary in either adds 24 (m = 3)
+        a = np.array([0.5, 0.0, 0.2])
+        tracemalloc.start()
+        try:
+            z = co.zigzag_curve(a, 2.0 * a, 1e-5, (0.0, 1.0))
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            z._values
+            _, values_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k = z.segment_count
+        assert k > 80_000
+        assert build_peak / k < 52.0
+        assert values_peak / k < 72.0
 
 
 def reference_zigzag(a_vec, u, eps, interval):
@@ -206,6 +227,46 @@ class TestNodeValues:
         expected = reference_node_values(breaks, slopes, anchor)
         assert got.shape == expected.shape == lead + (k + 1, m)
         assert got.tobytes() == expected.tobytes()
+
+    @given(k=st.integers(1, 50), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_column_major_slopes_keep_their_order_and_bits(self, k, m, seed):
+        r = np.random.default_rng(seed)
+        breaks = np.cumsum(r.uniform(1e-3, 2.0, k + 1)) - r.uniform(0.0, 5.0)
+        slopes = np.asfortranarray(r.standard_normal((k, m)) * 10.0 ** r.uniform(-8, 8, (k, 1)))
+        anchor = r.standard_normal(m) * 10.0 ** r.uniform(-8, 8)
+        got = co._node_values(breaks, slopes, anchor)
+        assert got.flags.f_contiguous or k == 1  # one row is in both orders
+        assert got.tobytes() == reference_node_values(breaks, slopes, anchor).tobytes()
+
+
+class TestCoordinateCurve:
+    @pytest.mark.parametrize("breaks", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                        [np.nan, np.nan], [-np.inf, 0.0], [0.0, 1.0, 1.0]])
+    def test_breakpoints_must_be_finite_and_increasing(self, breaks):
+        with pytest.raises(PreconditionError, match="finite and strictly increasing"):
+            co.CoordinateCurve(np.array(breaks), np.ones((len(breaks) - 1, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("anchor", [[5.0], [5.0, 6.0]])
+    def test_anchor_shape_checked_at_construction(self, anchor):
+        with pytest.raises(DimensionMismatch, match="anchor shape"):
+            co.CoordinateCurve(np.array([0.0, 1.0]), np.ones((1, 3)), np.array(anchor))
+
+    def test_memory_order_changes_no_map_output(self):
+        A = np.array([[0.5, 0.0], [0.0, 0.25], [0.1, 0.0]])
+        m = eucl_map(A)
+        g = co.inflate_affine(m, la.euclidean_inflation(m), BOX, 0.05)
+        c_order = dataclasses.replace(g, curves=tuple(
+            co.CoordinateCurve(c.breakpoints, np.ascontiguousarray(c.slopes), c.anchor)
+            for c in g.curves))
+        assert all(c.segment_count > 1 and c.slopes.flags.f_contiguous
+                   and c._values.flags.f_contiguous for c in g.curves)
+        assert all(c.slopes.flags.c_contiguous for c in c_order.curves)
+        xs = np.random.default_rng(3).uniform(-1, 1, (5000, 2))
+        assert g.eval_many(xs).tobytes() == c_order.eval_many(xs).tobytes()
+        assert g.distinct_linears().tobytes() == c_order.distinct_linears().tobytes()
+        assert g.cell_vol_table().tobytes() == c_order.cell_vol_table().tobytes()
+        assert json.dumps(g.to_json()) == json.dumps(c_order.to_json())
 
 
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])
