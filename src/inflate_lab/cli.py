@@ -23,6 +23,7 @@ from . import maximal_volume as mv_mod
 from . import measure_lab as ml
 from . import normed_space as ns
 from .errors import InflateLabError, NumericalFailure, PreconditionError
+from .geometry import float_array, sample_box
 
 _KIND_SCHEMA = {"type": ["string", "object"]}  # a norm_from_json "kind"
 
@@ -205,17 +206,20 @@ class ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    import jsonschema
+    # jsonschema.validate minus its metaschema check: the schemas are constants,
+    # checked once in the tests.  Imported here, it stays out of `import inflate_lab`.
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
 
     if config.command not in _SCHEMAS:
         raise PreconditionError(f"unknown command {config.command!r}")
     if config.format not in ("json", "csv"):
         raise PreconditionError(f"format must be json or csv, got {config.format!r}")
-    try:
-        jsonschema.validate(config.params, _SCHEMAS[config.command])
-    except jsonschema.ValidationError as exc:
-        pointer = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise PreconditionError(f"config params.{pointer}: {exc.message}") from exc
+    schema = _SCHEMAS[config.command]
+    error = best_match(validator_for(schema)(schema).iter_errors(config.params))
+    if error is not None:
+        pointer = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise PreconditionError(f"config params.{pointer}: {error.message}") from error
 
 
 # -- command implementations ---------------------------------------------------
@@ -270,7 +274,7 @@ def _cmd_probe_pair(params: dict, seed: int) -> dict:
 def _cmd_mv(params: dict, seed: int) -> dict:
     a = ns.norm_from_json(params["a"])
     b = ns.norm_from_json(params["b"])
-    result = mv_mod.max_volume(np.asarray(params["u"], dtype=float), a, b, seed=seed,
+    result = mv_mod.max_volume(float_array(params["u"], "u"), a, b, seed=seed,
                                **_given(params, restarts=int))
     return {
         "value": result.value,
@@ -283,7 +287,7 @@ def _cmd_mv(params: dict, seed: int) -> dict:
 
 def _cmd_inflate(params: dict, seed: int) -> dict:
     map_ = la.map_from_json(params["map"])
-    box = np.asarray(params["box"], dtype=float)
+    box = float_array(params["box"], "box")
     eps = float(params["eps"])
     if "certificate" in params:
         cert = la.certificate_from_json(params["certificate"])
@@ -311,7 +315,7 @@ def _cmd_glue(params: dict, seed: int) -> dict:
     base = ml.map_from_descriptor(params["base"], n, m)
     sets, radii, maps = [], [], []
     for patch in params["patches"]:
-        sets.append(np.asarray(patch["set"], dtype=float))
+        sets.append(float_array(patch["set"], "patch set"))
         radii.append(float(patch["rho"]))
         maps.append(ml.map_from_descriptor(patch["map"], n, m))
     spec = co.PatchSpec(tuple(sets), tuple(radii), tuple(maps), base,
@@ -319,14 +323,13 @@ def _cmd_glue(params: dict, seed: int) -> dict:
     L = float(params["L"])
     glued = co.glue_patches(spec, L, seed=seed)
     if "domain_box" in params:
-        box = np.asarray(params["domain_box"], dtype=float)
+        box = float_array(params["domain_box"], "domain_box")
     else:
         # a box contributes its lo and hi corners, a point cloud its points
         pts = np.concatenate([s.T if co.is_box(s, n) else np.atleast_2d(s) for s in sets])
         box = np.stack([pts.min(axis=0) - 2.0, pts.max(axis=0) + 2.0], axis=1)
     probes = int(params.get("probes", 4000))
     lip = ml.estimate_lipschitz(glued, box, a, b, pairs=probes, seed=seed)
-    from .geometry import sample_box
     from .seeding import rng_for
 
     pts = sample_box(box, probes, rng_for(seed, 17))
@@ -342,7 +345,7 @@ def _cmd_glue(params: dict, seed: int) -> dict:
 
 def _cmd_experiment_positive(params: dict, seed: int) -> dict:
     return ml.run_positive_experiment(ml.PositiveConfig(
-        box=np.asarray(params["box"], dtype=float),
+        box=float_array(params["box"], "box"),
         m=int(params["m"]),
         f=params["f"],
         eta=float(params["eta"]),
@@ -354,7 +357,7 @@ def _cmd_experiment_positive(params: dict, seed: int) -> dict:
 
 def _cmd_experiment_negative(params: dict, seed: int) -> dict:
     return ml.run_negative_experiment(ml.NegativeConfig(
-        u=np.asarray(params["u"], dtype=float),
+        u=float_array(params["u"], "u"),
         r=float(params["r"]),
         eps_schedule=tuple(float(e) for e in params["eps_schedule"]),
         seed=seed,

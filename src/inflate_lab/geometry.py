@@ -16,8 +16,17 @@ import numpy as np
 from .errors import PreconditionError
 
 
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` (nested lists) as a float array; ragged or non-numeric input
+    raises PreconditionError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{what} must be a rectangular array of numbers") from exc
+
+
 def as_box(box) -> np.ndarray:
-    b = np.asarray(box, dtype=float)
+    b = float_array(box, "box")
     if b.ndim != 2 or b.shape[1] != 2:
         raise PreconditionError(f"box must have shape (n, 2), got {b.shape}")
     if np.any(b[:, 1] < b[:, 0]):

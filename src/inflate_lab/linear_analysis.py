@@ -22,6 +22,7 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
+from .geometry import float_array
 from .normed_space import _is_euclidean
 from .seeding import rng_for
 
@@ -325,13 +326,17 @@ def certificate_to_json(cert: InflationCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> InflationCertificate:
-    return InflationCertificate(
-        preimages=np.asarray(data["preimages"], dtype=float),
-        eigenvalues=np.asarray(data["eigenvalues"], dtype=float),
-        lam=float(data["lambda"]),
-        verified=bool(data["verified"]),
-        worst_sign_norm=float(data["worst_sign_norm"]),
-    )
+    """Parse certificate_to_json's output; a missing or malformed field raises PreconditionError."""
+    try:
+        return InflationCertificate(
+            preimages=np.asarray(data["preimages"], dtype=float),
+            eigenvalues=np.asarray(data["eigenvalues"], dtype=float),
+            lam=float(data["lambda"]),
+            verified=bool(data["verified"]),
+            worst_sign_norm=float(data["worst_sign_norm"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"invalid certificate JSON: {exc!r}") from exc
 
 
 def sign_matrices(map: LinearMap, cert: InflationCertificate) -> np.ndarray:
@@ -548,7 +553,7 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
         raise PreconditionError("requires n <= m")
     norm_vol = ns.vol_of_norm(a)
     lam_normalized = norm_vol * lam
-    matrices = [np.asarray(M, dtype=float) for M in (include or [])]
+    matrices = [float_array(M, "include matrix") for M in (include or [])]
     rng = rng_for(seed, 5001)
     while len(matrices) < samples + len(include or []):
         G = rng.standard_normal((b.dim, a.dim))
@@ -597,7 +602,7 @@ def map_to_json(map: LinearMap) -> dict:
 
 def map_from_json(data: dict) -> LinearMap:
     return LinearMap(
-        np.asarray(data["entries"], dtype=float),
+        float_array(data["entries"], "map entries"),
         ns.norm_from_json(data["domain_norm"]),
         ns.norm_from_json(data["codomain_norm"]),
     )

@@ -23,7 +23,8 @@ from . import normed_space as ns
 from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, _node_values,
                             _sampled_lipschitz, inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
-from .geometry import GridSubset, as_box, box_overlap, domain_box, domain_measure
+from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
+                       float_array)
 from .linear_analysis import LinearMap, operator_norm, operator_norm_report, vol_matrix
 from .maximal_volume import max_volume
 from .seeding import rng_for
@@ -656,10 +657,13 @@ def map_from_descriptor(desc: dict, n: int, m: int) -> Callable:
     if kind == "zero":
         return lambda xs: np.zeros((xs.shape[0], m))
     if kind == "affine":
-        M = np.asarray(desc["linear"], dtype=float)
-        c = np.asarray(desc.get("offset", np.zeros(m)), dtype=float)
-        if M.shape != (m, n):
-            raise PreconditionError(f"affine descriptor must be {m} x {n}")
+        if "linear" not in desc:
+            raise PreconditionError("affine descriptor needs a linear part")
+        M = float_array(desc["linear"], "affine linear part")
+        c = float_array(desc.get("offset", np.zeros(m)), "affine offset")
+        if M.shape != (m, n) or c.shape != (m,):
+            raise PreconditionError(
+                f"affine descriptor must be {m} x {n} with an offset of length {m}")
         return lambda xs: xs @ M.T + c
     raise PreconditionError(f"unknown map descriptor kind {kind!r}")
 
@@ -746,6 +750,8 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
         raise PreconditionError("the adversarial searcher is implemented for n = 2")
     if config.restarts < 1 or config.grid < 2:
         raise PreconditionError("need restarts >= 1 and grid >= 2")
+    if not all(eps > 0 for eps in config.eps_schedule):
+        raise PreconditionError("every eps in eps_schedule must be positive")
     u = np.asarray(config.u, dtype=float)
     if u.shape != (config.m,):
         raise PreconditionError("u must have the codomain dimension")

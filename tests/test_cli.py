@@ -125,6 +125,56 @@ class TestRun:
     def test_schema_violation_exits_2(self, capsys):
         config = ExperimentConfig("mv", {"u": "nonsense", "a": LINF2, "b": EUCL2})
         assert run(config) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": {"type": "precondition",
+                                 "message": "config params.u: 'nonsense' is not of type 'array'"}}
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_schema_is_valid_against_its_metaschema(self, command):
+        from jsonschema.validators import validator_for
+
+        schema = cli._SCHEMAS[command]
+        validator_for(schema).check_schema(schema)
+
+    def test_params_are_validated_without_a_metaschema_check(self, monkeypatch, capsys):
+        from jsonschema.validators import validator_for
+
+        def refuse(*args):
+            raise AssertionError("metaschema check on a CLI call")
+
+        for schema in cli._SCHEMAS.values():
+            monkeypatch.setattr(validator_for(schema), "check_schema", refuse)
+        config = ExperimentConfig("mv", {"u": [1.0, 0.0], "a": LINF2, "b": EUCL2}, seed=1)
+        assert run(config) == 0
+        assert run(ExperimentConfig("mv", {"u": "nonsense", "a": LINF2, "b": EUCL2})) == 2
+
+    @pytest.mark.parametrize("command, params", [
+        ("check-inflation", {"map": {"entries": [[1, 0], [0]], "domain_norm": EUCL2,
+                                     "codomain_norm": EUCL2}, "lambda": 1}),
+        ("check-inflation", {"map": {"entries": [[1, "x"], [0, 1]], "domain_norm": EUCL2,
+                                     "codomain_norm": EUCL2}, "lambda": 1}),
+        ("experiment-positive", {"box": [[0, 1], [0]], "m": 2, "f": {"kind": "zero"},
+                                 "eta": 0.5, "eps_schedule": [0.5]}),
+        ("experiment-positive", {"box": [[0, 1], [0, 1]], "m": 2, "f": {"kind": "affine"},
+                                 "eta": 0.5, "eps_schedule": [0.5]}),
+        ("probe-pair", {"a": EUCL2, "b": EUCL2, "lambda": 1, "samples": 1, "include": ["x"]}),
+        ("inflate", {"map": {"entries": [[1, 0], [0, 1]], "domain_norm": EUCL2,
+                             "codomain_norm": EUCL2},
+                     "box": [[0, 1], [0, 1]], "eps": 0.1, "certificate": {}}),
+    ], ids=["ragged-entries", "text-entries", "ragged-box", "affine-without-linear",
+            "text-include", "empty-certificate"])
+    def test_malformed_params_are_precondition_errors(self, capsys, command, params):
+        assert main([command, "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "precondition"
+
+    def test_negative_experiment_refuses_a_nonpositive_eps(self, capsys):
+        params = {"u": [1, 0], "r": 0.3, "eps_schedule": [-0.5, 0.0]}
+        assert main(["experiment-negative", "--params", json.dumps(params)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "precondition"
 
     def test_unknown_command(self):
         assert run(ExperimentConfig("frobnicate", {})) == 2
