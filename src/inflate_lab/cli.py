@@ -432,6 +432,21 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
+_NAN = object()  # the parsed form of JSON's NaN, so that _nan_path can name its field
+_parse_constant = lambda name: _NAN if name == "NaN" else float(name)  # noqa: E731
+
+
+def _nan_path(value, path: tuple = ()):
+    """Keys that lead to the first NaN in parsed JSON, or None; Infinity stays a number."""
+    if value is _NAN:
+        return path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if (found := _nan_path(item, path + (str(key),))) is not None:
+                return found
+    return None
+
+
 def _emit_error(kind: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps(
         {"error": {"type": kind, "message": str(exc)}}, sort_keys=True) + "\n")
@@ -463,13 +478,16 @@ def main(argv: Optional[list] = None) -> int:
         data: dict = {}
         if args.config:
             with open(args.config) as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_parse_constant)
             if not isinstance(data, dict):
                 raise PreconditionError("config file must hold a JSON object")
         if "params" not in data:
             data = {"params": data}
         if args.params is not None:
-            data["params"] = json.loads(args.params)
+            data["params"] = json.loads(args.params, parse_constant=_parse_constant)
+        if (path := _nan_path(data)) is not None:
+            field = path[0] + "." + "/".join(path[1:]) if len(path) > 1 else path[0]
+            raise PreconditionError(f"config {field}: NaN is not a number")
         flags = {"seed": args.seed, "out": args.out, "format": args.format,
                  "threads": args.threads}
         data.update({key: value for key, value in flags.items() if value is not None})

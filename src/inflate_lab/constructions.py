@@ -32,13 +32,14 @@ import numpy as np
 from . import normed_space as ns
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
 from .geometry import (GridSubset, as_box, box_overlap, domain_box,
-                       domain_measure, sample_box, shrink_box)
+                       domain_measure, grid_points, sample_box, shrink_box)
 from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
                               operator_norm, operator_norm_report, verify_certificate,
                               vol_matrix, inflation_search)
 from .seeding import rng_for
 
 _MAX_SEGMENTS = 2_000_000
+_MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS  # all zigzags of one inflate_on_set
 _MAX_LINEAR_COMBOS = 65_536
 _MAX_CSV_CELLS = 100_000
 
@@ -59,8 +60,8 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     deviation (Euclidean by default; pass a norm evaluation to budget
     deviations in a different norm).
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not eps > 0:
+        raise PreconditionError(f"eps must be positive, got {eps}")
     a_vec = np.asarray(a_vec, dtype=float)
     u = np.asarray(u, dtype=float)
     if a_vec.shape != u.shape:
@@ -403,9 +404,7 @@ class PiecewiseAffineMap:
         if int(np.prod(shape)) > _MAX_CSV_CELLS:
             raise NumericalFailure(
                 f"cell export guard: {int(np.prod(shape))} cells > {_MAX_CSV_CELLS}")
-        from itertools import product as iproduct
-
-        for index in iproduct(*[range(k) for k in shape]):
+        for index in np.ndindex(*shape):
             t_box = np.array([[self.curves[d].breakpoints[index[d]],
                                self.curves[d].breakpoints[index[d] + 1]] for d in range(self.n)])
             linear = self.cell_linear(index)
@@ -469,8 +468,8 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
     vol(A) * prod |eigenvalues|; the sup distance to the affine map
     stays below eps.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not eps > 0:
+        raise PreconditionError(f"eps must be positive, got {eps}")
     if not (0 < lip_scale <= 1.0 + 1e-12):
         raise PreconditionError("lip_scale must lie in (0, 1]")
     if not cert.verified:
@@ -733,29 +732,31 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
                    eta: float, seed: int, f_lip: Optional[float] = None):
     """Push the Jacobian integral of f over E up to eta * lam * H^n(E).
 
-    Pipeline: partition the domain box into a uniform grid; fit an
-    affine map to f on each cell (least squares on a 5^n stencil),
-    nudge it to full rank and generic position, certify an inflation of
-    the rescaled fit, inflate it with per-cell exactness, and glue the
-    patches back into f.  Returns (glued map, report); the achieved
-    integral counts the inflated cores exactly and ignores the blend
-    bands, so it is a certified lower bound.
+    Stages: fit an affine map to f on each cell of a uniform grid that
+    meets E (_inflate_on_grid); the grid starts at 2 cells per axis (or
+    the grid of a GridSubset E) and doubles while some fit is too coarse,
+    up to 64, so it is fixed from the fits before any search.  Then nudge
+    each fit to full rank and generic position, certify an inflation of
+    the rescaled fit (16 restarts for a non-Euclidean pair), inflate it
+    with per-cell exactness, and glue all patches into f once.  Cores keep
+    at least 0.9 of their cell's width.  Returns (glued map, report); the
+    achieved integral counts the inflated cores exactly and ignores the
+    blend bands, so it is a certified lower bound.  A build whose zigzags
+    exceed _MAX_GRID_SEGMENTS segments in all stops with a NumericalFailure.
 
-    The grid starts at 2 cells per axis (or the grid of a GridSubset E)
-    and doubles while the fits are too coarse, up to 64; cores keep at
-    least 0.9 of their cell's width; for a non-Euclidean pair each cell's
-    certificate search runs 16 restarts.  ``f_lip`` is Lip(f) from a_E to
-    b when the caller knows it (the CLI passes the exact constant of its
-    zero or affine maps); without it, Lip(f) is read by _sampled_lipschitz,
-    a lower bound.
+    ``f_lip`` is Lip(f) from a_E to b when the caller knows it (the CLI
+    passes the exact constant of its zero or affine maps); without it,
+    Lip(f) is read by _sampled_lipschitz, a lower bound.
     """
     if not (0 <= eta < 1):
         raise PreconditionError("eta must lie in [0, 1)")
-    if eps <= 0 or lam < 0:
-        raise PreconditionError("eps and lam must be positive")
+    if not eps > 0:
+        raise PreconditionError(f"eps must be positive, got {eps}")
+    if not lam >= 0:
+        raise PreconditionError(f"lam must be nonnegative, got {lam}")
     if a.dim > b.dim:
         raise PreconditionError("requires n <= m")
-    n, m = a.dim, b.dim
+    n = a.dim
 
     subset = E if isinstance(E, GridSubset) else None
     box = domain_box(E)
@@ -768,7 +769,7 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
 
     fbatch = fbatch_orig = _as_batch(f, n)
     est_lip = f_lip if f_lip is not None else _sampled_lipschitz(fbatch, E, a, b, seed)
-    if est_lip > 1.0 + 1e-6:
+    if not est_lip <= 1.0 + 1e-6:
         raise PreconditionError(f"Lip(f) ~ {est_lip} >= 1")
 
     # Split the core-measure requirement between the Lipschitz headroom
@@ -795,20 +796,60 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     k = 2
     if subset is not None:
         k = max(k, *subset.shape)
-    while True:
-        try:
-            return _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed,
-                                    sigma_eff, L0, delta_glue, k, min(est_lip, L0),
-                                    prescaled, target, measure_E, fbatch_orig)
-        except _FitTooCoarse:
-            if 2 * k > 64:
-                raise NumericalFailure(
-                    f"affine fits do not converge at {k} cells per axis")
-            k *= 2
+    while (rows := _inflate_on_grid(fbatch, box, subset, b, sigma_eff, delta_glue, k)) is None:
+        if 2 * k > 64:
+            raise NumericalFailure(f"affine fits do not converge at {k} cells per axis")
+        k *= 2
 
+    patch_maps = []
+    achieved = 0.0
+    lip_cells = 0.0
+    segments = 0
+    for lin_idx, idx, cell, core, rho, M_fit, c_fit in rows:
+        budget = delta_glue * rho
+        M_i = _nudged(M_fit, 0.20 * budget, cell, a, b, L0, rng_for(seed, 4242, lin_idx))
+        cert = inflation_search(LinearMap(M_i / L0, a, b), lam, restarts=16,
+                                seed=seed + 101 * lin_idx)
+        if cert is None:
+            raise NumericalFailure(f"no inflation certificate for cell {idx}")
+        g_i = inflate_affine(LinearMap(M_i, a, b), cert, cell, 0.45 * budget,
+                             offset=c_fit, lip_scale=L0)
+        segments += sum(curve.segment_count for curve in g_i.curves)
+        if segments > _MAX_GRID_SEGMENTS:
+            raise NumericalFailure(f"zigzag resolution guard: {segments} segments after "
+                                   f"{len(patch_maps) + 1} of {len(rows)} cells, {k} per axis")
+        patch_maps.append(g_i)
+        lip_cells = max(lip_cells, g_i.declared_lip)
+        core_measure = subset.overlap(core) if subset is not None else box_overlap(core, box)
+        achieved += g_i.constant_cell_vol * core_measure
 
-class _FitTooCoarse(Exception):
-    pass
+    spec = PatchSpec(tuple(row[3] for row in rows), tuple(row[4] for row in rows),
+                     tuple(patch_maps), fbatch, delta_glue, a, b)
+    glued = glue_patches(spec, L0, seed=seed)
+
+    probes = sample_box(box, 10_000, rng_for(seed, 9090))
+    sup_dist = float(np.max(ns._eval_many(
+        b, glued.eval_many(probes) - fbatch_orig(probes))))
+
+    if achieved < target - 1e-9:
+        raise NumericalFailure(f"achieved integral {achieved} below target {target}")
+    return glued, InflateReport(
+        achieved_integral=float(achieved),
+        target_integral=float(target),
+        domain_measure=float(measure_E),
+        sup_distance=sup_dist,
+        lip_cells_exact=float(lip_cells),
+        lip_glue_bound=float(L0 + 4.0 * delta_glue),
+        cell_grid=(k,) * n,
+        sigma=float(sigma_eff),
+        lip_scale=float(L0),
+        lam=float(lam),
+        eta=float(eta),
+        eps=float(eps),
+        seed=int(seed),
+        prescaled=bool(prescaled),
+        patch_count=len(rows),
+    )
 
 
 def _as_batch(f: Callable, n: int) -> Callable:
@@ -880,96 +921,33 @@ def _sampled_lipschitz(fbatch: Callable, E, a: ns.Norm, b: ns.Norm, seed: int,
     return float(np.max(quot)) if quot.size else 0.0
 
 
-def _inflate_on_grid(fbatch, box, subset, a, b, lam, eps, eta, seed, sigma, L0,
-                     delta_glue, k, est_lip, prescaled, target, measure_E, fbatch_orig):
-    n, m = a.dim, b.dim
+def _inflate_on_grid(fbatch, box, subset, b, sigma, delta_glue, k):
+    """Fit stage of inflate_on_set on the grid of k cells per axis over ``box``.
+
+    One row (lin_idx, idx, cell, core, rho, M_fit, c_fit) per cell that meets
+    E, with lin_idx the cell's row-major index in the full grid, and (M_fit,
+    c_fit) the least-squares fit to f on a 5^n stencil; None when some fit
+    misses f by more than 0.30 delta_glue rho, that is when the grid is too coarse.
+    """
     widths = (box[:, 1] - box[:, 0]) / k
-
-    patch_sets = []
-    patch_maps = []
-    radii = []
-    achieved = 0.0
-    lip_cells = 0.0
-    from itertools import product as iproduct
-
-    cells = list(iproduct(*[range(k) for _ in range(n)]))
-    for lin_idx, idx in enumerate(cells):
+    rho = min(1.0, 0.9 * float(np.min((1.0 - sigma) * 0.5 * widths)))
+    if rho <= 0:
+        raise NumericalFailure("cell too small for a positive glue radius")
+    budget = delta_glue * rho
+    rows = []
+    for lin_idx, idx in enumerate(np.ndindex(*(k,) * box.shape[0])):
         lo = box[:, 0] + np.asarray(idx) * widths
         cell = np.stack([lo, lo + widths], axis=1)
         if subset is not None and subset.overlap(cell) <= 0.0:
             continue
-        core = shrink_box(cell, sigma)
-        rho = min(1.0, 0.9 * float(np.min((1.0 - sigma) * 0.5 * widths)))
-        if rho <= 0:
-            raise NumericalFailure("cell too small for a positive glue radius")
-        budget = delta_glue * rho
-
-        stencil = _stencil(cell, 5)
+        stencil = grid_points(shrink_box(cell, 0.999), 5)
         values = fbatch(stencil)
         M_fit, c_fit = _affine_fit(stencil, values)
         fit_err = float(np.max(ns._eval_many(b, values - stencil @ M_fit.T - c_fit)))
         if fit_err > 0.30 * budget:
-            raise _FitTooCoarse()
-
-        nudge_budget = 0.20 * budget
-        rng = rng_for(seed, 4242, lin_idx)
-        M_i = _nudged(M_fit, nudge_budget, cell, a, b, L0, rng)
-
-        cert = inflation_search(LinearMap(M_i / L0, a, b), lam, restarts=16,
-                                seed=seed + 101 * lin_idx)
-        if cert is None:
-            raise NumericalFailure(f"no inflation certificate for cell {idx}")
-
-        zig_eps = 0.45 * budget
-        g_i = inflate_affine(LinearMap(M_i, a, b), cert, cell, zig_eps,
-                             offset=c_fit, lip_scale=L0)
-        patch_sets.append(core)
-        patch_maps.append(g_i)
-        radii.append(rho)
-        lip_cells = max(lip_cells, g_i.declared_lip)
-        core_measure = subset.overlap(core) if subset is not None else box_overlap(core, box)
-        achieved += g_i.constant_cell_vol * core_measure
-
-    if not patch_sets:
-        raise NumericalFailure("no cells intersect the target set")
-
-    spec = PatchSpec(tuple(patch_sets), tuple(radii), tuple(patch_maps),
-                     fbatch, delta_glue, a, b)
-    glued = glue_patches(spec, max(L0, est_lip), seed=seed)
-
-    rng = rng_for(seed, 9090)
-    probes = sample_box(box, 10_000, rng)
-    sup_dist = float(np.max(ns._eval_many(
-        b, glued.eval_many(probes) - fbatch_orig(probes))))
-
-    report = InflateReport(
-        achieved_integral=float(achieved),
-        target_integral=float(target),
-        domain_measure=float(measure_E),
-        sup_distance=sup_dist,
-        lip_cells_exact=float(lip_cells),
-        lip_glue_bound=float(max(L0, est_lip) + 4.0 * delta_glue),
-        cell_grid=(k,) * n,
-        sigma=float(sigma),
-        lip_scale=float(L0),
-        lam=float(lam),
-        eta=float(eta),
-        eps=float(eps),
-        seed=int(seed),
-        prescaled=bool(prescaled),
-        patch_count=len(patch_sets),
-    )
-    if achieved < target - 1e-9:
-        raise NumericalFailure(
-            f"achieved integral {achieved} below target {target}")
-    return glued, report
-
-
-def _stencil(cell, per_axis: int) -> np.ndarray:
-    from .geometry import grid_points
-
-    inner = shrink_box(cell, 0.999)
-    return grid_points(inner, per_axis)
+            return None
+        rows.append((lin_idx, idx, cell, shrink_box(cell, sigma), rho, M_fit, c_fit))
+    return rows
 
 
 def _affine_fit(points: np.ndarray, values: np.ndarray):
@@ -987,12 +965,8 @@ def _nudged(M, budget, cell, a, b, L0, rng) -> np.ndarray:
     is divided by the largest absolute coordinate norm over the cell,
     not by the cell half-width.
     """
-    m, n = M.shape
-    from itertools import product as iproduct
-
-    corners = np.array([[cell[d, e] for d, e in enumerate(combo)]
-                        for combo in iproduct((0, 1), repeat=n)])
-    rad = float(np.max(np.linalg.norm(corners, axis=1)))
+    m = M.shape[0]
+    rad = float(np.max(np.linalg.norm(grid_points(cell, 2), axis=1)))
     zeta_cap = 0.5 * budget / max(rad, 1e-12)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     zeta = min(max(zeta_cap, 1e-12), 0.05 * L0, 0.5 * L0)

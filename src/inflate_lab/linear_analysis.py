@@ -554,6 +554,8 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
     norm_vol = ns.vol_of_norm(a)
     lam_normalized = norm_vol * lam
     matrices = [float_array(M, "include matrix") for M in (include or [])]
+    if any(not np.any(M) for M in matrices):
+        raise PreconditionError("include holds a zero matrix, which no rescaling brings to norm 1")
     rng = rng_for(seed, 5001)
     while len(matrices) < samples + len(include or []):
         G = rng.standard_normal((b.dim, a.dim))

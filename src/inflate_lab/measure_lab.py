@@ -752,6 +752,9 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
         raise PreconditionError("need restarts >= 1 and grid >= 2")
     if not all(eps > 0 for eps in config.eps_schedule):
         raise PreconditionError("every eps in eps_schedule must be positive")
+    for name in ("r", "threshold"):
+        if getattr(config, name) is not None and math.isnan(getattr(config, name)):
+            raise PreconditionError(f"{name} must be a number, got NaN")
     u = np.asarray(config.u, dtype=float)
     if u.shape != (config.m,):
         raise PreconditionError("u must have the codomain dimension")
@@ -888,6 +891,7 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
     draw depends on the ascent, so the result does not depend on batching.
     """
     n, m = a.dim, b.dim
+    # the same cell norms in closed form; the general path slows the negative benchmark by ~45%
     fast_norms = n == 2 and a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b)
     seg_len = 2.0 / k
     steps = max(steps, 0)

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import inflate_lab
 from inflate_lab import cli
+from inflate_lab import constructions as co
 from inflate_lab import linear_analysis as la
 from inflate_lab import maximal_volume as mv
 from inflate_lab import measure_lab as ml
@@ -175,6 +177,65 @@ class TestRun:
         assert captured.out == ""
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"]["type"] == "precondition"
+
+    @pytest.mark.parametrize("command, params, pointer, field", [
+        ("experiment-negative", {"u": [1, 0], "r": math.nan, "eps_schedule": [0.5]}, "r", "r"),
+        ("experiment-negative", {"u": [1, 0], "r": 0.3, "threshold": math.nan,
+                                 "eps_schedule": [0.5]}, "threshold", "threshold"),
+        ("inflate", {"map": {"entries": [[0.5, 0], [0, 0.5]], "domain_norm": EUCL2,
+                             "codomain_norm": EUCL2},
+                     "box": [[0, 1], [0, 1]], "eps": math.nan, "lambda": 0.5}, "eps", "eps"),
+        ("experiment-positive", {"box": [[0, 1], [0, 1]], "m": 2, "f": {"kind": "zero"},
+                                 "eta": 0.5, "eps_schedule": [math.nan]}, "eps_schedule/0", "eps"),
+        ("experiment-positive", {"box": [[0, 1], [0, 1]], "m": 2, "f": {"kind": "zero"},
+                                 "eta": 0.5, "lambda": math.nan, "eps_schedule": [0.5]},
+         "lambda", "lam"),
+    ], ids=["negative-r", "negative-threshold", "inflate-eps", "positive-eps", "positive-lambda"])
+    def test_nan_is_refused_where_it_enters(self, capsys, command, params, pointer, field):
+        # the CLI refuses NaN while it parses the JSON, naming the param ...
+        assert main([command, "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "precondition"
+        assert err["message"] == f"config params.{pointer}: NaN is not a number"
+        # ... and the library refuses it where the number is first used
+        assert run(ExperimentConfig(command, params)) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "precondition"
+        assert err["message"].startswith(field + " must be")
+
+    def test_nan_in_a_config_file_is_named(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"params": {"u": [1, 0], "r": 0.3, "eps_schedule": [0.5, NaN]}}')
+        assert main(["experiment-negative", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "precondition",
+                       "message": "config params.eps_schedule/1: NaN is not a number"}
+
+    def test_infinity_stays_a_number(self, capsys):
+        params = '{"u": [1, 0], "r": 0.3, "threshold": Infinity, "eps_schedule": [0.5], ' \
+                 '"grid": 2, "restarts": 1, "steps": 1}'
+        assert main(["experiment-negative", "--params", params]) == 0
+        records = json.loads(capsys.readouterr().out)["report"]["records"]
+        assert records[0]["superlevel_fraction"] == 0.0
+
+    def test_zero_include_matrix_is_refused_before_any_division(self, capsys):
+        params = {"a": EUCL2, "b": EUCL2, "lambda": 1, "samples": 1,
+                  "include": [[[0, 0], [0, 0]]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["probe-pair", "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "precondition" and "include" in err["message"]
+
+    def test_segment_guard_stops_the_build_with_a_typed_error(self, capsys, monkeypatch):
+        # the README positive job builds 4 cells of two 176,284-segment zigzags per eps
+        monkeypatch.setattr(co, "_MAX_GRID_SEGMENTS", 1_000_000)
+        params = {"box": [[-1, 1], [-1, 1]], "m": 3, "f": {"kind": "zero"}, "eta": 0.9,
+                  "eps_schedule": [0.2, 0.1]}
+        assert main(["experiment-positive", "--params", json.dumps(params), "--seed", "0"]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "numerical"
+        assert err["message"].startswith("zigzag resolution guard: 1057704 segments after 3 of 4")
 
     def test_unknown_command(self):
         assert run(ExperimentConfig("frobnicate", {})) == 2

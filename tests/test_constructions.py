@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -542,3 +543,72 @@ class TestInflateOnSet:
         with pytest.raises(PreconditionError):
             co.inflate_on_set(lambda xs: xs @ M.T, BOX, ns.euclidean(2),
                               ns.euclidean(2), 1.0, 0.1, 0.5, seed=0)
+
+    def test_coarse_fits_double_the_grid(self, monkeypatch):
+        calls = []
+        grid = co._inflate_on_grid
+
+        def counted(*args):
+            calls.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(co, "_inflate_on_grid", counted)
+        f = lambda xs: 0.5 * np.stack([xs[:, 0], xs[:, 1], 0.01 * xs[:, 0] ** 2], axis=1)
+        glued, report = co.inflate_on_set(f, [[0.0, 1.0], [0.0, 1.0]], ns.euclidean(2),
+                                          ns.euclidean(3), 1.0, 0.2, 0.5, seed=0, f_lip=0.51)
+        assert report.cell_grid == (4, 4)
+        assert len(calls) == 2
+        assert report.achieved_integral >= report.target_integral
+        assert report.sup_distance <= 0.2
+        assert report.lip_glue_bound <= 1.0
+
+    def test_fits_that_never_converge_stop_at_64_cells(self):
+        f = lambda xs: 0.4 * np.stack([np.sin(xs[:, 0]), np.sin(xs[:, 1]),
+                                       np.zeros(xs.shape[0])], axis=1)
+        with pytest.raises(NumericalFailure, match="do not converge at 64 cells per axis"):
+            co.inflate_on_set(f, BOX, ns.euclidean(2), ns.euclidean(3), 1.0, 0.1, 0.9, seed=0)
+
+    # Byte-level pins of three paths the README jobs do not take: every report
+    # field by repr, and a sha256 over the patches' breakpoints and slopes.
+    @pytest.mark.parametrize("make, report, digest", [
+        (lambda: co.inflate_on_set(
+            lambda xs: np.zeros((xs.shape[0], 3)), BOX, ns.l1(2), ns.linf(3), 1.0, 0.2, 0.5,
+            seed=2),
+         co.InflateReport(
+             achieved_integral=2.7000017062902097, target_integral=2.0, domain_measure=4.0,
+             sup_distance=0.00024036941781317996, lip_cells_exact=0.9064126192070304,
+             lip_glue_bound=0.9981282523841406, cell_grid=(2, 2), sigma=0.9064126192070305,
+             lip_scale=0.9064126192070304, lam=1.0, eta=0.5, eps=0.2, seed=2, prescaled=False,
+             patch_count=4),
+         "dc4acc001afdfc41038edc7f9ce7a8d688023de45273d82b46ee9ef30498e438"),
+        (lambda: co.inflate_on_set(
+            lambda xs: np.zeros((xs.shape[0], 3)),
+            GridSubset(BOX, (2, 2), np.array([[True, True], [False, True]])),
+            ns.euclidean(2), ns.euclidean(3), 1.0, 0.2, 0.5, seed=4),
+         co.InflateReport(
+             achieved_integral=2.0250000000000004, target_integral=1.5, domain_measure=3.0,
+             sup_distance=0.000322422758888627, lip_cells_exact=0.9064126192070306,
+             lip_glue_bound=0.9981282523841406, cell_grid=(2, 2), sigma=0.9064126192070305,
+             lip_scale=0.9064126192070304, lam=1.0, eta=0.5, eps=0.2, seed=4, prescaled=False,
+             patch_count=3),
+         "a87b36950347550b06282f85b62cfae72d7f17600600bb356b1d8306ce03c314"),
+        (lambda: co.inflate_on_set(
+            lambda xs: xs @ (0.99 * np.eye(3, 2)).T + 0.1, BOX, ns.euclidean(2),
+            ns.euclidean(3), 1.0, 0.2, 0.5, seed=6, f_lip=0.99),
+         co.InflateReport(
+             achieved_integral=2.8493193612338175, target_integral=2.0, domain_measure=4.0,
+             sup_distance=0.0802566377967507, lip_cells_exact=0.9377737232063839,
+             lip_glue_bound=0.9987554744641277, cell_grid=(2, 2), sigma=0.9,
+             lip_scale=0.9377737232063839, lam=1.0, eta=0.5, eps=0.2, seed=6, prescaled=True, patch_count=4),
+         "da6e1dec7db4a068ad361ed149aeeb1c25cbb8ad85d9f133b1a748d1f0d75ebb"),
+    ], ids=["zero-l1-linf-searched", "three-of-four-cells", "prescaled-affine"])
+    def test_pipeline_outputs_are_pinned(self, make, report, digest):
+        glued, got = make()
+        for field in dataclasses.fields(co.InflateReport):
+            assert repr(getattr(got, field.name)) == repr(getattr(report, field.name)), field.name
+        h = hashlib.sha256()
+        for g_i in glued.spec.patch_maps:
+            for curve in g_i.curves:
+                h.update(curve.breakpoints.tobytes())
+                h.update(curve.slopes.tobytes())
+        assert h.hexdigest() == digest
