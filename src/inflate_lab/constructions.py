@@ -399,27 +399,35 @@ class PiecewiseAffineMap:
         )
 
     def cell_records(self):
-        """Yield (index, t_box, linear, offset) per cell, for CSV export."""
+        """Iterator of (index, t_box, linear, offset) per cell, for CSV export.
+
+        The cell-count guard runs on the call, before any record is made.
+        """
         shape = self.cell_shape()
         if int(np.prod(shape)) > _MAX_CSV_CELLS:
             raise NumericalFailure(
                 f"cell export guard: {int(np.prod(shape))} cells > {_MAX_CSV_CELLS}")
-        for index in np.ndindex(*shape):
-            t_box = np.array([[self.curves[d].breakpoints[index[d]],
-                               self.curves[d].breakpoints[index[d] + 1]] for d in range(self.n)])
-            linear = self.cell_linear(index)
-            corner_t = t_box[:, 0]
-            corner_x = self.basis @ corner_t
-            value = self.eval_many(corner_x[None, :])[0]
-            offset = value - linear @ corner_x
-            yield index, t_box, linear, offset
+        return map(self._cell_record, np.ndindex(*shape))
+
+    def _cell_record(self, index) -> tuple:
+        t_box = np.array([[self.curves[d].breakpoints[index[d]],
+                           self.curves[d].breakpoints[index[d] + 1]] for d in range(self.n)])
+        linear = self.cell_linear(index)
+        corner_x = self.basis @ t_box[:, 0]
+        value = self.eval_many(corner_x[None, :])[0]
+        return index, t_box, linear, value - linear @ corner_x
 
 
 def pa_cells_to_csv(pam: PiecewiseAffineMap, path: str) -> None:
-    """Flat CSV of cell records (one row per cell) for external plotting."""
+    """Flat CSV of cell records (one row per cell) for external plotting.
+
+    The export guard runs before ``path`` is opened, so a refused export
+    leaves an existing file as it was.
+    """
     import csv
 
     n, m = pam.n, pam.m
+    records = pam.cell_records()
     header = (["index"]
               + [f"t{d}_{end}" for d in range(n) for end in ("lo", "hi")]
               + [f"linear_{i}_{j}" for i in range(m) for j in range(n)]
@@ -428,7 +436,7 @@ def pa_cells_to_csv(pam: PiecewiseAffineMap, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for index, t_box, linear, offset in pam.cell_records():
+        for index, t_box, linear, offset in records:
             row = ["x".join(str(i) for i in index)]
             row += [repr(float(v)) for v in t_box.ravel()]
             row += [repr(float(v)) for v in linear.ravel()]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from itertools import combinations, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -197,7 +198,9 @@ def _pack_keys(idx: np.ndarray) -> np.ndarray:
     d = idx.shape[1]
     bits = 63 // d
     off = 1 << (bits - 1)
-    if np.any(np.abs(idx) >= off - 1):
+    # two one-sided tests: np.abs(INT64_MIN), where a cast of a float past
+    # int64 lands, is INT64_MIN again and would pass
+    if np.any(idx >= off - 1) or np.any(idx <= 1 - off):
         raise NumericalFailure("box-count guard: image extends too far for this box size")
     key = idx[:, 0] + off
     for j in range(1, d):
@@ -209,7 +212,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys, byte for byte np.unique(keys), by sort and neighbour compare.
 
     numpy 2's plain np.unique on int64 takes a hash-table path several
-    times slower than a sort; every box-key path goes through here instead.
+    times slower than a sort; the patch and cloud keys go through here
+    instead.  _mass_from_parts keeps np.unique with return_index, which
+    takes numpy's mergesort path rather than the hash path.
     """
     keys = np.sort(keys)
     keep = np.ones(keys.shape, dtype=bool)
@@ -229,17 +234,6 @@ def _box_keys(points: np.ndarray, box_size: float) -> np.ndarray:
     return _pack_keys(np.floor(points / box_size).astype(np.int64))
 
 
-def _raster_columns(lo_x: float, hi_x: float, s: float) -> np.ndarray:
-    """Column indices floor(lo_x / s) .. floor(hi_x / s), guarded before allocating."""
-    a, b = lo_x / s, hi_x / s
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NumericalFailure("box-count raster guard: footprint too large")
-    u_lo, u_hi = math.floor(a), math.floor(b)
-    if u_hi - u_lo + 1 > _MAX_RASTER_BOXES:
-        raise NumericalFailure("box-count raster guard: footprint too large")
-    return np.arange(u_lo, u_hi + 1)
-
-
 def _direction_factor(cols: np.ndarray) -> float:
     """L1 mass of the unit tangent plane's coordinate minors.
 
@@ -250,12 +244,26 @@ def _direction_factor(cols: np.ndarray) -> float:
     """
     q, _ = np.linalg.qr(cols)
     m, n = q.shape
-    from itertools import combinations
-
     total = 0.0
     for rows in combinations(range(m), n):
         total += abs(float(np.linalg.det(q[list(rows), :])))
     return total
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray, what: str):
+    """(counts, values): the integer runs floor(lo) .. floor(hi), end to end.
+
+    ``lo`` and ``hi`` are per-column bounds in box units.  The guard runs
+    before the runs are allocated, on a float total that neither wraps nor
+    passes non-finite bounds; ``what`` names the stage in its message.
+    """
+    first, last = np.floor(lo), np.floor(hi)
+    if not float(np.sum(last - first + 1)) <= _MAX_RASTER_BOXES:
+        raise NumericalFailure(f"box-count raster guard: {what} too large")
+    first = first.astype(np.int64)
+    counts = last.astype(np.int64) - first + 1
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return counts, first.repeat(counts) + (np.arange(int(counts.sum())) - np.repeat(starts, counts))
 
 
 def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
@@ -271,19 +279,16 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
     m, n = cols.shape
     if vol_matrix(cols) <= 1e-14:
         return None
-    from itertools import combinations
-
+    # idx holds one index column per coordinate of fp + rest; lo and hi
+    # hold each footprint coordinate's extent over the same rows
     if n == 2:
-        best, fp = -1.0, None
-        for p, q in combinations(range(m), 2):
-            d = abs(cols[p, 0] * cols[q, 1] - cols[p, 1] * cols[q, 0])
-            if d > best:
-                best, fp = d, (p, q)
+        fp = list(max(combinations(range(m), 2), key=lambda pq: abs(
+            cols[pq[0], 0] * cols[pq[1], 1] - cols[pq[0], 1] * cols[pq[1], 0])))
         corners_t = np.array([[tbox[0, 0], tbox[1, 0]], [tbox[0, 1], tbox[1, 0]],
                               [tbox[0, 1], tbox[1, 1]], [tbox[0, 0], tbox[1, 1]]])
-        corners = corners_t @ cols.T + off
-        quad = corners[:, list(fp)]
-        us = _raster_columns(quad[:, 0].min(), quad[:, 0].max(), s)
+        quad = (corners_t @ cols.T + off)[:, fp]
+        _, us = _spans(quad[:, 0].min(keepdims=True) / s, quad[:, 0].max(keepdims=True) / s,
+                       "footprint")
         xa = us * s
         xb = xa + s
         vmin = np.full(us.shape, np.inf)
@@ -305,137 +310,92 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
         keep = vmax >= vmin
         if not np.any(keep):
             return None
-        us, xa, xb, vmin, vmax = us[keep], xa[keep], xb[keep], vmin[keep], vmax[keep]
-        v_lo = np.floor(vmin / s).astype(np.int64)
-        v_hi = np.floor(vmax / s).astype(np.int64)
-        counts = v_hi - v_lo + 1
-        total = int(counts.sum())
-        if total > _MAX_RASTER_BOXES:
-            raise NumericalFailure("box-count raster guard: footprint too large")
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        col_v = v_lo.repeat(counts) + (np.arange(total) - np.repeat(starts, counts))
-        idx_cols = {fp[0]: us.repeat(counts), fp[1]: col_v}
-        intervals = {fp[0]: (xa.repeat(counts), xb.repeat(counts)),
-                     fp[1]: (col_v * s, col_v * s + s)}
-        footprint = list(fp)
+        counts, v = _spans(vmin[keep] / s, vmax[keep] / s, "footprint")
+        idx = [us[keep].repeat(counts), v]
+        lo = [xa[keep].repeat(counts), v * s]
+        hi = [xb[keep].repeat(counts), v * s + s]
     else:
-        p = int(np.argmax(np.abs(cols[:, 0])))
+        fp = [int(np.argmax(np.abs(cols[:, 0])))]
         ends = np.array([tbox[0, 0], tbox[0, 1]])[:, None] * cols[:, 0][None, :] + off
-        lo_x, hi_x = float(ends[:, p].min()), float(ends[:, p].max())
-        us = _raster_columns(lo_x, hi_x, s)
-        xa = np.clip(us * s, lo_x, hi_x)
-        xb = np.clip(us * s + s, lo_x, hi_x)
-        idx_cols = {p: us}
-        intervals = {p: (xa, xb)}
-        footprint = [p]
+        lo_x, hi_x = ends[:, fp].min(axis=0), ends[:, fp].max(axis=0)
+        _, us = _spans(lo_x / s, hi_x / s, "footprint")
+        idx, lo, hi = [us], [np.clip(us * s, lo_x, hi_x)], [np.clip(us * s + s, lo_x, hi_x)]
 
-    rest = [c for c in range(m) if c not in footprint]
+    rest = [c for c in range(m) if c not in fp]
     if rest:
-        F = cols[footprint, :]
-        F_inv = np.linalg.inv(F)
-        zc = cols[rest, :] @ F_inv
-        z0 = off[rest] - zc @ off[footprint]
-        for r_pos, coord in enumerate(rest):
-            z_min = np.full(next(iter(idx_cols.values())).shape, z0[r_pos])
-            z_max = z_min.copy()
-            for d_pos, d_coord in enumerate(footprint):
-                lo_i, hi_i = intervals[d_coord]
-                c = zc[r_pos, d_pos]
-                z_min = z_min + np.minimum(c * lo_i, c * hi_i)
-                z_max = z_max + np.maximum(c * lo_i, c * hi_i)
-            w_lo = np.floor(z_min / s).astype(np.int64)
-            w_hi = np.floor(z_max / s).astype(np.int64)
-            spans = w_hi - w_lo + 1
-            total = int(spans.sum())
-            if total > _MAX_RASTER_BOXES:
-                raise NumericalFailure("box-count raster guard: column spans too large")
-            starts = np.concatenate([[0], np.cumsum(spans)[:-1]])
-            new_idx = w_lo.repeat(spans) + (np.arange(total) - np.repeat(starts, spans))
-            for key in list(idx_cols):
-                idx_cols[key] = idx_cols[key].repeat(spans)
-            for key in list(intervals):
-                a_i, b_i = intervals[key]
-                intervals[key] = (a_i.repeat(spans), b_i.repeat(spans))
-            idx_cols[coord] = new_idx
-            intervals[coord] = (new_idx * s, new_idx * s + s)
+        zc = cols[rest, :] @ np.linalg.inv(cols[fp, :])
+        z0 = off[rest] - zc @ off[fp]
+        for r in range(len(rest)):
+            z_min = z_max = z0[r]
+            for c, lo_d, hi_d in zip(zc[r], lo, hi):
+                z_min = z_min + np.minimum(c * lo_d, c * hi_d)
+                z_max = z_max + np.maximum(c * lo_d, c * hi_d)
+            counts, w = _spans(z_min / s, z_max / s, "column spans")
+            idx = [col.repeat(counts) for col in idx] + [w]
+            if r + 1 < len(rest):
+                lo = [col.repeat(counts) for col in lo]
+                hi = [col.repeat(counts) for col in hi]
 
-    return _distinct(_pack_keys(np.stack([idx_cols[c] for c in range(m)], axis=1)))
+    order = np.argsort(fp + rest)
+    return _distinct(_pack_keys(np.stack([idx[i] for i in order], axis=1)))
 
 
 def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndarray):
     """(keys, weights) of the occupied boxes of pam(window), for a box ``window``.
 
-    Each affine cell's occupied boxes are enumerated exactly by column
-    scanline, weighted by the inverse direction factor of their cell.
-    For zigzag-dense maps (huge cell counts) the image lies within the
-    stored deviation of an affine reference, which is rasterized instead
-    when that deviation is far below one box.
+    When the window is a box in t (every row of basis^-1 has at most one
+    nonzero) and the map has at most 200,000 cells, each affine cell's
+    occupied boxes are enumerated exactly by column scanline, weighted by
+    the inverse direction factor of their cell.  Otherwise (a tilted
+    basis, or zigzag-dense maps) the image lies within the stored
+    deviation of an affine reference, which is rasterized over the
+    window instead when that deviation is at most 0.3 box; without such
+    a reference the raster guard is raised.
     """
-    n, m = pam.n, pam.m
-    if int(np.prod([c.segment_count for c in pam.curves])) > 200_000:
+    T = pam.coord_map
+    tilted = bool(np.any(np.count_nonzero(T, axis=1) > 1))
+    if tilted or int(np.prod(pam.cell_shape())) > 200_000:
         if pam.affine_ref is None or pam.affine_ref[2] > 0.3 * box_size:
+            why = "tilted basis" if tilted else "too many cells"
             raise NumericalFailure(
-                "box-count raster guard: too many cells and no tight affine reference")
+                f"box-count raster guard: {why} and no tight affine reference")
         A_ref, off_ref, _dev = pam.affine_ref
         keys = _affine_patch_keys(A_ref, off_ref, window, box_size)
         if keys is None:
             return (np.zeros(0, dtype=np.int64), np.zeros(0))
         return keys, np.full(keys.shape, 1.0 / _direction_factor(A_ref))
 
-    # t-range of the window (bounding parallelepiped when the basis is tilted)
-    T = pam.coord_map
-    t_window = np.empty((n, 2))
-    for d in range(n):
-        row = T[d, :]
-        t_window[d, 0] = float(np.minimum(row * window[:, 0], row * window[:, 1]).sum())
-        t_window[d, 1] = float(np.maximum(row * window[:, 0], row * window[:, 1]).sum())
+    # the t-range of the window: exact, since T maps the window onto a box
+    scaled = T[:, :, None] * window[None, :, :]
+    t_window = np.stack([scaled.min(axis=2).sum(axis=1), scaled.max(axis=2).sum(axis=1)],
+                        axis=1)
+    # per axis, the live segments in the window: (t-interval, slope, value at its start)
+    axes = []
+    for d, curve in enumerate(pam.curves):
+        b, last = curve.breakpoints, curve.segment_count - 1
+        i0 = int(np.clip(np.searchsorted(b, t_window[d, 0], side="right") - 1, 0, last))
+        i1 = int(np.clip(np.searchsorted(b, t_window[d, 1], side="left") - 1, 0, last)) + 1
+        seg = np.stack([np.maximum(b[i0:i1], t_window[d, 0]),
+                        np.minimum(b[i0 + 1:i1 + 1], t_window[d, 1])], axis=1)
+        live = seg[:, 1] > seg[:, 0]
+        axes.append(list(zip(seg[live], curve.slopes[i0:i1][live],
+                             curve.eval_many(seg[live, 0]))))
 
-    factor_cache: dict = {}
-
-    def factor_for(cols: np.ndarray) -> float:
-        key = cols.tobytes()
-        if key not in factor_cache:
-            factor_cache[key] = _direction_factor(cols)
-        return factor_cache[key]
-
+    factors: dict = {}
     keys_parts = []
     weights_parts = []
-    curve_axes = []
-    for d in range(n):
-        b = pam.curves[d].breakpoints
-        lo = int(np.clip(np.searchsorted(b, t_window[d, 0], side="right") - 1,
-                         0, pam.curves[d].segment_count - 1))
-        hi = int(np.clip(np.searchsorted(b, t_window[d, 1], side="left") - 1,
-                         0, pam.curves[d].segment_count - 1))
-        curve_axes.append((b, lo, hi))
-
-    from itertools import product as iproduct
-
-    ranges = [range(lo, hi + 1) for _, lo, hi in curve_axes]
-    for index in iproduct(*ranges):
-        tbox = np.empty((n, 2))
-        skip = False
-        for d in range(n):
-            b, _, _ = curve_axes[d]
-            a_t = max(float(b[index[d]]), float(t_window[d, 0]))
-            b_t = min(float(b[index[d] + 1]), float(t_window[d, 1]))
-            if b_t <= a_t:
-                skip = True
-                break
-            tbox[d] = (a_t, b_t)
-        if skip:
-            continue
-        cols = np.stack([pam.curves[d].slopes[index[d]] for d in range(n)], axis=1)
-        corner_t = tbox[:, 0]
-        value = pam.anchor_value.copy()
-        for d in range(n):
-            value = value + pam.curves[d].eval_many(np.array([corner_t[d]]))[0]
-        cell_off = value - cols @ corner_t
-        keys = _affine_patch_keys(cols, cell_off, tbox, box_size)
+    for cell in product(*axes):
+        tbox = np.array([t for t, _, _ in cell])
+        cols = np.stack([slope for _, slope, _ in cell], axis=1)
+        value = sum((start for _, _, start in cell), pam.anchor_value)
+        keys = _affine_patch_keys(cols, value - cols @ tbox[:, 0], tbox, box_size)
         if keys is None:
             continue
+        fkey = cols.tobytes()
+        if fkey not in factors:
+            factors[fkey] = _direction_factor(cols)
         keys_parts.append(keys)
-        weights_parts.append(np.full(keys.shape, 1.0 / factor_for(cols)))
+        weights_parts.append(np.full(keys.shape, 1.0 / factors[fkey]))
 
     if not keys_parts:
         return (np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -472,6 +432,11 @@ def _calibration(n: int, m: int, box_size: float) -> float:
     return float((last + 1) ** n) * box_size ** n
 
 
+def _check_desk_scale(n: int, m: int) -> None:
+    if n > 2 or m > 4:
+        raise PreconditionError("box-counting is desk-scale only: n <= 2, m <= 4")
+
+
 def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[float] = None,
                            seed: int = 0) -> MeasureReport:
     """Box-counting estimate of H^n(g(E)) in R^m.
@@ -493,8 +458,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     """
     box = domain_box(E)
     n = box.shape[0]
-    if n > 2 or m > 4:
-        raise PreconditionError("box-counting is desk-scale only: n <= 2, m <= 4")
+    _check_desk_scale(n, m)
     if box_size <= 0:
         raise PreconditionError("box_size must be positive")
     if isinstance(g, (PiecewiseAffineMap, GluedMap)):
@@ -693,6 +657,8 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
     # Lip(f) of a descriptor is exact: 0, or ||M||_{a->b}
     f_lip = 0.0 if config.f["kind"] == "zero" else operator_norm(
         LinearMap(np.asarray(config.f["linear"], dtype=float), a, b))
+    if config.run_boxcount and config.m > n:
+        _check_desk_scale(n, config.m)
     records = []
     for eps in config.eps_schedule:
         glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),

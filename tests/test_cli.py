@@ -316,6 +316,35 @@ class TestRun:
         assert lines[0].startswith("index,t0_lo")
         assert len(lines) > 1
 
+    def test_refused_cell_csv_leaves_the_out_file_alone(self, capsys, tmp_path):
+        # 615,860 cells: over the export guard, which must trip before --out is opened
+        params = {
+            "map": {"entries": [[0.5, 0.0], [0.0, 0.4], [0.0, 0.0]],
+                    "domain_norm": EUCL2,
+                    "codomain_norm": {"dim": 3, "kind": "euclidean"}},
+            "box": [[-1.0, 1.0], [-1.0, 1.0]], "eps": 0.005, "lambda": 1.0,
+        }
+        out = tmp_path / "cells.csv"
+        out.write_text("an earlier export\n")
+        assert main(["inflate", "--params", json.dumps(params), "--format", "csv",
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["message"] == "cell export guard: 615860 cells > 100000"
+        assert out.read_text() == "an earlier export\n"
+
+    def test_positive_refuses_a_box_count_past_desk_scale_before_building(
+            self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a construction")
+
+        monkeypatch.setattr(ml, "inflate_on_set", no_build)
+        params = {"box": [[-1, 1], [-1, 1]], "m": 5, "f": {"kind": "zero"}, "eta": 0.9,
+                  "eps_schedule": [0.2, 0.1], "boxcount": True}
+        assert main(["experiment-positive", "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "precondition",
+                       "message": "box-counting is desk-scale only: n <= 2, m <= 4"}
+
 
 class TestExperimentNorms:
     @pytest.mark.parametrize("command, params", FORWARDED,

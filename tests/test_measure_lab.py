@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -345,6 +346,59 @@ class TestBoxcount:
             assert jac == pytest.approx(area, abs=1e-12)
             assert abs(rep.value - jac) <= rep.error_bound
 
+    def test_axis_aligned_basis_count_is_pinned(self):
+        # basis diag(5/3, 2): the window is a box in t, so cells are counted one by one
+        A = np.array([[0.6, 0.0], [0.0, 0.5], [0.0, 0.0]])
+        m = la.linear_map(A, ns.euclidean(2), ns.euclidean(3))
+        g = co.inflate_affine(m, la.euclidean_inflation(m), UNIT, 0.2)
+        assert not g.identity_basis
+        assert ml.boxcount_image_measure(g, UNIT, 3, 0.01).value == 0.362317419860798
+
+    def test_tilted_basis_without_a_reference_raises(self):
+        # x -> A x on BOX, written in a basis turned by 30 degrees: counting the
+        # t-space bounding box of BOX would read 3.676 against the area 1.981
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        R = np.array([[c, -s], [s, c]])
+        A = np.array([[0.8, 0.1], [0.0, 0.6], [0.2, 0.0]])
+        AR = A @ R
+        breaks = np.array([-1.5, 1.5])
+        pam = co.pa_from_axis_slopes(BOX, [breaks, breaks], [AR[:, 0:1].T, AR[:, 1:2].T],
+                                     [-1.5 * AR[:, 0], -1.5 * AR[:, 1]], np.zeros(3),
+                                     ns.euclidean(2), ns.euclidean(3), basis=R)
+        xs = rng_for(0, 1).uniform(-1.0, 1.0, (50, 2))
+        assert np.allclose(pam.eval_many(xs), xs @ A.T, atol=1e-12)
+        with pytest.raises(NumericalFailure, match="raster guard: tilted basis"):
+            ml.boxcount_image_measure(pam, BOX, 3, 0.01)
+
+    def test_tilted_inflation_counts_the_window(self):
+        # an l1 -> linf inflation with non-diagonal preimages is counted by its
+        # affine reference over BOX, not over the t-space bounding box of BOX
+        a, b = ns.norm_from_json({"dim": 2, "kind": "l1"}), ns.norm_from_json(
+            {"dim": 3, "kind": "linf"})
+        A = np.array([[0.5, 0.2], [0.1, 0.4], [0.3, -0.2]])
+        m = la.linear_map(A / la.operator_norm(la.linear_map(A, a, b)), a, b)
+        cert = la.inflation_search(m, 0.0, seed=1)
+        assert np.allclose(cert.eigenvalues, 1.0)
+        assert np.count_nonzero(cert.preimages) == 4
+        g = co.inflate_affine(m, cert, BOX, 0.002)
+        rep = ml.boxcount_image_measure(g, BOX, 3, 0.01)
+        assert abs(rep.value - ml.jacobian_integral(g, BOX).value) <= rep.error_bound
+
+    def test_tilted_glued_map_counts_its_cores(self):
+        # four l1 -> linf cores with tilted bases; each core's side shrinks by
+        # sigma, so the cores' image has area vol(M) sigma^2 (the t-space
+        # bounding boxes of the cores read 0.1149, above vol(M) = 0.0860)
+        M = np.array([[0.3, 0.1], [0.05, 0.25], [0.1, -0.1]])
+        a, b = ns.norm_from_json({"dim": 2, "kind": "l1"}), ns.norm_from_json(
+            {"dim": 3, "kind": "linf"})
+        glued, report = co.inflate_on_set(lambda xs: xs @ M.T, UNIT, a, b, 0.05, 0.1, 0.5, 0,
+                                          f_lip=la.operator_norm(la.linear_map(M, a, b)))
+        assert all(not piece.identity_basis for _, piece in glued.pieces())
+        rep = ml.boxcount_image_measure(glued, UNIT, 3, 0.002)
+        area = la.vol_matrix(M)
+        assert rep.value < area
+        assert abs(rep.value - area * report.sigma ** 2) <= rep.error_bound
+
 
 def reference_calibration(n, m, box_size):
     """_calibration's former raster: box-count the unit n-cube embedded in R^m."""
@@ -372,6 +426,127 @@ def calibration_cases(draw):
         for _ in range(draw(st.integers(0, 3))):
             s = math.nextafter(s, 2.0)
     return n, m, s
+
+
+def reference_affine_patch_keys(cols, off, tbox, s):
+    """_affine_patch_keys before the column-list scanline: coordinate-keyed
+    interval dicts, every interval repeated on every pass."""
+
+    def raster_columns(lo_x, hi_x):
+        a, b = lo_x / s, hi_x / s
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise NumericalFailure("box-count raster guard: footprint too large")
+        u_lo, u_hi = math.floor(a), math.floor(b)
+        if u_hi - u_lo + 1 > ml._MAX_RASTER_BOXES:
+            raise NumericalFailure("box-count raster guard: footprint too large")
+        return np.arange(u_lo, u_hi + 1)
+
+    m, n = cols.shape
+    if la.vol_matrix(cols) <= 1e-14:
+        return None
+    if n == 2:
+        best, fp = -1.0, None
+        for p, q in combinations(range(m), 2):
+            d = abs(cols[p, 0] * cols[q, 1] - cols[p, 1] * cols[q, 0])
+            if d > best:
+                best, fp = d, (p, q)
+        corners_t = np.array([[tbox[0, 0], tbox[1, 0]], [tbox[0, 1], tbox[1, 0]],
+                              [tbox[0, 1], tbox[1, 1]], [tbox[0, 0], tbox[1, 1]]])
+        corners = corners_t @ cols.T + off
+        quad = corners[:, list(fp)]
+        us = raster_columns(quad[:, 0].min(), quad[:, 0].max())
+        xa = us * s
+        xb = xa + s
+        vmin = np.full(us.shape, np.inf)
+        vmax = np.full(us.shape, -np.inf)
+        for e in range(4):
+            P0, P1 = quad[e], quad[(e + 1) % 4]
+            x0, x1 = float(P0[0]), float(P1[0])
+            lo_x, hi_x = min(x0, x1), max(x0, x1)
+            overlap = (xb >= lo_x) & (xa <= hi_x)
+            if abs(x1 - x0) < 1e-14:
+                vmin = np.where(overlap, np.minimum(vmin, min(P0[1], P1[1])), vmin)
+                vmax = np.where(overlap, np.maximum(vmax, max(P0[1], P1[1])), vmax)
+                continue
+            slope = (P1[1] - P0[1]) / (x1 - x0)
+            for xe in (np.clip(xa, lo_x, hi_x), np.clip(xb, lo_x, hi_x)):
+                val = P0[1] + slope * (xe - x0)
+                vmin = np.where(overlap, np.minimum(vmin, val), vmin)
+                vmax = np.where(overlap, np.maximum(vmax, val), vmax)
+        keep = vmax >= vmin
+        if not np.any(keep):
+            return None
+        us, xa, xb, vmin, vmax = us[keep], xa[keep], xb[keep], vmin[keep], vmax[keep]
+        v_lo = np.floor(vmin / s).astype(np.int64)
+        v_hi = np.floor(vmax / s).astype(np.int64)
+        counts = v_hi - v_lo + 1
+        total = int(counts.sum())
+        if total > ml._MAX_RASTER_BOXES:
+            raise NumericalFailure("box-count raster guard: footprint too large")
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        col_v = v_lo.repeat(counts) + (np.arange(total) - np.repeat(starts, counts))
+        idx_cols = {fp[0]: us.repeat(counts), fp[1]: col_v}
+        intervals = {fp[0]: (xa.repeat(counts), xb.repeat(counts)),
+                     fp[1]: (col_v * s, col_v * s + s)}
+        footprint = list(fp)
+    else:
+        p = int(np.argmax(np.abs(cols[:, 0])))
+        ends = np.array([tbox[0, 0], tbox[0, 1]])[:, None] * cols[:, 0][None, :] + off
+        lo_x, hi_x = float(ends[:, p].min()), float(ends[:, p].max())
+        us = raster_columns(lo_x, hi_x)
+        xa = np.clip(us * s, lo_x, hi_x)
+        xb = np.clip(us * s + s, lo_x, hi_x)
+        idx_cols = {p: us}
+        intervals = {p: (xa, xb)}
+        footprint = [p]
+
+    rest = [c for c in range(m) if c not in footprint]
+    if rest:
+        F = cols[footprint, :]
+        F_inv = np.linalg.inv(F)
+        zc = cols[rest, :] @ F_inv
+        z0 = off[rest] - zc @ off[footprint]
+        for r_pos, coord in enumerate(rest):
+            z_min = np.full(next(iter(idx_cols.values())).shape, z0[r_pos])
+            z_max = z_min.copy()
+            for d_pos, d_coord in enumerate(footprint):
+                lo_i, hi_i = intervals[d_coord]
+                c = zc[r_pos, d_pos]
+                z_min = z_min + np.minimum(c * lo_i, c * hi_i)
+                z_max = z_max + np.maximum(c * lo_i, c * hi_i)
+            w_lo = np.floor(z_min / s).astype(np.int64)
+            w_hi = np.floor(z_max / s).astype(np.int64)
+            spans = w_hi - w_lo + 1
+            total = int(spans.sum())
+            if total > ml._MAX_RASTER_BOXES:
+                raise NumericalFailure("box-count raster guard: column spans too large")
+            starts = np.concatenate([[0], np.cumsum(spans)[:-1]])
+            new_idx = w_lo.repeat(spans) + (np.arange(total) - np.repeat(starts, spans))
+            for key in list(idx_cols):
+                idx_cols[key] = idx_cols[key].repeat(spans)
+            for key in list(intervals):
+                a_i, b_i = intervals[key]
+                intervals[key] = (a_i.repeat(spans), b_i.repeat(spans))
+            idx_cols[coord] = new_idx
+            intervals[coord] = (new_idx * s, new_idx * s + s)
+
+    return ml._distinct(ml._pack_keys(np.stack([idx_cols[c] for c in range(m)], axis=1)))
+
+
+@st.composite
+def patch_cases(draw):
+    """(cols, off, tbox, s): small patches, some with zero rows or entries on a 0.1 grid."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(n, 4))
+    cols = np.array([[draw(st.floats(-1.5, 1.5)) for _ in range(n)] for _ in range(m)])
+    if draw(st.booleans()):
+        cols = np.round(cols, 1)
+    for row in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        cols[row] = 0.0
+    off = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(m)])
+    tbox = np.array([[a, a + draw(st.floats(0.05, 1.0))]
+                     for a in (draw(st.floats(-1.0, 1.0)) for _ in range(n))])
+    return cols, off, tbox, draw(st.floats(0.01, 0.1))
 
 
 class TestKeyKernels:
@@ -405,10 +580,22 @@ class TestKeyKernels:
     def test_distinct_matches_unique(self, keys):
         assert ml._distinct(keys).tobytes() == np.unique(keys).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(patch_cases())
+    def test_patch_keys_match_the_reference(self, case):
+        got, want = ml._affine_patch_keys(*case), reference_affine_patch_keys(*case)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cols, off, tbox, s", [
         (np.array([[1.0], [0.0]]), np.zeros(2), np.array([[0.0, 1.0]]), 1e-13),
         (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3), UNIT, 1e-12),
-    ], ids=["curve", "surface"])
+        # the large row has the largest minors, so it joins the footprint
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1e9, 0.0]]), np.zeros(3), UNIT, 1e-3),
+        # 1e23 boxes in a column: more than int64 holds, refused all the same
+        (np.array([[1.0, 0.0], [0.0, 1e20]]), np.zeros(2), UNIT, 1e-3),
+    ], ids=["curve", "surface", "large-third-row", "past-int64"])
     def test_patch_guard_runs_before_allocation(self, cols, off, tbox, s):
         # 1e12 or more columns: the guard must trip before the column array exists
         tracemalloc.start()
@@ -419,6 +606,22 @@ class TestKeyKernels:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_indices_past_int64_are_refused(self):
+        # the third coordinate, 1e33 boxes out, casts to INT64_MIN
+        cols = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalFailure, match="image extends too far"):
+            ml._affine_patch_keys(cols, np.array([0.0, 0.0, 1e30]), UNIT, 1e-3)
+
+    def test_rest_guard_names_the_column_spans(self, monkeypatch):
+        # a rest coordinate spans at most 3 boxes per footprint box (the
+        # footprint has the largest minor), so only a footprint of 40M boxes
+        # reaches the rest guard at the real limit; a lowered limit does here
+        cols = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        monkeypatch.setattr(ml, "_MAX_RASTER_BOXES", 51 * 51)  # the footprint at s = 0.02
+        with pytest.raises(NumericalFailure, match="column spans too large"):
+            ml._affine_patch_keys(cols, np.zeros(3), UNIT, 0.02)
 
 
 def reference_coverage(g, radius, target_radius, grid, lip_hint):
