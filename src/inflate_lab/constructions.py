@@ -31,8 +31,8 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
-from .geometry import (GridSubset, as_box, box_overlap, domain_box,
-                       domain_measure, grid_points, sample_box, shrink_box)
+from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
+                       float_array, grid_points, sample_box, shrink_box)
 from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
                               operator_norm, operator_norm_report, verify_certificate,
                               vol_matrix, inflation_search)
@@ -487,13 +487,17 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
     box = as_box(E) if not isinstance(E, GridSubset) else E.box
     if box.shape[0] != n:
         raise DimensionMismatch("domain box dimension mismatch")
+    offset = np.zeros(m) if offset is None else float_array(offset, "offset")
+    if offset.shape != (m,):
+        raise DimensionMismatch(f"offset must have shape ({m},), got {offset.shape}")
+    if not np.all(np.isfinite(offset)):
+        raise PreconditionError("offset must be finite")
     if not is_full_rank(A):
         raise PreconditionError("affine map must have a full-rank linear part")
     scaled = LinearMap(A / lip_scale, map.domain_norm, map.codomain_norm)
     report = verify_certificate(scaled, cert)
     if not report.verified:
         raise NumericalFailure(f"certificate does not verify for the given map: {report.message}")
-    offset = np.zeros(m) if offset is None else np.asarray(offset, dtype=float)
 
     X = cert.preimages
     T = np.linalg.inv(X)
@@ -592,6 +596,8 @@ class PatchSpec:
         for rho in self.radii:
             if not (0 < rho <= 1):
                 raise PreconditionError("radii must lie in (0, 1]")
+        if not all(np.all(np.isfinite(np.asarray(s, dtype=float))) for s in self.patch_sets):
+            raise PreconditionError("patch sets must be finite")
 
 
 class GluedMap:

@@ -29,6 +29,8 @@ def as_box(box) -> np.ndarray:
     b = float_array(box, "box")
     if b.ndim != 2 or b.shape[1] != 2:
         raise PreconditionError(f"box must have shape (n, 2), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise PreconditionError("box bounds must be finite")
     if np.any(b[:, 1] < b[:, 0]):
         raise PreconditionError("box has high < low")
     return b

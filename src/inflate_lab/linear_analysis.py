@@ -118,11 +118,26 @@ def _unwrap_transforms(A: np.ndarray, a: ns.Norm, b: ns.Norm):
     return A, a, b
 
 
-def _vertex_max(As: np.ndarray, verts: np.ndarray, b: ns.Norm) -> np.ndarray:
-    """max over the rows x of verts of |A x|_b, for every A of the stack."""
-    images = np.matmul(verts, As.transpose(0, 2, 1))
-    values = ns._eval_many(b, images.reshape(-1, b.dim)).reshape(len(As), -1)
-    return np.max(values, axis=1)
+def _rays(As: np.ndarray, a: ns.Norm, b: ns.Norm):
+    """The operator-norm path of a (k, m, n) stack, as operator_norm_report lists it.
+
+    Returns (rays, c, scale, exact): ||A_k||_{a->b} is scale times the
+    largest |ray|_c over rays[k], exactly when ``exact``, else its
+    certified upper end.  A Euclidean pair has no rays: ``rays`` is the
+    unwrapped stack and c is None.
+    """
+    As, a, b = _unwrap_transforms(As, a, b)
+    verts, c, scale, exact = ns.ball_vertices(a), b, 1.0, True
+    if verts is None:
+        if _is_euclidean(a) and _is_euclidean(b):
+            return As, None, 1.0, True
+        verts = ns._dual_vertices(b)
+        if verts is not None:
+            # ||A||_{a->b} = ||A^T||_{b*->a*}
+            As, c = As.transpose(0, 2, 1), ns.dual(a)
+        else:
+            (verts, scale), exact = a._inscribed, False
+    return np.matmul(verts, As.transpose(0, 2, 1)), c, scale, exact
 
 
 def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport:
@@ -138,29 +153,21 @@ def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport
     ball, where the cube is not listed; with an inscribed polytope
     P inside the domain ball B and B inside cP (Norm._inscribed),
     the maximum over P's vertices is the certified ``lower`` end and c
-    times it the certified upper bound ``values``.
+    times it the certified upper bound ``values``.  The path is chosen in
+    this order, after _unwrap_transforms, by _rays alone; _ray_exit reads
+    the same rays.
     """
     As = np.asarray(matrices, dtype=float)
     if As.ndim != 3 or As.shape[1:] != (b.dim, a.dim):
         raise DimensionMismatch(f"expected a (k, {b.dim}, {a.dim}) stack, got {As.shape}")
     if not np.all(np.isfinite(As)):
         raise PreconditionError("matrix entries must be finite")
-    As, a, b = _unwrap_transforms(As, a, b)
-    verts = ns.ball_vertices(a)
-    if verts is not None:
-        values = _vertex_max(As, verts, b)
+    rays, c, scale, exact = _rays(As, a, b)
+    if c is None:
+        values = np.linalg.svd(rays, compute_uv=False)[:, 0]
         return OperatorNormReport(values, True, values)
-    if _is_euclidean(a) and _is_euclidean(b):
-        values = np.linalg.svd(As, compute_uv=False)[:, 0]
-        return OperatorNormReport(values, True, values)
-    # ||A||_{a->b} = ||A^T||_{b*->a*}
-    dual_verts = ns._dual_vertices(b)
-    if dual_verts is not None:
-        values = _vertex_max(As.transpose(0, 2, 1), dual_verts, ns.dual(a))
-        return OperatorNormReport(values, True, values)
-    inscribed, c = a._inscribed
-    lower = _vertex_max(As, inscribed, b)
-    return OperatorNormReport(c * lower, False, lower)
+    lower = np.max(ns._eval_many(c, rays.reshape(-1, c.dim)).reshape(len(rays), -1), axis=1)
+    return OperatorNormReport(lower if exact else scale * lower, exact, lower)
 
 
 def operator_norm(map: LinearMap) -> float:
@@ -176,33 +183,24 @@ def _ray_exit(Bs: np.ndarray, Ws: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
 
     ``math.inf`` when no W_k moves anything.  Each t -> ||B_k + t W_k|| is
     convex, so the feasible t form an interval.  The norm is the largest
-    of |beta + t w|_c over rays that follow operator_norm_report path for
-    path, after the same _unwrap_transforms: the domain-ball vertices x
-    (beta = B x, w = W x, c = b); otherwise the listed dual vertices y of
-    b (beta = B^T y, w = W^T y, c = a*); otherwise, for a bracketed pair,
-    the inscribed polytope scaled by its c, so the exit bounds the
-    report's certified upper end.  The rays exit in closed form when c is
-    Euclidean, a listed polytope, or lp with disjoint supports of each
-    beta and w, and by bisection on the rays otherwise.  A Euclidean pair
-    has no rays and bisects on its largest singular value.
+    of |beta + t w|_c over the rays of _rays on both stacks (beta from
+    B_k, w from W_k), each scaled by the path's scale, so a bracketed
+    exit bounds the report's certified upper end.  The rays exit in
+    closed form when c is Euclidean, a listed polytope, or lp with
+    disjoint supports of each beta and w, and by bisection on the rays
+    otherwise.  A Euclidean pair has no rays and bisects on its largest
+    singular value.
     """
     if not np.any(Ws):
         return math.inf
-    both, a, b = _unwrap_transforms(np.concatenate([Bs, Ws]), a, b)
-    Bs, Ws = both[:len(Bs)], both[len(Bs):]
-    verts, scale, c = ns.ball_vertices(a), 1.0, b
-    if verts is None:
-        if _is_euclidean(a) and _is_euclidean(b):
-            return _bisected_scale(lambda ts: np.max(np.linalg.svd(
-                Bs + ts[:, None, None, None] * Ws, compute_uv=False)[..., 0], axis=1))
-        verts = ns._dual_vertices(b)
-        if verts is not None:
-            # ||A||_{a->b} = ||A^T||_{b*->a*}
-            Bs, Ws, c = Bs.transpose(0, 2, 1), Ws.transpose(0, 2, 1), ns.dual(a)
-        else:
-            verts, scale = a._inscribed
-    beta = scale * np.matmul(verts, Bs.transpose(0, 2, 1)).reshape(-1, c.dim)
-    w = scale * np.matmul(verts, Ws.transpose(0, 2, 1)).reshape(-1, c.dim)
+    k = len(Bs)
+    rays, c, scale, _ = _rays(np.concatenate([Bs, Ws]), a, b)
+    if c is None:
+        Bs, Ws = rays[:k], rays[k:]
+        return _bisected_scale(lambda ts: np.max(np.linalg.svd(
+            Bs + ts[:, None, None, None] * Ws, compute_uv=False)[..., 0], axis=1))
+    beta = scale * rays[:k].reshape(-1, c.dim)
+    w = scale * rays[k:].reshape(-1, c.dim)
     if _is_euclidean(c):
         return _quadratic_exit(beta, w)
     facets = ns._dual_vertices(c)
@@ -339,15 +337,12 @@ def certificate_from_json(data: dict) -> InflationCertificate:
         raise PreconditionError(f"invalid certificate JSON: {exc!r}") from exc
 
 
-def sign_matrices(map: LinearMap, cert: InflationCertificate) -> np.ndarray:
-    """All composed matrices I~ o A, one per sign pattern, shape (2^n, m, n)."""
-    A = map.matrix
-    X = cert.preimages
-    if X.shape != (map.n, map.n):
-        raise DimensionMismatch("certificate preimages must be n x n")
-    U = A @ X
+def sign_matrices(map: LinearMap, X: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """All composed matrices I~ o A, one per sign pattern, shape (2^n, m, n),
+    for the inflation with n x n preimages X and (n,) eigenvalues kappa."""
+    U = map.matrix @ X
     X_inv = np.linalg.inv(X)
-    signed = sign_permutations(cert.eigenvalues)  # (2^n, n)
+    signed = sign_permutations(kappa)  # (2^n, n)
     return np.einsum("mi,si,ij->smj", U, signed, X_inv)
 
 
@@ -366,11 +361,16 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate) -> Verificati
 
     Checks |kappa_i| >= 1, enumerates all sign patterns, recomputes the
     operator norm and vol of each composition, and reports the first
-    failing pattern if any.
+    failing pattern if any.  Preimages that are not a finite n x n array,
+    or eigenvalues not a finite (n,) array, are refused first.
     """
-    X = cert.preimages
-    if X.shape != (map.n, map.n):
-        raise DimensionMismatch("certificate preimages must be n x n")
+    X, kappa = cert.preimages, cert.eigenvalues
+    n = map.n
+    for what, value, shape in (("preimages", X, (n, n)), ("eigenvalues", kappa, (n,))):
+        if value.shape != shape:
+            raise DimensionMismatch(f"certificate {what} must have shape {shape}, got {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise PreconditionError(f"certificate {what} must be finite")
     U = map.matrix @ X
     s = np.linalg.svd(U, compute_uv=False)
     if s[-1] <= RANK_RTOL * max(s[0], 1e-300):
@@ -378,8 +378,8 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate) -> Verificati
     if map.n > map.m:
         raise PreconditionError(f"vol requires n <= m, got {map.n} > {map.m}")
 
-    eigen_ok = bool(np.all(np.abs(cert.eigenvalues) >= 1.0 - 1e-12))
-    matrices = sign_matrices(map, cert)
+    eigen_ok = bool(np.all(np.abs(kappa) >= 1.0 - 1e-12))
+    matrices = sign_matrices(map, X, kappa)
     norms = operator_norm_report(matrices, map.domain_norm, map.codomain_norm).values
     vols = np.prod(np.linalg.svd(matrices, compute_uv=False), axis=-1)
     lam_floor = cert.lam - VERIFY_TOL * max(1.0, abs(cert.lam))
@@ -388,7 +388,7 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate) -> Verificati
     bad = np.flatnonzero((norms > 1.0 + VERIFY_TOL) | (vols < lam_floor))
     failing = None
     if bad.size:
-        failing = tuple(int(x) for x in sign_permutations(np.ones(cert.n))[bad[0]])
+        failing = tuple(int(x) for x in sign_permutations(np.ones(n))[bad[0]])
     ok = eigen_ok and worst <= 1.0 + VERIFY_TOL and min_vol >= lam_floor
     message = "ok" if ok else (
         "non-shrinking violated" if not eigen_ok else f"sign pattern {failing} fails"
@@ -435,8 +435,7 @@ def euclidean_inflation(map: LinearMap) -> InflationCertificate:
 
 
 def _max_sign_norm(map: LinearMap, X: np.ndarray, kappa: np.ndarray) -> float:
-    draft = InflationCertificate(X, kappa, 0.0, False, math.inf)
-    matrices = sign_matrices(map, draft)
+    matrices = sign_matrices(map, X, kappa)
     return float(np.max(operator_norm_report(matrices, map.domain_norm, map.codomain_norm).values))
 
 
@@ -498,7 +497,7 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
         U, X_inv = A @ X, np.linalg.inv(X)
         kappa = np.ones(n)
         for i in range(n):
-            Bs = sign_matrices(map, InflationCertificate(X, kappa, 0.0, False, math.inf))
+            Bs = sign_matrices(map, X, kappa)
             Ws = signs[:, i, None, None] * np.outer(U[:, i], X_inv[i])
             kappa[i] = min(kappa[i] + _ray_exit(Bs, Ws, map.domain_norm, map.codomain_norm),
                            _KAPPA_CAP)

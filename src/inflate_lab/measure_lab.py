@@ -628,6 +628,8 @@ def map_from_descriptor(desc: dict, n: int, m: int) -> Callable:
         if M.shape != (m, n) or c.shape != (m,):
             raise PreconditionError(
                 f"affine descriptor must be {m} x {n} with an offset of length {m}")
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(c))):
+            raise PreconditionError("affine descriptor linear part and offset must be finite")
         return lambda xs: xs @ M.T + c
     raise PreconditionError(f"unknown map descriptor kind {kind!r}")
 

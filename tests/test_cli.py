@@ -22,6 +22,11 @@ from inflate_lab.errors import PreconditionError
 LINF2 = {"dim": 2, "kind": {"lp": "inf"}}
 EUCL2 = {"dim": 2, "kind": "euclidean"}
 HEXAGON = [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)]
+# x -> x / 2 on the unit square, and its inflation by 2 along the standard basis
+INFLATE_HALF = {"map": {"entries": [[0.5, 0], [0, 0.5]], "domain_norm": EUCL2,
+                        "codomain_norm": EUCL2}, "box": [[0, 1], [0, 1]], "eps": 0.1}
+HALF_CERT = {"preimages": [[1, 0], [0, 1]], "eigenvalues": [2, 2], "lambda": 1.0,
+             "verified": True, "worst_sign_norm": 1.0}
 
 CONFIGS = {"experiment-positive": ml.PositiveConfig, "experiment-negative": ml.NegativeConfig}
 PARAM_FIELDS = {"lambda": "lam", "boxcount": "run_boxcount"}  # where a param and its field differ
@@ -217,6 +222,49 @@ class TestRun:
         assert main(["experiment-negative", "--params", params]) == 0
         records = json.loads(capsys.readouterr().out)["report"]["records"]
         assert records[0]["superlevel_fraction"] == 0.0
+
+    @pytest.mark.parametrize("command, params, field", [
+        ("inflate", INFLATE_HALF | {"certificate": HALF_CERT | {"eigenvalues": [1]}},
+         "eigenvalues"),
+        ("inflate", INFLATE_HALF | {"certificate": HALF_CERT | {"eigenvalues": [1, 1, 1]}},
+         "eigenvalues"),
+        ("inflate", INFLATE_HALF | {"certificate": HALF_CERT | {"eigenvalues": [[1, 1]]}},
+         "eigenvalues"),
+        ("inflate", INFLATE_HALF | {"certificate": HALF_CERT | {
+            "preimages": [[math.inf, 0], [0, 1]]}}, "preimages"),
+        ("inflate", INFLATE_HALF | {"offset": [1]}, "offset"),
+        ("inflate", INFLATE_HALF | {"offset": [1, 2, 3]}, "offset"),
+        ("inflate", INFLATE_HALF | {"offset": [math.inf, 0]}, "offset"),
+        ("experiment-positive", {"box": [[-1, 1], [-1, math.inf]], "m": 3,
+                                 "f": {"kind": "zero"}, "eta": 0.5, "eps_schedule": [0.5]},
+         "box"),
+        ("experiment-positive", {"box": [[-1, 1], [-1, 1]], "m": 3, "eta": 0.5,
+                                 "f": {"kind": "affine", "linear": [[0.1, 0], [0, 0.1], [0, 0]],
+                                       "offset": [math.inf, 0, 0]},
+                                 "eps_schedule": [0.5]}, "offset"),
+        ("glue", {"base": {"kind": "zero"}, "delta": 0.1, "L": 0.0,
+                  "patches": [{"set": [[0, math.inf], [0, 0.2]], "rho": 1.0,
+                               "map": {"kind": "zero"}}],
+                  "domain_norm": EUCL2, "codomain_norm": EUCL2}, "patch set"),
+    ], ids=["eigenvalues-short", "eigenvalues-long", "eigenvalues-2d", "preimages-infinite",
+            "offset-short", "offset-long", "offset-infinite", "positive-box-infinite",
+            "positive-offset-infinite", "glue-set-infinite"])
+    def test_malformed_arrays_exit_2_naming_the_field(self, capsys, command, params, field):
+        # shape and finiteness are checked before any SVD, einsum or sampling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--params", json.dumps(params)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] == "precondition" and field in err["message"]
+
+    def test_the_malformed_array_cases_start_from_a_valid_job(self, capsys):
+        params = INFLATE_HALF | {"certificate": HALF_CERT, "offset": [1, 2]}
+        assert main(["inflate", "--params", json.dumps(params)]) == 0
+        summary = json.loads(capsys.readouterr().out)["report"]["summary"]
+        assert summary["cell_vol"] == 1.0
 
     def test_zero_include_matrix_is_refused_before_any_division(self, capsys):
         params = {"a": EUCL2, "b": EUCL2, "lambda": 1, "samples": 1,

@@ -288,7 +288,7 @@ class TestInflateAffine:
         cert = la.euclidean_inflation(m)
         g = co.inflate_affine(m, cert, BOX, 0.1)
         # every cell differential is a sign permutation of the inflated map
-        sign_mats = la.sign_matrices(m, cert)
+        sign_mats = la.sign_matrices(m, cert.preimages, cert.eigenvalues)
         for M in g.distinct_linears():
             assert any(np.allclose(M, S, atol=1e-11) for S in sign_mats)
         # per-cell operator norm and volume guarantees

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -364,7 +365,7 @@ class TestVerifyCertificate:
             m = la.linear_map(A / la.operator_norm(la.linear_map(A, a, b)), a, b)
             cert = la.InflationCertificate(rng.standard_normal((2, 2)), np.ones(2), 0.0, True, 1.0)
             report = la.verify_certificate(m, cert)
-            matrices = la.sign_matrices(m, cert)
+            matrices = la.sign_matrices(m, cert.preimages, cert.eigenvalues)
             norms = [la.operator_norm(la.linear_map(M, a, b)) for M in matrices]
             vols = [la.vol_matrix(M) for M in matrices]
             fails = [s for s, nrm, v in zip(la.sign_permutations(np.ones(2)), norms, vols)
@@ -381,7 +382,7 @@ class TestVerifyCertificate:
             m = eucl_map(A)
             cert = la.euclidean_inflation(m)
             base = la.vol(m) * float(np.prod(np.abs(cert.eigenvalues)))
-            for M in la.sign_matrices(m, cert):
+            for M in la.sign_matrices(m, cert.preimages, cert.eigenvalues):
                 assert la.vol_matrix(M) == pytest.approx(base, rel=1e-9)
 
 
@@ -518,7 +519,7 @@ class TestInflationSearch:
             assert abs(kappa[i] - reference[i]) <= 1e-9 * kappa[i] + gap / slope
             # a second sweep of exits gains nothing: one sweep is the fixed point
             Ws = signs[:, i, None, None] * np.outer(U[:, i], X_inv[i])
-            t = la._ray_exit(la.sign_matrices(m, cert), Ws, a, b)
+            t = la._ray_exit(la.sign_matrices(m, cert.preimages, cert.eigenvalues), Ws, a, b)
             assert kappa[i] == la._KAPPA_CAP or t <= 1e-9 * kappa[i] + 1e-15 / slope
 
     @pytest.mark.parametrize("lam", [0.0, 1e6], ids=["first-restart", "every-restart"])
@@ -543,6 +544,52 @@ class TestInflationSearch:
         assert (cert is not None) == (lam == 0.0)
         assert sum(passed) > 0
         assert len(exits) == m.n * sum(passed)
+
+
+_W2 = np.array([[1.0, 0.4], [0.1, 0.8]])
+_W3 = np.array([[1.0, 0.3, 0.0], [0.2, 0.9, 0.1], [0.0, -0.4, 1.1]])
+# pair -> (sha256 prefix of the report's values, lower and exact; repr of the
+# ray exit; sha256 prefix of the certificate's arrays, lam and worst sign norm)
+PATH_PINS = {
+    "vertex": ((ns.l1(2), ns.linf(3)),
+               ("5c51ac43e969edef", "0.627964251543593", "00cd22e3fe6f0333")),
+    "euclidean": ((ns.euclidean(2), ns.euclidean(3)),
+                  ("3f86492c13f9a011", "0.41166832424107686", "12a5142e07ccc051")),
+    "dual": ((ns.euclidean(2), ns.linf(3)),
+             ("fa92cab3b4e14cde", "0.4900406528215481", "e781ccc2f6200fbe")),
+    "bracket-n2": ((ns.lp(2, 3.0), ns.euclidean(3)),
+                   ("20b3854725a4bd56", "0.37061680478820774", "334ca04b86b207bb")),
+    "bracket-n3": ((ns.lp(3, 3.0), ns.euclidean(3)),
+                   ("45ea3a885948e2ea", "0.229975972651476", "955476488c96c2de")),
+    "transformed-domain": ((ns.transformed(ns.lp(2, 3.0), _W2), ns.lp(3, 4.0)),
+                           ("432d41636e5273d2", "0.4224779404941661", "fe9b9e7dd35437ce")),
+    "transformed-codomain": ((ns.euclidean(2), ns.transformed(ns.l1(3), _W3)),
+                             ("eba4931b18b274d8", "0.21089828666162055", "d66d8f0959efd713")),
+}
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PATH_PINS))
+def test_operator_norm_paths_keep_their_bits(name):
+    # one pair per operator-norm path: the report, the ray exit and a searched
+    # certificate keep every bit as the path table is reshaped
+    (a, b), expected = PATH_PINS[name]
+    rng = np.random.default_rng(7)
+    As = rng.standard_normal((5, b.dim, a.dim))
+    report = la.operator_norm_report(As, a, b)
+    t = la._ray_exit(0.5 * As / np.max(report.values), rng.standard_normal(As.shape), a, b)
+    G = rng.standard_normal((b.dim, a.dim))
+    m = la.linear_map(G / la.operator_norm(la.linear_map(G, a, b)), a, b)
+    cert = la.inflation_search(m, 0.0, restarts=4, seed=0)
+    assert (_digest(report.values.tobytes(), report.lower.tobytes(), report.exact), repr(t),
+            _digest(cert.preimages.tobytes(), cert.eigenvalues.tobytes(), cert.lam,
+                    cert.worst_sign_norm)) == expected
 
 
 class TestPairProbe:
