@@ -274,7 +274,7 @@ def _cmd_probe_pair(params: dict, seed: int) -> dict:
 def _cmd_mv(params: dict, seed: int) -> dict:
     a = ns.norm_from_json(params["a"])
     b = ns.norm_from_json(params["b"])
-    result = mv_mod.max_volume(float_array(params["u"], "u"), a, b, seed=seed,
+    result = mv_mod.max_volume(params["u"], a, b, seed=seed,
                                **_given(params, restarts=int))
     return {
         "value": result.value,
@@ -287,7 +287,6 @@ def _cmd_mv(params: dict, seed: int) -> dict:
 
 def _cmd_inflate(params: dict, seed: int) -> dict:
     map_ = la.map_from_json(params["map"])
-    box = float_array(params["box"], "box")
     eps = float(params["eps"])
     if "certificate" in params:
         cert = la.certificate_from_json(params["certificate"])
@@ -296,7 +295,7 @@ def _cmd_inflate(params: dict, seed: int) -> dict:
         cert = la.inflation_search(map_, lam, seed=seed)
         if cert is None:
             raise NumericalFailure("no certificate found for the requested lambda")
-    pam = co.inflate_affine(map_, cert, box, eps, **_given(params, "offset"))
+    pam = co.inflate_affine(map_, cert, params["box"], eps, **_given(params, "offset"))
     return {
         "map": pam.to_json(),
         "summary": {
@@ -313,20 +312,19 @@ def _cmd_glue(params: dict, seed: int) -> dict:
     b = ns.norm_from_json(params["codomain_norm"])
     n, m = a.dim, b.dim
     base = ml.map_from_descriptor(params["base"], n, m)
-    sets, radii, maps = [], [], []
-    for patch in params["patches"]:
-        sets.append(float_array(patch["set"], "patch set"))
-        radii.append(float(patch["rho"]))
-        maps.append(ml.map_from_descriptor(patch["map"], n, m))
-    spec = co.PatchSpec(tuple(sets), tuple(radii), tuple(maps), base,
-                        float(params["delta"]), a, b)
+    patches = params["patches"]
+    spec = co.PatchSpec(tuple(patch["set"] for patch in patches),
+                        tuple(float(patch["rho"]) for patch in patches),
+                        tuple(ml.map_from_descriptor(patch["map"], n, m) for patch in patches),
+                        base, float(params["delta"]), a, b)
     L = float(params["L"])
     glued = co.glue_patches(spec, L, seed=seed)
     if "domain_box" in params:
-        box = float_array(params["domain_box"], "domain_box")
+        box = float_array(params["domain_box"], "domain_box", (n, 2))
     else:
         # a box contributes its lo and hi corners, a point cloud its points
-        pts = np.concatenate([s.T if co.is_box(s, n) else np.atleast_2d(s) for s in sets])
+        pts = np.concatenate([s.T if co.is_box(s, n) else np.atleast_2d(s)
+                              for s in spec.patch_sets])
         box = np.stack([pts.min(axis=0) - 2.0, pts.max(axis=0) + 2.0], axis=1)
     probes = int(params.get("probes", 4000))
     lip = ml.estimate_lipschitz(glued, box, a, b, pairs=probes, seed=seed)
@@ -339,7 +337,7 @@ def _cmd_glue(params: dict, seed: int) -> dict:
         "sampled_lip": lip.value,
         "sampled_sup_dist": sup,
         "delta": spec.delta,
-        "patches": len(sets),
+        "patches": len(patches),
     }
 
 

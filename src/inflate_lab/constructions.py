@@ -487,11 +487,7 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
     box = as_box(E) if not isinstance(E, GridSubset) else E.box
     if box.shape[0] != n:
         raise DimensionMismatch("domain box dimension mismatch")
-    offset = np.zeros(m) if offset is None else float_array(offset, "offset")
-    if offset.shape != (m,):
-        raise DimensionMismatch(f"offset must have shape ({m},), got {offset.shape}")
-    if not np.all(np.isfinite(offset)):
-        raise PreconditionError("offset must be finite")
+    offset = np.zeros(m) if offset is None else float_array(offset, "offset", (m,))
     if not is_full_rank(A):
         raise PreconditionError("affine map must have a full-rank linear part")
     scaled = LinearMap(A / lip_scale, map.domain_norm, map.codomain_norm)
@@ -538,9 +534,8 @@ def is_box(patch_set: np.ndarray, n: int) -> bool:
     return patch_set.shape == (n, 2)
 
 
-def _dist_to_set(xs: np.ndarray, patch_set, norm: ns.Norm) -> np.ndarray:
+def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
     """Distance from each row of xs to a box or point cloud, in the given norm."""
-    arr = np.asarray(patch_set, dtype=float)
     if is_box(arr, norm.dim):
         # axis-aligned box: nearest point by clamping (valid for lp-family norms)
         if norm.kind not in ("euclidean", "lp"):
@@ -555,9 +550,7 @@ def _dist_to_set(xs: np.ndarray, patch_set, norm: ns.Norm) -> np.ndarray:
     return np.min(dists, axis=1)
 
 
-def _set_to_set_distance(set_a, set_b, norm: ns.Norm) -> float:
-    a = np.asarray(set_a, dtype=float)
-    b = np.asarray(set_b, dtype=float)
+def _set_to_set_distance(a: np.ndarray, b: np.ndarray, norm: ns.Norm) -> float:
     if is_box(a, norm.dim):
         if is_box(b, norm.dim):
             gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
@@ -596,8 +589,8 @@ class PatchSpec:
         for rho in self.radii:
             if not (0 < rho <= 1):
                 raise PreconditionError("radii must lie in (0, 1]")
-        if not all(np.all(np.isfinite(np.asarray(s, dtype=float))) for s in self.patch_sets):
-            raise PreconditionError("patch sets must be finite")
+        object.__setattr__(self, "patch_sets",
+                           tuple(float_array(s, "patch set") for s in self.patch_sets))
 
 
 class GluedMap:
@@ -669,8 +662,7 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
     return glued
 
 
-def _sample_neighborhood(patch_set, rho, count, rng, norm) -> np.ndarray:
-    arr = np.asarray(patch_set, dtype=float)
+def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
     if is_box(arr, norm.dim):
         hull = np.stack([arr[:, 0] - rho, arr[:, 1] + rho], axis=1)
         pts = sample_box(hull, 4 * count, rng)
@@ -678,7 +670,7 @@ def _sample_neighborhood(patch_set, rho, count, rng, norm) -> np.ndarray:
         pts_base = arr if arr.ndim == 2 else arr[None, :]
         idx = rng.integers(0, pts_base.shape[0], size=4 * count)
         pts = pts_base[idx] + rng.standard_normal((4 * count, pts_base.shape[1])) * rho
-    dist = _dist_to_set(pts, patch_set, norm)
+    dist = _dist_to_set(pts, arr, norm)
     return pts[dist <= rho][:count]
 
 

@@ -10,27 +10,35 @@ of intervals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 
 
-def float_array(value, what: str) -> np.ndarray:
-    """``value`` (nested lists) as a float array; ragged or non-numeric input
-    raises PreconditionError."""
+def float_array(value, what: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """``value`` (nested lists) as a float array: the one gate for arrays from
+    outside the program.
+
+    Ragged or non-numeric input and non-finite entries raise
+    PreconditionError, and a shape other than ``shape`` (``None`` matches
+    any length) raises DimensionMismatch; each message names ``what``.
+    """
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"{what} must be a rectangular array of numbers") from exc
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want is not None and want != got for want, got in zip(shape, arr.shape))):
+        raise DimensionMismatch(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise PreconditionError(f"{what} must be finite")
+    return arr
 
 
 def as_box(box) -> np.ndarray:
-    b = float_array(box, "box")
-    if b.ndim != 2 or b.shape[1] != 2:
-        raise PreconditionError(f"box must have shape (n, 2), got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise PreconditionError("box bounds must be finite")
+    b = float_array(box, "box", (None, 2))
     if np.any(b[:, 1] < b[:, 0]):
         raise PreconditionError("box has high < low")
     return b

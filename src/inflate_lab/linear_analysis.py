@@ -34,6 +34,7 @@ _SECTIONS = 15           # points per norm evaluation of a bisected ray exit
 # a bisected exit's norm slack: absorbs the rounding of a start on the unit
 # sphere and stays, with the rays' own rounding, below 1e-12 in the report
 _EXIT_SLACK = 1e-13
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,8 @@ class LinearMap:
     codomain_norm: ns.Norm
 
     def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=float)
-        if A.ndim != 2:
-            raise PreconditionError("matrix must be 2-dimensional")
-        if not np.all(np.isfinite(A)):
-            raise PreconditionError("matrix entries must be finite")
-        m, n = A.shape
-        if n != self.domain_norm.dim or m != self.codomain_norm.dim:
-            raise DimensionMismatch(
-                f"matrix {A.shape} inconsistent with norms "
-                f"({self.domain_norm.dim} -> {self.codomain_norm.dim})"
-            )
-        object.__setattr__(self, "matrix", A)
+        shape = (self.codomain_norm.dim, self.domain_norm.dim)
+        object.__setattr__(self, "matrix", float_array(self.matrix, "matrix", shape))
 
     @property
     def n(self) -> int:
@@ -72,7 +63,7 @@ class LinearMap:
 
 
 def linear_map(matrix, domain_norm: ns.Norm, codomain_norm: ns.Norm) -> LinearMap:
-    return LinearMap(np.asarray(matrix, dtype=float), domain_norm, codomain_norm)
+    return LinearMap(matrix, domain_norm, codomain_norm)
 
 
 # -- vol ----------------------------------------------------------------
@@ -239,9 +230,14 @@ def _quadratic_exit(beta: np.ndarray, w: np.ndarray) -> float:
 
 
 def _facet_exit(beta: np.ndarray, w: np.ndarray, facets: np.ndarray) -> float:
-    """Largest t >= 0 with f.(beta_v + t w_v) <= 1 for every row v and facet row f."""
+    """Largest t >= 0 with f.(beta_v + t w_v) <= 1 for every row v and facet row f.
+
+    A row whose f.w_v is within the rounding of the product (m eps times
+    the sum of |f_i w_v,i|) runs along the facet and does not cross it, so
+    a start on that facet keeps its room along it.
+    """
     along = w @ facets.T
-    crossing = along > 0.0
+    crossing = along > w.shape[1] * _EPS * (np.abs(w) @ np.abs(facets).T)
     if not np.any(crossing):
         return math.inf
     slack = 1.0 - beta @ facets.T
@@ -364,13 +360,9 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate) -> Verificati
     failing pattern if any.  Preimages that are not a finite n x n array,
     or eigenvalues not a finite (n,) array, are refused first.
     """
-    X, kappa = cert.preimages, cert.eigenvalues
     n = map.n
-    for what, value, shape in (("preimages", X, (n, n)), ("eigenvalues", kappa, (n,))):
-        if value.shape != shape:
-            raise DimensionMismatch(f"certificate {what} must have shape {shape}, got {value.shape}")
-        if not np.all(np.isfinite(value)):
-            raise PreconditionError(f"certificate {what} must be finite")
+    X = float_array(cert.preimages, "certificate preimages", (n, n))
+    kappa = float_array(cert.eigenvalues, "certificate eigenvalues", (n,))
     U = map.matrix @ X
     s = np.linalg.svd(U, compute_uv=False)
     if s[-1] <= RANK_RTOL * max(s[0], 1e-300):
@@ -552,7 +544,7 @@ def inflating_pair_probe(a: ns.Norm, b: ns.Norm, lam: float, samples: int,
         raise PreconditionError("requires n <= m")
     norm_vol = ns.vol_of_norm(a)
     lam_normalized = norm_vol * lam
-    matrices = [float_array(M, "include matrix") for M in (include or [])]
+    matrices = [float_array(M, "include matrix", (b.dim, a.dim)) for M in (include or [])]
     if any(not np.any(M) for M in matrices):
         raise PreconditionError("include holds a zero matrix, which no rescaling brings to norm 1")
     rng = rng_for(seed, 5001)
@@ -602,8 +594,6 @@ def map_to_json(map: LinearMap) -> dict:
 
 
 def map_from_json(data: dict) -> LinearMap:
-    return LinearMap(
-        float_array(data["entries"], "map entries"),
-        ns.norm_from_json(data["domain_norm"]),
-        ns.norm_from_json(data["codomain_norm"]),
-    )
+    a = ns.norm_from_json(data["domain_norm"])
+    b = ns.norm_from_json(data["codomain_norm"])
+    return LinearMap(float_array(data["entries"], "map entries", (b.dim, a.dim)), a, b)

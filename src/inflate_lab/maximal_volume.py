@@ -30,6 +30,7 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, PreconditionError
+from .geometry import float_array
 from .linear_analysis import (RANK_RTOL, LinearMap, _ray_exit, operator_norm_report,
                               vol_matrix)
 from .seeding import rng_for
@@ -230,10 +231,8 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
     (u|V) sits on the certified boundary.
     Every other input runs ``_ascent`` and reports ``analytic=False``.
     """
-    u = np.asarray(u, dtype=float)
     n, m = a.dim, b.dim
-    if u.shape != (m,):
-        raise DimensionMismatch(f"u must have dim {m}")
+    u = float_array(u, "u", (m,))
     if n < 2:
         raise PreconditionError("maximal volume needs n >= 2")
     if n > m:

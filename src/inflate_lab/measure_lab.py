@@ -421,6 +421,7 @@ def _calibration(n: int, m: int, box_size: float) -> float:
     """
     if not 1 <= n <= m:
         raise PreconditionError(f"calibration needs 1 <= n <= m, got n = {n}, m = {m}")
+    _check_box_size(box_size)
     inv = 1.0 / box_size
     if not math.isfinite(inv):
         raise NumericalFailure("box-count raster guard: footprint too large")
@@ -432,9 +433,15 @@ def _calibration(n: int, m: int, box_size: float) -> float:
     return float((last + 1) ** n) * box_size ** n
 
 
-def _check_desk_scale(n: int, m: int) -> None:
+def _check_box_size(box_size: float) -> None:
+    if not 0 < box_size < math.inf:
+        raise PreconditionError(f"box_size must be positive and finite, got {box_size}")
+
+
+def _check_boxcount(n: int, m: int, box_size: float) -> None:
     if n > 2 or m > 4:
         raise PreconditionError("box-counting is desk-scale only: n <= 2, m <= 4")
+    _check_box_size(box_size)
 
 
 def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[float] = None,
@@ -458,9 +465,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     """
     box = domain_box(E)
     n = box.shape[0]
-    _check_desk_scale(n, m)
-    if box_size <= 0:
-        raise PreconditionError("box_size must be positive")
+    _check_boxcount(n, m, box_size)
     if isinstance(g, (PiecewiseAffineMap, GluedMap)):
         parts = [_pa_boxcount_parts(pam, box_size, window)
                  for pam, windows in _affine_pieces(g, E, "box counting")
@@ -623,13 +628,8 @@ def map_from_descriptor(desc: dict, n: int, m: int) -> Callable:
     if kind == "affine":
         if "linear" not in desc:
             raise PreconditionError("affine descriptor needs a linear part")
-        M = float_array(desc["linear"], "affine linear part")
-        c = float_array(desc.get("offset", np.zeros(m)), "affine offset")
-        if M.shape != (m, n) or c.shape != (m,):
-            raise PreconditionError(
-                f"affine descriptor must be {m} x {n} with an offset of length {m}")
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(c))):
-            raise PreconditionError("affine descriptor linear part and offset must be finite")
+        M = float_array(desc["linear"], "affine linear part", (m, n))
+        c = float_array(desc.get("offset", np.zeros(m)), "affine offset", (m,))
         return lambda xs: xs @ M.T + c
     raise PreconditionError(f"unknown map descriptor kind {kind!r}")
 
@@ -658,9 +658,9 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
     fbatch = map_from_descriptor(config.f, n, config.m)
     # Lip(f) of a descriptor is exact: 0, or ||M||_{a->b}
     f_lip = 0.0 if config.f["kind"] == "zero" else operator_norm(
-        LinearMap(np.asarray(config.f["linear"], dtype=float), a, b))
+        LinearMap(config.f["linear"], a, b))
     if config.run_boxcount and config.m > n:
-        _check_desk_scale(n, config.m)
+        _check_boxcount(n, config.m, config.box_size)
     records = []
     for eps in config.eps_schedule:
         glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),
@@ -718,14 +718,12 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
         raise PreconditionError("the adversarial searcher is implemented for n = 2")
     if config.restarts < 1 or config.grid < 2:
         raise PreconditionError("need restarts >= 1 and grid >= 2")
-    if not all(eps > 0 for eps in config.eps_schedule):
-        raise PreconditionError("every eps in eps_schedule must be positive")
+    if not all(0 < eps < math.inf for eps in config.eps_schedule):
+        raise PreconditionError("every eps in eps_schedule must be positive and finite")
     for name in ("r", "threshold"):
         if getattr(config, name) is not None and math.isnan(getattr(config, name)):
             raise PreconditionError(f"{name} must be a number, got NaN")
-    u = np.asarray(config.u, dtype=float)
-    if u.shape != (config.m,):
-        raise PreconditionError("u must have the codomain dimension")
+    u = float_array(config.u, "u", (config.m,))
     base_norm = operator_norm(LinearMap(
         np.concatenate([u[:, None], np.zeros((config.m, config.n - 1))], axis=1), a, b))
     if base_norm > 1.0 + 1e-9:

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
+from .geometry import float_array
 
 BOUNDARY_RTOL = 1e-9  # relative tolerance deciding "u lies on the unit sphere"
 
@@ -54,19 +55,13 @@ class Norm:
             if self.p is None or (self.p != math.inf and not self.p >= 1):
                 raise PreconditionError("lp norm requires p in [1, inf]")
         elif self.kind == "polytopal":
-            verts = np.asarray(self.vertices, dtype=float)
-            if verts.ndim != 2 or verts.shape[1] != self.dim:
-                raise PreconditionError("polytopal vertices must be a (k, dim) array")
-            if not np.all(np.isfinite(verts)):
-                raise PreconditionError("polytopal vertices must be finite")
+            verts = float_array(self.vertices, "polytopal vertices", (None, self.dim))
             _check_symmetric_spanning(verts)
             object.__setattr__(self, "vertices", verts)
         elif self.kind == "transformed":
             if self.base is None or self.base.dim != self.dim:
                 raise PreconditionError("transformed norm needs a base norm of the same dim")
-            W = np.asarray(self.W, dtype=float)
-            if W.shape != (self.dim, self.dim):
-                raise PreconditionError("W must be a square dim x dim matrix")
+            W = float_array(self.W, "transformed W", (self.dim, self.dim))
             if abs(np.linalg.det(W)) < 1e-12:
                 raise PreconditionError("W must be invertible")
             object.__setattr__(self, "W", W)
@@ -214,12 +209,12 @@ def l1(dim: int) -> Norm:
 
 
 def polytopal(vertices) -> Norm:
-    verts = np.asarray(vertices, dtype=float)
+    verts = float_array(vertices, "polytopal vertices", (None, None))
     return Norm(verts.shape[1], "polytopal", vertices=verts)
 
 
 def transformed(base: Norm, W) -> Norm:
-    return Norm(base.dim, "transformed", base=base, W=np.asarray(W, dtype=float))
+    return Norm(base.dim, "transformed", base=base, W=W)
 
 
 # -- evaluation --------------------------------------------------------
@@ -489,13 +484,10 @@ def norm_from_json(data: dict) -> Norm:
             p = kind["lp"]
             return lp(dim, math.inf if p == "inf" else float(p))
         if "polytopal" in kind:
-            verts = np.asarray(kind["polytopal"], dtype=float)
-            if verts.ndim != 2 or verts.shape[1] != dim:
-                raise PreconditionError("polytopal vertices do not match dim")
-            return polytopal(verts)
+            return Norm(dim, "polytopal", vertices=kind["polytopal"])
         if "transformed" in kind:
             body = kind["transformed"]
-            return transformed(norm_from_json(body["base"]), np.asarray(body["W"], dtype=float))
+            return transformed(norm_from_json(body["base"]), body["W"])
     except PreconditionError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

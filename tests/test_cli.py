@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +17,9 @@ from inflate_lab import measure_lab as ml
 from inflate_lab import normed_space as ns
 from inflate_lab.cli import ExperimentConfig, main, run
 from inflate_lab.errors import PreconditionError
+
+# a RuntimeWarning means a NaN or an overflow got past the input checks
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LINF2 = {"dim": 2, "kind": {"lp": "inf"}}
 EUCL2 = {"dim": 2, "kind": "euclidean"}
@@ -246,19 +248,43 @@ class TestRun:
                   "patches": [{"set": [[0, math.inf], [0, 0.2]], "rho": 1.0,
                                "map": {"kind": "zero"}}],
                   "domain_norm": EUCL2, "codomain_norm": EUCL2}, "patch set"),
+        ("mv", {"u": [1, 0], "b": EUCL2, "a": {"dim": 2, "kind": {"transformed": {
+            "base": EUCL2, "W": [[math.inf, 0], [0, 1]]}}}}, "W"),
+        ("mv", {"u": [math.inf, 0], "a": LINF2, "b": EUCL2}, "u"),
+        ("probe-pair", {"a": EUCL2, "b": EUCL2, "lambda": 1, "samples": 1,
+                        "include": [[[math.inf, 0], [0, 1]]]}, "include matrix"),
+        ("experiment-negative", {"u": [math.inf, 0], "r": 0.3, "eps_schedule": [0.5],
+                                 "grid": 2, "restarts": 1, "steps": 1}, "u"),
+        ("mv", {"u": [1, 0], "b": EUCL2, "a": {"dim": 2, "kind": {"polytopal": [
+            [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]}}}, "polytopal vertices"),
     ], ids=["eigenvalues-short", "eigenvalues-long", "eigenvalues-2d", "preimages-infinite",
             "offset-short", "offset-long", "offset-infinite", "positive-box-infinite",
-            "positive-offset-infinite", "glue-set-infinite"])
+            "positive-offset-infinite", "glue-set-infinite", "mv-W-infinite", "mv-u-infinite",
+            "probe-include-infinite", "negative-u-infinite", "polytopal-width-3"])
     def test_malformed_arrays_exit_2_naming_the_field(self, capsys, command, params, field):
-        # shape and finiteness are checked before any SVD, einsum or sampling
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main([command, "--params", json.dumps(params)]) == 2
+        # shape and finiteness are checked before any SVD, einsum or sampling,
+        # and the refusal reads "<field> must ..."
+        assert main([command, "--params", json.dumps(params)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
         err = json.loads(line)["error"]
-        assert err["type"] == "precondition" and field in err["message"]
+        assert err["type"] == "precondition" and f"{field} must" in err["message"]
+
+    @pytest.mark.parametrize("command, params, field", [
+        ("experiment-negative", {"u": [1, 0], "r": 0.3, "eps_schedule": [math.inf],
+                                 "grid": 2, "restarts": 1, "steps": 1}, "eps_schedule"),
+        ("calibrate", {"n": 1, "m": 2, "box_size": math.inf}, "box_size"),
+        ("experiment-positive", {"box": [[0, 1], [0, 1]], "m": 3, "f": {"kind": "zero"},
+                                 "eta": 0.5, "eps_schedule": [0.5], "boxcount": True,
+                                 "box_size": math.inf}, "box_size"),
+    ], ids=["negative-eps", "calibrate", "positive-boxcount"])
+    def test_infinite_scale_exits_2_naming_the_field(self, capsys, command, params, field):
+        assert main([command, "--params", json.dumps(params)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "precondition" and f"{field} must" in err["message"]
 
     def test_the_malformed_array_cases_start_from_a_valid_job(self, capsys):
         params = INFLATE_HALF | {"certificate": HALF_CERT, "offset": [1, 2]}
@@ -269,9 +295,7 @@ class TestRun:
     def test_zero_include_matrix_is_refused_before_any_division(self, capsys):
         params = {"a": EUCL2, "b": EUCL2, "lambda": 1, "samples": 1,
                   "include": [[[0, 0], [0, 0]]]}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["probe-pair", "--params", json.dumps(params)]) == 2
+        assert main(["probe-pair", "--params", json.dumps(params)]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err["type"] == "precondition" and "include" in err["message"]
 

@@ -294,6 +294,15 @@ class TestExactPath:
             vols = np.abs(u[0] * V[feasible, 1] - u[1] * V[feasible, 0])
             assert np.max(vols) <= res.value + 1e-12
 
+    def test_u_on_a_codomain_facet_keeps_its_room_along_it(self):
+        # u = (0, sqrt(3)/2) sits on the hexagon's top edge; v = (1/2, 0) runs
+        # along it, so mv(u) = sqrt(3)/4 and not the 0 of a ray exit that
+        # reads rounding noise as a crossing
+        u = _column(np.array([0.0, 1.0]), 1.0, ns.linf(2), HEXAGON)
+        res = mv.max_volume(u, ns.linf(2), HEXAGON)
+        assert res.analytic and res.feasibility_gap <= 0.0
+        assert res.value == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
+
     @pytest.mark.parametrize("u", [[0.5, 0.2, 0.1], [0.9, -0.9, 0.3], [1.0, 0.0, 0.0],
                                    [0.05, 0.6, -0.55]])
     def test_l1_into_linf3_is_the_best_cube_vertex(self, u):
