@@ -323,8 +323,7 @@ def _cmd_glue(params: dict, seed: int) -> dict:
         box = float_array(params["domain_box"], "domain_box", (n, 2))
     else:
         # a box contributes its lo and hi corners, a point cloud its points
-        pts = np.concatenate([s.T if co.is_box(s, n) else np.atleast_2d(s)
-                              for s in spec.patch_sets])
+        pts = np.concatenate([s.T if co.is_box(s, n) else s for s in spec.patch_sets])
         box = np.stack([pts.min(axis=0) - 2.0, pts.max(axis=0) + 2.0], axis=1)
     probes = int(params.get("probes", 4000))
     lip = ml.estimate_lipschitz(glued, box, a, b, pairs=probes, seed=seed)

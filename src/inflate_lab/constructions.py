@@ -32,7 +32,7 @@ import numpy as np
 from . import normed_space as ns
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
 from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
-                       float_array, grid_points, sample_box, shrink_box)
+                       float_array, full_rank, grid_points, sample_box, shrink_box)
 from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
                               operator_norm, operator_norm_report, verify_certificate,
                               vol_matrix, inflation_search)
@@ -248,12 +248,17 @@ class PiecewiseAffineMap:
     affine_ref: Optional[tuple] = None  # (matrix, offset, sup deviation bound)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
-        object.__setattr__(self, "anchor_value", np.asarray(self.anchor_value, dtype=float))
-        object.__setattr__(self, "domain", as_box(self.domain))
         object.__setattr__(self, "curves", tuple(self.curves))
-        if len(self.curves) != self.n:
-            raise DimensionMismatch("one coordinate curve per domain dimension required")
+        n = len(self.curves)
+        basis = float_array(self.basis, "basis", (n, n))  # one curve per column
+        if not full_rank(np.linalg.svd(basis, compute_uv=False)):
+            raise PreconditionError("basis must be invertible")
+        anchor = float_array(self.anchor_value, "anchor_value", (None,))
+        if {c.slopes.shape[1] for c in self.curves} != {len(anchor)}:
+            raise DimensionMismatch("anchor_value must have the curves' slope width")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "anchor_value", anchor)
+        object.__setattr__(self, "domain", as_box(self.domain))
 
     @property
     def n(self) -> int:
@@ -375,18 +380,14 @@ class PiecewiseAffineMap:
 
     @staticmethod
     def from_json(data: dict) -> "PiecewiseAffineMap":
-        curves = tuple(
-            CoordinateCurve(np.asarray(c["breakpoints"], dtype=float),
-                            np.asarray(c["slopes"], dtype=float),
-                            np.asarray(c["anchor"], dtype=float))
-            for c in data["curves"]
-        )
+        curves = tuple(CoordinateCurve(c["breakpoints"], c["slopes"], c["anchor"])
+                       for c in data["curves"])
         ref = data.get("affine_ref")
         return PiecewiseAffineMap(
             curves=curves,
-            basis=np.asarray(data["basis"], dtype=float),
-            anchor_value=np.asarray(data["anchor_value"], dtype=float),
-            domain=np.asarray(data["domain"], dtype=float),
+            basis=data["basis"],
+            anchor_value=data["anchor_value"],
+            domain=data["domain"],
             domain_norm=ns.norm_from_json(data["domain_norm"]),
             codomain_norm=ns.norm_from_json(data["codomain_norm"]),
             declared_lip=float(data["declared_lip"]),
@@ -451,15 +452,12 @@ def pa_from_axis_slopes(box, axis_breakpoints: Sequence, axis_slopes: Sequence,
     """Assemble a separable piecewise-affine map from per-axis slope data."""
     box = as_box(box)
     n = box.shape[0]
-    basis = np.eye(n) if basis is None else np.asarray(basis, dtype=float)
-    curves = tuple(
-        CoordinateCurve(np.asarray(bp, dtype=float), np.asarray(sl, dtype=float),
-                        np.asarray(an, dtype=float))
-        for bp, sl, an in zip(axis_breakpoints, axis_slopes, anchors)
-    )
-    pam = PiecewiseAffineMap(curves, basis, np.asarray(const, dtype=float), box, a, b)
+    basis = np.eye(n) if basis is None else basis
+    curves = tuple(CoordinateCurve(bp, sl, an)
+                   for bp, sl, an in zip(axis_breakpoints, axis_slopes, anchors))
+    pam = PiecewiseAffineMap(curves, basis, const, box, a, b)
     lip = pam.exact_lipschitz()
-    return PiecewiseAffineMap(curves, basis, pam.anchor_value, box, a, b, declared_lip=lip)
+    return PiecewiseAffineMap(curves, pam.basis, pam.anchor_value, box, a, b, declared_lip=lip)
 
 
 # -- inflate an affine map ---------------------------------------------------
@@ -484,9 +482,7 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
         raise NumericalFailure("certificate is not verified")
     A = map.matrix
     n, m = map.n, map.m
-    box = as_box(E) if not isinstance(E, GridSubset) else E.box
-    if box.shape[0] != n:
-        raise DimensionMismatch("domain box dimension mismatch")
+    box = float_array(domain_box(E), "domain box", (n, 2))
     offset = np.zeros(m) if offset is None else float_array(offset, "offset", (m,))
     if not is_full_rank(A):
         raise PreconditionError("affine map must have a full-rank linear part")
@@ -534,6 +530,19 @@ def is_box(patch_set: np.ndarray, n: int) -> bool:
     return patch_set.shape == (n, 2)
 
 
+def _patch_set(value, n: int) -> np.ndarray:
+    """A patch set as a 2-D array: an (n, 2) box with low <= high, or a (k, n)
+    point cloud, of which one point may come as an (n,) vector."""
+    arr = float_array(value, "patch set")
+    if arr.shape == (n,):
+        arr = arr[None, :]
+    if is_box(arr, n):
+        if np.any(arr[:, 1] < arr[:, 0]):
+            raise PreconditionError("patch set must be a box with low <= high in every row")
+        return arr
+    return float_array(arr, "patch set", (None, n))
+
+
 def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
     """Distance from each row of xs to a box or point cloud, in the given norm."""
     if is_box(arr, norm.dim):
@@ -542,8 +551,6 @@ def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
             raise PreconditionError("box patch sets require an lp-family domain norm")
         closest = np.clip(xs, arr[:, 0], arr[:, 1])
         return ns._eval_many(norm, xs - closest)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     dists = np.empty((xs.shape[0], arr.shape[0]))
     for j, p in enumerate(arr):
         dists[:, j] = ns._eval_many(norm, xs - p[None, :])
@@ -555,10 +562,8 @@ def _set_to_set_distance(a: np.ndarray, b: np.ndarray, norm: ns.Norm) -> float:
         if is_box(b, norm.dim):
             gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
             return float(ns.norm_eval(norm, gap))
-        pts = b if b.ndim == 2 else b[None, :]
-        return float(np.min(_dist_to_set(pts, a, norm)))
-    pts = a if a.ndim == 2 else a[None, :]
-    return float(np.min(_dist_to_set(pts, b, norm)))
+        return float(np.min(_dist_to_set(b, a, norm)))
+    return float(np.min(_dist_to_set(a, b, norm)))
 
 
 @dataclass(frozen=True)
@@ -566,8 +571,9 @@ class PatchSpec:
     """Input bundle for glue_patches.
 
     ``patch_sets`` are boxes ((n, 2) arrays) or point clouds ((k, n)
-    arrays); ``radii`` their neighborhood radii in (0, 1]; ``patch_maps``
-    the maps defined on the neighborhoods; ``base_map`` the global map f;
+    arrays; one (n,) point is stored as (1, n)); ``radii`` their
+    neighborhood radii in (0, 1]; ``patch_maps`` the maps defined on the
+    neighborhoods; ``base_map`` the global map f;
     ``delta`` the patch closeness scale (||g_i - f|| <= delta * rho_i on
     each neighborhood).  Each map may be a batch callable, a single-point
     callable, or a piecewise-affine or glued map (see _as_batch).
@@ -589,8 +595,8 @@ class PatchSpec:
         for rho in self.radii:
             if not (0 < rho <= 1):
                 raise PreconditionError("radii must lie in (0, 1]")
-        object.__setattr__(self, "patch_sets",
-                           tuple(float_array(s, "patch set") for s in self.patch_sets))
+        n = self.domain_norm.dim
+        object.__setattr__(self, "patch_sets", tuple(_patch_set(s, n) for s in self.patch_sets))
 
 
 class GluedMap:
@@ -667,9 +673,8 @@ def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
         hull = np.stack([arr[:, 0] - rho, arr[:, 1] + rho], axis=1)
         pts = sample_box(hull, 4 * count, rng)
     else:
-        pts_base = arr if arr.ndim == 2 else arr[None, :]
-        idx = rng.integers(0, pts_base.shape[0], size=4 * count)
-        pts = pts_base[idx] + rng.standard_normal((4 * count, pts_base.shape[1])) * rho
+        idx = rng.integers(0, arr.shape[0], size=4 * count)
+        pts = arr[idx] + rng.standard_normal((4 * count, arr.shape[1])) * rho
     dist = _dist_to_set(pts, arr, norm)
     return pts[dist <= rho][:count]
 
@@ -685,16 +690,14 @@ def lsc_margin(A, eta: float) -> float:
     image of the r-ball around x (via the degree/coverage argument).
     Requires eta in (2^-n, 1).
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise PreconditionError("A must be a matrix")
+    A = float_array(A, "A", (None, None))
     m, n = A.shape
     if n > m:
         raise PreconditionError("A must map into dimension >= n")
     if not (2.0 ** (-n) < eta < 1.0):
         raise PreconditionError(f"eta must lie in (2^-{n}, 1)")
     s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= 1e-12 * max(s[0], 1e-300):
+    if not full_rank(s):
         raise PreconditionError("A must be full rank")
     inv_norm = 1.0 / float(s[-1])
     return (1.0 - eta ** (1.0 / n)) / (2.0 * inv_norm)

@@ -16,6 +16,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError
 
+RANK_RTOL = 1e-10  # sigma_min > RANK_RTOL * sigma_max decides "full rank"
+
+
+def full_rank(s):
+    """The one full-rank rule, on singular values ``s`` (largest first, last
+    axis; a stack gives one verdict per matrix): sigma_min > RANK_RTOL *
+    sigma_max.  Relative, so rescaling a matrix never changes the verdict."""
+    return s[..., -1] > RANK_RTOL * np.maximum(s[..., 0], 1e-300)
+
 
 def float_array(value, what: str, shape: Optional[tuple] = None) -> np.ndarray:
     """``value`` (nested lists) as a float array: the one gate for arrays from

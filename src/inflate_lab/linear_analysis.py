@@ -21,12 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import normed_space as ns
-from .errors import DimensionMismatch, NumericalFailure, PreconditionError
-from .geometry import float_array
+from .errors import NumericalFailure, PreconditionError
+from .geometry import RANK_RTOL, float_array, full_rank  # noqa: F401 (RANK_RTOL re-exported)
 from .normed_space import _is_euclidean
 from .seeding import rng_for
 
-RANK_RTOL = 1e-10        # sigma_min > RANK_RTOL * sigma_max decides "full rank"
 VERIFY_TOL = 1e-9        # certificate verification tolerance (relative), the only one used
 SEARCH_FEAS_TOL = 1e-7   # operator-norm slack accepted on a search's input map
 _KAPPA_CAP = 1e9
@@ -83,8 +82,7 @@ def vol(map: LinearMap) -> float:
 
 
 def is_full_rank(A) -> bool:
-    s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
-    return bool(s[-1] > RANK_RTOL * max(s[0], 1e-300))
+    return bool(full_rank(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)))
 
 
 # -- operator norm -------------------------------------------------------
@@ -148,11 +146,7 @@ def operator_norm_report(matrices, a: ns.Norm, b: ns.Norm) -> OperatorNormReport
     this order, after _unwrap_transforms, by _rays alone; _ray_exit reads
     the same rays.
     """
-    As = np.asarray(matrices, dtype=float)
-    if As.ndim != 3 or As.shape[1:] != (b.dim, a.dim):
-        raise DimensionMismatch(f"expected a (k, {b.dim}, {a.dim}) stack, got {As.shape}")
-    if not np.all(np.isfinite(As)):
-        raise PreconditionError("matrix entries must be finite")
+    As = float_array(matrices, "matrix stack", (None, b.dim, a.dim))
     rays, c, scale, exact = _rays(As, a, b)
     if c is None:
         values = np.linalg.svd(rays, compute_uv=False)[:, 0]
@@ -363,9 +357,7 @@ def verify_certificate(map: LinearMap, cert: InflationCertificate) -> Verificati
     n = map.n
     X = float_array(cert.preimages, "certificate preimages", (n, n))
     kappa = float_array(cert.eigenvalues, "certificate eigenvalues", (n,))
-    U = map.matrix @ X
-    s = np.linalg.svd(U, compute_uv=False)
-    if s[-1] <= RANK_RTOL * max(s[0], 1e-300):
+    if not full_rank(np.linalg.svd(map.matrix @ X, compute_uv=False)):
         raise PreconditionError("eigenbasis is not linearly independent")
     if map.n > map.m:
         raise PreconditionError(f"vol requires n <= m, got {map.n} > {map.m}")
@@ -413,7 +405,7 @@ def euclidean_inflation(map: LinearMap) -> InflationCertificate:
         raise PreconditionError("requires n <= m")
     A = map.matrix
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= RANK_RTOL * max(s[0], 1e-300):
+    if not full_rank(s):
         raise NumericalFailure("no inflation for degenerate map")
     if s[0] > 1.0 + VERIFY_TOL:
         raise PreconditionError(f"operator norm {s[0]} exceeds 1")

@@ -29,10 +29,9 @@ from typing import Optional
 import numpy as np
 
 from . import normed_space as ns
-from .errors import DimensionMismatch, PreconditionError
-from .geometry import float_array
-from .linear_analysis import (RANK_RTOL, LinearMap, _ray_exit, operator_norm_report,
-                              vol_matrix)
+from .errors import PreconditionError
+from .geometry import float_array, full_rank
+from .linear_analysis import LinearMap, _ray_exit, operator_norm_report, vol_matrix
 from .seeding import rng_for
 
 FEAS_TOL = 1e-9
@@ -46,16 +45,9 @@ _MAX_EXACT_ENTRIES = 1 << 18
 def column_augment(u, V, domain_norm: Optional[ns.Norm] = None,
                    codomain_norm: Optional[ns.Norm] = None) -> LinearMap:
     """The map (u|V): e_1 -> u, e_j -> v_j, with Euclidean norms by default."""
-    u = np.asarray(u, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if u.ndim != 1:
-        raise DimensionMismatch("u must be a vector")
-    m = u.shape[0]
-    if V.size == 0:
-        V = V.reshape(m, 0)
-    if V.ndim != 2 or V.shape[0] != m:
-        raise DimensionMismatch(f"V must be (m, n-1) with m = {m}, got {V.shape}")
-    n = V.shape[1] + 1
+    u = float_array(u, "u", (None,))
+    V = float_array(V, "V", (len(u), None))
+    m, n = V.shape[0], V.shape[1] + 1
     if n < 2:
         raise PreconditionError("column augmentation needs n >= 2")
     matrix = np.concatenate([u[:, None], V], axis=1)
@@ -80,6 +72,14 @@ def _norm_bracket(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> tuple
     """(lower, upper) ends of ||(u|V)||_{a->b}; equal where the norm is exact."""
     report = operator_norm_report(np.concatenate([u[:, None], V], axis=1)[None], a, b)
     return float(report.lower[0]), float(report.values[0])
+
+
+def checked_base_norm(u: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
+    """The certified lower end of ||(u|0)||_{a->b}, refused above 1 + FEAS_TOL."""
+    base_norm = _norm_bracket(u, np.zeros((len(u), a.dim - 1)), a, b)[0]
+    if base_norm > 1.0 + FEAS_TOL:
+        raise PreconditionError(f"||(u|0)|| = {base_norm} exceeds 1")
+    return base_norm
 
 
 def _max_feasible_scale(u: np.ndarray, V: np.ndarray, a: ns.Norm, b: ns.Norm) -> float:
@@ -140,7 +140,7 @@ def _polytope_completion(u: np.ndarray, a: ns.Norm, ys: np.ndarray) -> Optional[
     lo, hi = ends
     subsets = np.array(list(combinations(range(k), m)))
     G = Y[subsets]
-    regular = np.abs(np.linalg.det(G)) > 1e-12 * np.prod(np.linalg.norm(G, axis=2), axis=1)
+    regular = full_rank(np.linalg.svd(G, compute_uv=False))
     subsets, G = subsets[regular], G[regular]
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1            # (2^m, m)
     rhs = np.where(bits[None] == 1, hi[subsets][:, None], lo[subsets][:, None])
@@ -237,9 +237,7 @@ def max_volume(u, a: ns.Norm, b: ns.Norm, restarts: int = 32, seed: int = 0,
         raise PreconditionError("maximal volume needs n >= 2")
     if n > m:
         raise PreconditionError("requires n <= m")
-    base_norm = _norm_bracket(u, np.zeros((m, n - 1)), a, b)[0]
-    if base_norm > 1.0 + FEAS_TOL:
-        raise PreconditionError(f"||(u|0)|| = {base_norm} exceeds 1")
+    base_norm = checked_base_norm(u, a, b)
 
     if not np.any(u) or (a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b) and
                          abs(float(np.linalg.norm(u)) - 1.0) <= FEAS_TOL):
@@ -291,7 +289,7 @@ def _vol_gradient(u: np.ndarray, V: np.ndarray) -> np.ndarray:
     vol's slopes along +-dV cancel by symmetry."""
     M = np.concatenate([u[:, None], V], axis=1)
     S, s, Rt = np.linalg.svd(M, full_matrices=False)
-    if not s[-1] > RANK_RTOL * max(s[0], 1e-300):
+    if not full_rank(s):
         return np.zeros_like(V)
     return float(np.prod(s)) * ((S / s) @ Rt)[:, 1:]
 

@@ -27,7 +27,7 @@ from .errors import NumericalFailure, PreconditionError
 from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
                        float_array)
 from .linear_analysis import LinearMap, operator_norm, operator_norm_report, vol_matrix
-from .maximal_volume import max_volume
+from .maximal_volume import checked_base_norm, max_volume
 from .seeding import rng_for
 
 _MAX_CLOUD_POINTS = 60_000_000
@@ -724,10 +724,7 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
         if getattr(config, name) is not None and math.isnan(getattr(config, name)):
             raise PreconditionError(f"{name} must be a number, got NaN")
     u = float_array(config.u, "u", (config.m,))
-    base_norm = operator_norm(LinearMap(
-        np.concatenate([u[:, None], np.zeros((config.m, config.n - 1))], axis=1), a, b))
-    if base_norm > 1.0 + 1e-9:
-        raise PreconditionError("||(u|0)|| must be at most 1")
+    checked_base_norm(u, a, b)
     if config.threshold is not None:
         threshold = float(config.threshold)
     else:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
-from .geometry import float_array
+from .geometry import float_array, full_rank
 
 BOUNDARY_RTOL = 1e-9  # relative tolerance deciding "u lies on the unit sphere"
 
@@ -62,7 +62,7 @@ class Norm:
             if self.base is None or self.base.dim != self.dim:
                 raise PreconditionError("transformed norm needs a base norm of the same dim")
             W = float_array(self.W, "transformed W", (self.dim, self.dim))
-            if abs(np.linalg.det(W)) < 1e-12:
+            if not full_rank(np.linalg.svd(W, compute_uv=False)):
                 raise PreconditionError("W must be invertible")
             object.__setattr__(self, "W", W)
         else:
@@ -91,7 +91,7 @@ class Norm:
         eq = self._hull.equations  # rows [normal, offset] with normal.x + offset <= 0 inside
         A = eq[:, :-1]
         c = -eq[:, -1]
-        if np.any(c <= 1e-12):
+        if np.any(c <= 1e-12 * np.max(c)):
             raise PreconditionError("polytopal vertex hull does not contain 0 in its interior")
         return A, c
 
@@ -180,9 +180,9 @@ class Norm:
 
 def _check_symmetric_spanning(verts: np.ndarray) -> None:
     n = verts.shape[1]
-    if np.linalg.matrix_rank(verts, tol=1e-10) < n:
+    if len(verts) < n or not full_rank(np.linalg.svd(verts, compute_uv=False)):
         raise PreconditionError("polytopal vertices do not span R^n")
-    scale = max(1.0, float(np.max(np.abs(verts))))
+    scale = float(np.max(np.abs(verts)))
     for v in verts:
         d = np.min(np.linalg.norm(verts + v, axis=1))
         if d > 1e-9 * scale:

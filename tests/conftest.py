@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-# example times swing on a loaded host; a per-example deadline only adds flakes
-settings.register_profile("lab", deadline=None)
+# example times swing on a loaded host; a per-example deadline only adds flakes.
+# Examples are drawn the same way on every run and no failure is stored under
+# .hypothesis/, so one Tier-1 run cannot fail where the one before it passed
+settings.register_profile("lab", deadline=None, derandomize=True, database=None)
 settings.load_profile("lab")
 
 

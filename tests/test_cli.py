@@ -248,6 +248,10 @@ class TestRun:
                   "patches": [{"set": [[0, math.inf], [0, 0.2]], "rho": 1.0,
                                "map": {"kind": "zero"}}],
                   "domain_norm": EUCL2, "codomain_norm": EUCL2}, "patch set"),
+        ("glue", {"base": {"kind": "zero"}, "delta": 0.1, "L": 0.0,
+                  "patches": [{"set": [[0.5, 0.1], [0, 1]], "rho": 1.0,
+                               "map": {"kind": "zero"}}],
+                  "domain_norm": EUCL2, "codomain_norm": EUCL2}, "patch set"),
         ("mv", {"u": [1, 0], "b": EUCL2, "a": {"dim": 2, "kind": {"transformed": {
             "base": EUCL2, "W": [[math.inf, 0], [0, 1]]}}}}, "W"),
         ("mv", {"u": [math.inf, 0], "a": LINF2, "b": EUCL2}, "u"),
@@ -259,7 +263,8 @@ class TestRun:
             [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]}}}, "polytopal vertices"),
     ], ids=["eigenvalues-short", "eigenvalues-long", "eigenvalues-2d", "preimages-infinite",
             "offset-short", "offset-long", "offset-infinite", "positive-box-infinite",
-            "positive-offset-infinite", "glue-set-infinite", "mv-W-infinite", "mv-u-infinite",
+            "positive-offset-infinite", "glue-set-infinite", "glue-set-reversed",
+            "mv-W-infinite", "mv-u-infinite",
             "probe-include-infinite", "negative-u-infinite", "polytopal-width-3"])
     def test_malformed_arrays_exit_2_naming_the_field(self, capsys, command, params, field):
         # shape and finiteness are checked before any SVD, einsum or sampling,

@@ -273,6 +273,21 @@ class TestCoordinateCurve:
 BOX = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 
 
+class TestPiecewiseAffineMap:
+    def test_singular_basis_is_refused_at_construction(self):
+        curve = co.CoordinateCurve(np.array([0.0, 1.0]), np.ones((1, 2)), np.zeros(2))
+        with pytest.raises(PreconditionError, match="basis must be invertible"):
+            co.PiecewiseAffineMap((curve, curve), [[1.0, 2.0], [2.0, 4.0]], np.zeros(2), BOX,
+                                  ns.euclidean(2), ns.euclidean(2))
+
+    @pytest.mark.parametrize("anchor_value", [[0.0], [0.0, 0.0, 0.0]])
+    def test_anchor_value_length_is_checked_at_construction(self, anchor_value):
+        curve = co.CoordinateCurve(np.array([0.0, 1.0]), np.ones((1, 2)), np.zeros(2))
+        with pytest.raises(DimensionMismatch, match="anchor_value must"):
+            co.PiecewiseAffineMap((curve, curve), np.eye(2), anchor_value, BOX,
+                                  ns.euclidean(2), ns.euclidean(2))
+
+
 class TestInflateAffine:
     def test_identity_trivial_certificate(self):
         m = eucl_map(np.eye(2))
@@ -474,6 +489,9 @@ class TestMargins:
             co.lsc_margin(np.eye(2), 1.0)
         with pytest.raises(PreconditionError):
             co.lsc_margin(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.5)
+        with pytest.raises(PreconditionError, match="full rank"):
+            # sigma_min / sigma_max = 1e-11: rank-deficient by the one rule
+            co.lsc_margin(np.diag([1.0, 1e-11]), 0.5)
 
     def test_balls_epsilon_examples(self):
         assert co.balls_epsilon(1.0, 0.1, 10) == pytest.approx(0.01)

@@ -974,6 +974,16 @@ class TestExperiments:
             assert rec["sup_dist"] == pytest.approx(l1_dist, rel=1e-12)
             assert l1_dist <= rec["eps"] + 1e-9
 
+    def test_u_on_the_sphere_of_a_smooth_pair_is_feasible(self):
+        # |u|_4 = 1: the certified lower end of ||(u|0)||_{lp3->lp4} is 1, so u
+        # passes the same check as max_volume, though the bracket's upper end exceeds 1
+        config = ml.NegativeConfig(
+            u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(0.25,), seed=0,
+            domain_kind={"lp": 3}, codomain_kind={"lp": 4}, threshold=0.5,
+            restarts=1, steps=2)
+        [record] = ml.run_negative_experiment(config)["records"]
+        assert record["sup_dist"] <= record["eps"] + 1e-9
+
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"grid": 0}, {"grid": 1}])
     def test_bad_search_budget_is_a_precondition_error(self, budget):
         config = ml.NegativeConfig(u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(0.25,),

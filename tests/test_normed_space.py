@@ -70,6 +70,24 @@ class TestNormEval:
         with pytest.raises(PreconditionError):
             ns.polytopal([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
 
+    def test_tiny_W_is_invertible(self):
+        # invertibility is relative rank: 1e-7 I is as invertible as I
+        tiny = ns.transformed(ns.euclidean(2), 1e-7 * np.eye(2))
+        assert ns.ball_volume(tiny) == pytest.approx(math.pi * 1e-14, rel=1e-12)
+
+    def test_ill_conditioned_W_is_refused(self):
+        # condition number 1e17, though its determinant 1e-5 is far from 0
+        with pytest.raises(PreconditionError, match="W must be invertible"):
+            ns.transformed(ns.euclidean(2), np.diag([1e6, 1e-11]))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-9, 1.0, 1e9])
+    def test_rescaled_vertex_lists_are_judged_alike(self, scale):
+        angles = np.arange(6) * math.pi / 3
+        hexagon = ns.polytopal(scale * np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert ns.norm_eval(hexagon, [scale, 0.0]) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(PreconditionError, match="symmetric"):
+            ns.polytopal(scale * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -2.0]]))
+
     def test_transformed_matches_definition(self, rng):
         base = ns.polytopal(CROSS_2D)
         W = np.array([[2.0, 1.0], [0.0, 1.0]])
