@@ -259,6 +259,8 @@ class PiecewiseAffineMap:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "anchor_value", anchor)
         object.__setattr__(self, "domain", as_box(self.domain))
+        if len(self.domain) != n:
+            raise DimensionMismatch("domain must have one row per curve")
 
     @property
     def n(self) -> int:

@@ -428,8 +428,9 @@ def inflation_search(map: LinearMap, lam: float, restarts: int = 64,
     """Search for a verified lambda-inflation; None when no restart certifies.
 
     Multi-start over eigenbases (SVD-informed plus random).  Each restart
-    maximizes the sign-invariant volume vol(A) * prod kappa_i in one
-    sweep: kappa_i grows by the exact ray exit (``_ray_exit``) of all
+    reaches a fixed point of one coordinate sweep of the sign-invariant
+    volume vol(A) * prod kappa_i, which need not be its maximum over
+    kappa: kappa_i grows by the exact ray exit (``_ray_exit``) of all
     2^n sign patterns along s_i u_i x~_i (x~_i the rows of X^-1), up to
     _KAPPA_CAP.  The exits keep the max-over-signs operator norm (its
     certified upper end) at 1 up to rounding, inside verification's

@@ -708,9 +708,11 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
     ||g - (u|0)||_inf <= eps and exact per-cell Lipschitz norm at most 1
     maximizing the fraction of the cube where vol g' clears the
     threshold mv(u) + r.  Achieved fractions are searcher lower bounds
-    of the true maxima.  With ``control`` set, the map is produced by
-    the inflation pipeline instead (the contrast case where the fraction
-    stays high).
+    of the true maxima.  The searches of all eps run in one batch (one
+    _adversarial_search call, seed + 1000 i for eps i), with the same
+    records as one search per eps.  With ``control`` set, the map is
+    produced by the inflation pipeline instead (the contrast case where
+    the fraction stays high), one eps at a time.
     """
     a = ns.norm_from_json({"dim": config.n, "kind": config.domain_kind})
     b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})
@@ -732,6 +734,10 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
         threshold = mv.value + config.r
 
     box = np.stack([-np.ones(config.n), np.ones(config.n)], axis=1)
+    if not config.control:
+        searched = _adversarial_search(
+            a, b, u, config.eps_schedule, threshold, config.grid, config.restarts,
+            config.steps, [config.seed + 1000 * i for i in range(len(config.eps_schedule))])
     records = []
     for i, eps in enumerate(config.eps_schedule):
         if config.control:
@@ -750,9 +756,7 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
                 "seed": config.seed,
             })
         else:
-            frac, best = _adversarial_search(a, b, u, float(eps), threshold,
-                                             config.grid, config.restarts,
-                                             config.steps, config.seed + 1000 * i)
+            frac, best = searched[i]
             sup = _exact_sup_dist(best, u)
             records.append({
                 "eps": float(eps),
@@ -838,44 +842,49 @@ def _exact_sup_dist(pam: PiecewiseAffineMap, u: np.ndarray) -> float:
     return float(np.max(ns._eval_many(pam.codomain_norm, pam.eval_many(pts) - target)))
 
 
-def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
-                        threshold: float, k: int, restarts: int, steps: int,
-                        seed: int):
-    """Coordinate-perturbation ascent over per-segment slope vectors.
+def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, schedule, threshold: float,
+                        k: int, restarts: int, steps: int, seeds) -> list:
+    """Coordinate-perturbation ascent over per-segment slope vectors, one search per eps.
 
-    Projection keeps the candidate admissible: a global slope rescale
-    enforces the exact worst-cell operator norm <= 1, and a convex blend
-    toward the baseline (u|0) enforces the exact sup-distance <= eps
-    (both constraints are convex along the blend).
+    Returns one (fraction, map) per eps of ``schedule``; search i runs
+    ``restarts`` candidates from the streams of ``seeds[i]``.  Projection
+    keeps a candidate admissible: a global slope rescale enforces the
+    exact worst-cell operator norm <= 1, and a convex blend toward the
+    baseline (u|0) enforces the exact sup-distance <= eps (both
+    constraints are convex along the blend).
 
-    The restarts run as one (R, n, k, m) slope stack, one kernel call per
-    stage and step.  Restart r draws from its own stream
-    rng_for(seed, 8088, r) in the order of a single-restart loop, and no
-    draw depends on the ascent, so the result does not depend on batching.
+    All searches run as one (len(schedule) * restarts, n, k, m) slope
+    stack, one kernel call per stage and step; each row carries its own
+    eps (start noise, first step, projection cap) and step size.  Row
+    (i, r) draws from its own stream rng_for(seeds[i], 8088, r), at the
+    step that uses the draw and in the order of a single-restart loop,
+    so no array grows with the step count; the largest are a step's
+    rows * k^2 cells (m x 2 each, times the domain ball's vertex count on
+    the operator_norm_report path).  No draw depends on the ascent, every
+    stage is elementwise or reduces within one row, and a row that has
+    stopped is never accepted again, so each search's result does not
+    depend on batching.
     """
+    schedule = np.asarray(schedule, dtype=float)
+    if schedule.size == 0:
+        return []
     n, m = a.dim, b.dim
-    # the same cell norms in closed form; the general path slows the negative benchmark by ~45%
+    # the same cell norms in closed form; operator_norm_report's vertex path runs the
+    # negative benchmark jobs 1.3-1.8x slower (batched searches, 2-core host)
     fast_norms = n == 2 and a.kind == "lp" and a.p == math.inf and ns._is_euclidean(b)
     seg_len = 2.0 / k
-    steps = max(steps, 0)
     breaks = np.linspace(-1.0, 1.0, k + 1)
     base = np.zeros((n, k, m))
     base[0] = u
-    rows = np.arange(restarts)
+    eps = np.repeat(schedule, restarts)
+    restart = np.tile(np.arange(restarts), schedule.size)
+    rows = np.arange(eps.size)
+    rngs = [rng_for(seed, 8088, r) for seed in seeds for r in range(restarts)]
 
-    start = np.repeat(base[None], restarts, axis=0)
-    axes = np.empty((restarts, steps), dtype=np.intp)
-    segs = np.empty((restarts, steps), dtype=np.intp)
-    kicks = np.empty((restarts, steps, m))
-    for r in range(restarts):
-        rng = rng_for(seed, 8088, r)
-        if r > 0:
-            for d in range(n):
-                start[r, d] += rng.standard_normal((k, m)) * (0.3 * eps / seg_len)
-        for t in range(steps):
-            axes[r, t] = rng.integers(0, n)
-            segs[r, t] = rng.integers(0, k)
-            kicks[r, t] = rng.standard_normal(m)
+    start = np.repeat(base[None], eps.size, axis=0)
+    for j in np.flatnonzero(restart > 0):
+        for d in range(n):
+            start[j, d] += rngs[j].standard_normal((k, m)) * (0.3 * eps[j] / seg_len)
 
     def worst_norm(S: np.ndarray) -> np.ndarray:
         if fast_norms:
@@ -898,14 +907,23 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
         guide = np.mean(np.minimum(vols / max(threshold, 1e-12), 1.0), axis=1)
         return frac + 1e-3 * guide, frac
 
-    # restart 0 starts at the baseline itself, unprojected
-    cand = np.where((rows > 0)[:, None, None, None], project(start), start)
+    # restart 0 of each search starts at the baseline itself, unprojected
+    cand = np.where((restart > 0)[:, None, None, None], project(start), start)
     s_best, _ = score(cand)
-    step = np.full(restarts, max(eps / seg_len, 0.05))
-    active = np.ones(restarts, dtype=bool)
-    for t in range(steps):
+    step = np.maximum(eps / seg_len, 0.05)
+    active = np.ones(eps.size, dtype=bool)
+    axes = np.zeros(eps.size, dtype=np.intp)
+    segs = np.zeros(eps.size, dtype=np.intp)
+    kicks = np.zeros((eps.size, m))
+    for _ in range(max(steps, 0)):
+        # a stopped row keeps its last draw: its trial is never accepted
+        for j in np.flatnonzero(active):
+            rng = rngs[j]
+            axes[j] = rng.integers(0, n)
+            segs[j] = rng.integers(0, k)
+            rng.standard_normal(out=kicks[j])
         trial = cand.copy()
-        trial[rows, axes[:, t], segs[:, t]] += kicks[:, t] * step[:, None]
+        trial[rows, axes, segs] += kicks * step[:, None]
         trial = project(trial)
         s_new, _ = score(trial)
         accept = active & (s_new > s_best)
@@ -917,11 +935,14 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, eps: float,
         if not active.any():
             break
     _, fracs = score(cand)
-    best = 0
-    for r in range(1, restarts):
-        if fracs[r] > fracs[best] + 1e-15:
-            best = r
-    return float(fracs[best]), _separable_map(u, cand[best], a, b)
+    found = []
+    for lo in range(0, eps.size, restarts):
+        best = lo
+        for r in range(lo + 1, lo + restarts):
+            if fracs[r] > fracs[best] + 1e-15:
+                best = r
+        found.append((float(fracs[best]), _separable_map(u, cand[best], a, b)))
+    return found
 
 
 # -- report output -------------------------------------------------------------

@@ -287,6 +287,14 @@ class TestPiecewiseAffineMap:
             co.PiecewiseAffineMap((curve, curve), np.eye(2), anchor_value, BOX,
                                   ns.euclidean(2), ns.euclidean(2))
 
+    @pytest.mark.parametrize("domain", [BOX[:1], np.array([[-1.0, 1.0]] * 3)])
+    def test_domain_rows_are_checked_at_construction(self, domain):
+        # a 3-row box with two curves used to build, then fail in jacobian_integral
+        curve = co.CoordinateCurve(np.array([-1.0, 1.0]), np.ones((1, 2)), np.zeros(2))
+        with pytest.raises(DimensionMismatch, match="one row per curve"):
+            co.PiecewiseAffineMap((curve, curve), np.eye(2), np.zeros(2), domain,
+                                  ns.euclidean(2), ns.euclidean(2))
+
 
 class TestInflateAffine:
     def test_identity_trivial_certificate(self):

@@ -824,9 +824,12 @@ def adversary_cases(draw):
     v = draw(hnp.arrays(float, m, elements=st.floats(-1.0, 1.0)).filter(
         lambda v: np.max(np.abs(v)) > 0.1))
     u = v * (draw(st.floats(0.3, 1.5)) / ns.norm_eval(b, v))
-    return (NORMS[dom](2), b, u, draw(st.sampled_from([0.5, 0.25, 0.0625, 2.0 ** -8])),
-            draw(st.floats(0.05, 0.9)), draw(st.integers(2, 6)), draw(st.integers(1, 8)),
-            draw(st.integers(0, 60)), draw(st.integers(0, 2 ** 16)))
+    size = draw(st.integers(1, 4))
+    schedule = draw(st.lists(st.sampled_from([0.5, 0.25, 0.0625, 2.0 ** -8]),
+                             min_size=size, max_size=size))
+    seeds = draw(st.lists(st.integers(0, 2 ** 16), min_size=size, max_size=size))
+    return (NORMS[dom](2), b, u, schedule, draw(st.floats(0.05, 0.9)), draw(st.integers(2, 6)),
+            draw(st.integers(1, 8)), draw(st.integers(0, 60)), seeds)
 
 
 def assert_same_search(got, want):
@@ -836,26 +839,58 @@ def assert_same_search(got, want):
         assert mine.anchor.tobytes() == theirs.anchor.tobytes()
 
 
+def assert_same_searches(case):
+    """Every search of one batched schedule against the loop, one eps at a time."""
+    a, b, u, schedule, threshold, k, restarts, steps, seeds = case
+    found = ml._adversarial_search(*case)
+    assert len(found) == len(schedule)
+    for got, eps, seed in zip(found, schedule, seeds):
+        assert_same_search(got, reference_adversarial_search(
+            a, b, u, eps, threshold, k, restarts, steps, seed))
+
+
+def counted_projections(monkeypatch) -> list:
+    calls = []
+    kernel = ml._sup_dist_nodes
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ml, "_sup_dist_nodes", counted)
+    return calls
+
+
 class TestAdversaryOracle:
     @settings(max_examples=120)
     @given(adversary_cases())
     def test_batched_restarts_match_the_loop(self, case):
-        assert_same_search(ml._adversarial_search(*case), reference_adversarial_search(*case))
+        assert_same_searches(case)
 
     def test_every_restart_reaches_the_step_stop(self, monkeypatch):
-        calls = []
-        kernel = ml._sup_dist_nodes
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(ml, "_sup_dist_nodes", counted)
-        case = (ns.linf(2), ns.euclidean(2), np.array([1.0, 0.0]), 0.25, 0.3, 3, 6, 1500, 5)
-        got = ml._adversarial_search(*case)
-        # one call for the start and one per step: fewer than 1501 means all six stopped
+        calls = counted_projections(monkeypatch)
+        case = (ns.linf(2), ns.euclidean(2), np.array([1.0, 0.0]), [0.25, 0.0625], 0.3, 3, 6,
+                1500, [5, 1005])
+        assert_same_searches(case)
+        # one batched call for the start and one per step: fewer than 1501 means all twelve
+        # rows stopped
         assert len(calls) < 1 + 1500
-        assert_same_search(got, reference_adversarial_search(*case))
+
+    def test_one_schedule_is_one_batch(self, monkeypatch):
+        calls = counted_projections(monkeypatch)
+        config = ml.NegativeConfig(
+            u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(0.5, 0.25, 0.125), seed=2,
+            domain_kind="l1", codomain_kind="linf", threshold=0.3, restarts=3, steps=40)
+        records = ml.run_negative_experiment(config)["records"]
+        assert len(records) == 3
+        assert len(calls) <= config.steps + 1
+
+    def test_empty_schedule_has_no_records(self, monkeypatch):
+        calls = counted_projections(monkeypatch)
+        config = ml.NegativeConfig(u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(), seed=0,
+                                   threshold=0.3)
+        assert ml.run_negative_experiment(config)["records"] == []
+        assert calls == []
 
 
 class TestExperiments:
@@ -948,7 +983,7 @@ class TestExperiments:
             u=u, r=0.3, eps_schedule=(0.25,), seed=0, domain_kind="euclidean",
             codomain_kind="linf", threshold=0.3, grid=6, restarts=3, steps=40)
         record = ml.run_negative_experiment(config)["records"][0]
-        _, pam = ml._adversarial_search(a, b, u, 0.25, 0.3, 6, 3, 40, config.seed)
+        [(_, pam)] = ml._adversarial_search(a, b, u, [0.25], 0.3, 6, 3, 40, [config.seed])
         cells = pam.distinct_linears()
         report = la.operator_norm_report(cells, a, b)
         rows = np.max(np.linalg.norm(cells, axis=2), axis=1)
@@ -966,9 +1001,9 @@ class TestExperiments:
         t = np.linspace(-1.0, 1.0, 7)
         X, Y = np.meshgrid(t, t, indexing="ij")
         corners = np.stack([X.ravel(), Y.ravel()], axis=1)
-        for i, rec in enumerate(report["records"]):
-            _, pam = ml._adversarial_search(ns.linf(2), ns.l1(2), u, rec["eps"], 0.3,
-                                            6, 3, 60, config.seed + 1000 * i)
+        found = ml._adversarial_search(ns.linf(2), ns.l1(2), u, config.eps_schedule, 0.3,
+                                       6, 3, 60, [config.seed, config.seed + 1000])
+        for rec, (_, pam) in zip(report["records"], found, strict=True):
             dev = pam.eval_many(corners) - corners[:, :1] * u
             l1_dist = float(np.max(np.sum(np.abs(dev), axis=1)))
             assert rec["sup_dist"] == pytest.approx(l1_dist, rel=1e-12)
@@ -983,6 +1018,38 @@ class TestExperiments:
             restarts=1, steps=2)
         [record] = ml.run_negative_experiment(config)["records"]
         assert record["sup_dist"] <= record["eps"] + 1e-9
+
+    # Records of one fast-path (cube -> Euclidean) and one operator_norm_report schedule,
+    # recorded when every eps ran its own search; each field is compared by repr.
+    @pytest.mark.parametrize("config, threshold, records", [
+        (ml.NegativeConfig(u=np.array([0.6, 0.8]), r=0.1, eps_schedule=(0.25, 0.0625, 2.0 ** -6),
+                           seed=9, restarts=4, steps=80),
+         0.1,
+         [dict(eps=0.25, superlevel_fraction=0.8333333333333334, sup_dist=0.24974999999999986,
+               lip_exact=0.9999419563844295, jac_integral=0.5360665781963824),
+          dict(eps=0.0625, superlevel_fraction=0.3333333333333333, sup_dist=0.058236198922438705,
+               lip_exact=0.9995853552313347, jac_integral=0.1375767037368873),
+          dict(eps=0.015625, superlevel_fraction=0.0, sup_dist=0.015609374999999915,
+               lip_exact=0.9999997366441689, jac_integral=0.0670046192610545)]),
+        (ml.NegativeConfig(u=np.array([1.0, 0.0]), r=0.3, eps_schedule=(0.5, 0.125, 0.03125),
+                           seed=5, threshold=0.3, domain_kind="l1", codomain_kind="linf",
+                           restarts=3, steps=60),
+         0.3,
+         [dict(eps=0.5, superlevel_fraction=1.0, sup_dist=0.49950000000000006,
+               lip_exact=0.9999816115787948, jac_integral=1.9533386365984657),
+          dict(eps=0.125, superlevel_fraction=0.3333333333333333, sup_dist=0.1180326966445786,
+               lip_exact=0.9877937551181326, jac_integral=0.7008283286168246),
+          dict(eps=0.03125, superlevel_fraction=0.0, sup_dist=0.031218750000000003,
+               lip_exact=1.0, jac_integral=0.1818108948941241)]),
+    ], ids=["linf-l2-fast-path", "l1-linf-operator-norms"])
+    def test_negative_records_are_pinned(self, config, threshold, records):
+        report = ml.run_negative_experiment(config)
+        assert repr(report["threshold"]) == repr(threshold)
+        for got, want in zip(report["records"], records, strict=True):
+            want = dict(want, boxcount=None, seed=config.seed)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert repr(got[key]) == repr(want[key]), key
 
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"grid": 0}, {"grid": 1}])
     def test_bad_search_budget_is_a_precondition_error(self, budget):
