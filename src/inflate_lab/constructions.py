@@ -23,7 +23,7 @@ The pieces assembled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -42,6 +42,7 @@ _MAX_SEGMENTS = 2_000_000
 _MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS  # all zigzags of one inflate_on_set
 _MAX_LINEAR_COMBOS = 65_536
 _MAX_CSV_CELLS = 100_000
+_CLAMP_KINDS = ("euclidean", "lp")  # domain norms whose distance to a box is a clamp away
 
 
 # -- zigzag curves -----------------------------------------------------------
@@ -185,8 +186,8 @@ class CoordinateCurve:
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
-        s = np.asarray(self.slopes, dtype=float)
-        a = np.asarray(self.anchor, dtype=float)
+        s = float_array(self.slopes, "slopes")
+        a = float_array(self.anchor, "anchor")
         # every comparison with NaN is False, so strictly increasing
         # breakpoints with finite ends are all finite
         if (b.ndim != 1 or b.shape[0] < 2 or not (math.isfinite(b[0]) and math.isfinite(b[-1]))
@@ -281,6 +282,24 @@ class PiecewiseAffineMap:
     def t_coords(self, xs: np.ndarray) -> np.ndarray:
         return xs @ self.coord_map.T
 
+    def _segment_windows(self, window: np.ndarray) -> Optional[list]:
+        """Per axis, every segment's t-interval clipped to the box ``window`` in x.
+
+        The one window rule of cell-by-cell integrals and box counts: a
+        (K_d, 2) array per axis, high <= low where a segment misses the
+        window; None when some row of basis^-1 has two nonzeros, so that the
+        window is no box in t.
+        """
+        T = self.coord_map
+        if np.any(np.count_nonzero(T, axis=1) > 1):
+            return None
+        # the t-range of the window: exact, since T maps the window onto a box
+        scaled = T[:, :, None] * window[None, :, :]
+        lo, hi = scaled.min(axis=2).sum(axis=1), scaled.max(axis=2).sum(axis=1)
+        return [np.stack([np.maximum(c.breakpoints[:-1], lo[d]),
+                          np.minimum(c.breakpoints[1:], hi[d])], axis=1)
+                for d, c in enumerate(self.curves)]
+
     def eval_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.n:
@@ -304,16 +323,10 @@ class PiecewiseAffineMap:
     def distinct_linears(self) -> np.ndarray:
         """All distinct cell differentials, shape (k, m, n)."""
         uniques = [c._unique_slopes[0] for c in self.curves]
-        count = int(np.prod([u.shape[0] for u in uniques]))
-        if count > _MAX_LINEAR_COMBOS:
+        if math.prod(u.shape[0] for u in uniques) > _MAX_LINEAR_COMBOS:
             raise NumericalFailure("too many distinct cell differentials to enumerate")
         grids = np.meshgrid(*[np.arange(u.shape[0]) for u in uniques], indexing="ij")
-        combos = np.stack([g.ravel() for g in grids], axis=1)
-        out = np.empty((combos.shape[0], self.m, self.n))
-        for row, combo in enumerate(combos):
-            cols = np.stack([uniques[d][combo[d]] for d in range(self.n)], axis=1)
-            out[row] = cols @ self.coord_map
-        return out
+        return np.stack([u[g.ravel()] for u, g in zip(uniques, grids)], axis=-1) @ self.coord_map
 
     def exact_lipschitz(self) -> float:
         """Largest cell operator norm: the exact Lipschitz constant of the map.
@@ -453,13 +466,11 @@ def pa_from_axis_slopes(box, axis_breakpoints: Sequence, axis_slopes: Sequence,
                         basis=None) -> PiecewiseAffineMap:
     """Assemble a separable piecewise-affine map from per-axis slope data."""
     box = as_box(box)
-    n = box.shape[0]
-    basis = np.eye(n) if basis is None else basis
+    basis = np.eye(box.shape[0]) if basis is None else basis
     curves = tuple(CoordinateCurve(bp, sl, an)
                    for bp, sl, an in zip(axis_breakpoints, axis_slopes, anchors))
     pam = PiecewiseAffineMap(curves, basis, const, box, a, b)
-    lip = pam.exact_lipschitz()
-    return PiecewiseAffineMap(curves, pam.basis, pam.anchor_value, box, a, b, declared_lip=lip)
+    return replace(pam, declared_lip=pam.exact_lipschitz())
 
 
 # -- inflate an affine map ---------------------------------------------------
@@ -549,7 +560,7 @@ def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
     """Distance from each row of xs to a box or point cloud, in the given norm."""
     if is_box(arr, norm.dim):
         # axis-aligned box: nearest point by clamping (valid for lp-family norms)
-        if norm.kind not in ("euclidean", "lp"):
+        if norm.kind not in _CLAMP_KINDS:
             raise PreconditionError("box patch sets require an lp-family domain norm")
         closest = np.clip(xs, arr[:, 0], arr[:, 1])
         return ns._eval_many(norm, xs - closest)
@@ -681,6 +692,77 @@ def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
     return pts[dist <= rho][:count]
 
 
+# -- cell-measure sums --------------------------------------------------------
+
+
+def _boxes(E) -> list:
+    """E itself as one box, or the occupied cells of a GridSubset."""
+    return [cell for _, cell in E.cells()] if isinstance(E, GridSubset) else [as_box(E)]
+
+
+def _affine_pieces(g, E, what: str) -> list:
+    """(piecewise-affine map, boxes) pairs that decompose g on E.
+
+    A piecewise-affine map is one piece on its domain; a glued map has
+    one piece per inflated core, and its blend bands, where the map is
+    not piecewise affine, belong to no piece.  Each box of E (E itself,
+    or the occupied cells of a GridSubset) is intersected with each
+    piece's domain; empty intersections are dropped.
+    """
+    boxes = _boxes(E)
+    if isinstance(g, PiecewiseAffineMap):
+        domains = [(g.domain, g)]
+    elif isinstance(g, GluedMap):
+        domains = []
+        for i, (core, piece) in enumerate(g.pieces()):
+            if not isinstance(piece, PiecewiseAffineMap):
+                raise PreconditionError("glued map pieces must be piecewise affine")
+            if not is_box(core, g.spec.domain_norm.dim):
+                raise PreconditionError(
+                    f"exact integrals and box counts need box cores; core {i} is a point cloud")
+            domains.append((core, piece))
+    else:
+        raise PreconditionError(f"{what} needs a piecewise-affine or glued map")
+    parts = []
+    for dom, pam in domains:
+        clipped = []
+        for box in boxes:
+            lo = np.maximum(box[:, 0], dom[:, 0])
+            hi = np.minimum(box[:, 1], dom[:, 1])
+            if np.all(hi > lo):
+                clipped.append(np.stack([lo, hi], axis=1))
+        if clipped:
+            parts.append((pam, clipped))
+    return parts
+
+
+def _cell_measure_sum(g, E, weight: Callable, what: str) -> float:
+    """Exact sum over cells of weight(cell vol) times the cell's measure inside E.
+
+    For glued maps only the inflated cores are summed; the blend bands,
+    where the map is not piecewise affine, contribute zero.  A piece
+    without a constant cell volume is summed cell by cell over
+    _segment_windows, a cell's measure in x being |det basis| times its t-measure.
+    """
+    total = 0.0
+    for pam, pam_boxes in _affine_pieces(g, E, what):
+        if pam.constant_cell_vol is not None:
+            overlap = sum(box_overlap(box, pam.domain) for box in pam_boxes)
+            total += weight(pam.constant_cell_vol) * overlap
+            continue
+        weights = weight(pam.cell_vol_table())
+        for box in pam_boxes:
+            segments = pam._segment_windows(box)
+            if segments is None:
+                raise PreconditionError(f"exact {what} needs a basis whose inverse has one "
+                                        "nonzero per row, or a constant cell volume")
+            measure = abs(np.linalg.det(pam.basis))
+            for seg in segments:
+                measure = np.multiply.outer(measure, np.clip(seg[:, 1] - seg[:, 0], 0.0, None))
+            total += float(np.sum(weights * measure))
+    return total
+
+
 # -- quantitative margins ----------------------------------------------------
 
 
@@ -751,8 +833,11 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     the rescaled fit (16 restarts for a non-Euclidean pair), inflate it
     with per-cell exactness, and glue all patches into f once.  Cores keep
     at least 0.9 of their cell's width.  Returns (glued map, report); the
-    achieved integral counts the inflated cores exactly and ignores the
-    blend bands, so it is a certified lower bound.  A build whose zigzags
+    achieved integral is jacobian_integral's sum on the glued map: the
+    inflated cores exactly, the blend bands not at all, so it is a
+    certified lower bound.  The domain norm a must be Euclidean or lp, the
+    norms whose distance to a box the glue takes by clamping; any other is
+    refused before anything is built.  A build whose zigzags
     exceed _MAX_GRID_SEGMENTS segments in all stops with a NumericalFailure.
 
     ``f_lip`` is Lip(f) from a_E to b when the caller knows it (the CLI
@@ -767,6 +852,9 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         raise PreconditionError(f"lam must be nonnegative, got {lam}")
     if a.dim > b.dim:
         raise PreconditionError("requires n <= m")
+    if a.kind not in _CLAMP_KINDS:
+        raise PreconditionError(f"inflate_on_set needs a euclidean or lp domain norm, "
+                                f"got {a.kind!r}: the glue measures distances to box cores")
     n = a.dim
 
     subset = E if isinstance(E, GridSubset) else None
@@ -813,10 +901,9 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         k *= 2
 
     patch_maps = []
-    achieved = 0.0
     lip_cells = 0.0
     segments = 0
-    for lin_idx, idx, cell, core, rho, M_fit, c_fit in rows:
+    for lin_idx, idx, cell, _core, rho, M_fit, c_fit in rows:
         budget = delta_glue * rho
         M_i = _nudged(M_fit, 0.20 * budget, cell, a, b, L0, rng_for(seed, 4242, lin_idx))
         cert = inflation_search(LinearMap(M_i / L0, a, b), lam, restarts=16,
@@ -831,12 +918,11 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
                                    f"{len(patch_maps) + 1} of {len(rows)} cells, {k} per axis")
         patch_maps.append(g_i)
         lip_cells = max(lip_cells, g_i.declared_lip)
-        core_measure = subset.overlap(core) if subset is not None else box_overlap(core, box)
-        achieved += g_i.constant_cell_vol * core_measure
 
     spec = PatchSpec(tuple(row[3] for row in rows), tuple(row[4] for row in rows),
                      tuple(patch_maps), fbatch, delta_glue, a, b)
     glued = glue_patches(spec, L0, seed=seed)
+    achieved = _cell_measure_sum(glued, E, lambda vol: vol, "jacobian_integral")
 
     probes = sample_box(box, 10_000, rng_for(seed, 9090))
     sup_dist = float(np.max(ns._eval_many(

@@ -106,6 +106,11 @@ class GridSubset:
 
     def __post_init__(self):
         object.__setattr__(self, "box", as_box(self.box))
+        shape = np.asarray(self.shape)
+        if shape.shape != (self.dim,):
+            raise DimensionMismatch(f"grid shape {self.shape} must have one count per box row")
+        if shape.dtype.kind not in "iu" or np.any(shape <= 0):
+            raise PreconditionError(f"grid shape {self.shape} must hold positive integers")
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != tuple(self.shape):
             raise PreconditionError("mask shape does not match grid shape")

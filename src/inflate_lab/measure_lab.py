@@ -21,11 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normed_space as ns
-from .constructions import (GluedMap, PiecewiseAffineMap, _as_batch, _node_values,
-                            _sampled_lipschitz, inflate_on_set, pa_from_axis_slopes)
+from .constructions import (GluedMap, PiecewiseAffineMap, _affine_pieces, _as_batch, _boxes,
+                            _cell_measure_sum, _node_values, _sampled_lipschitz,
+                            inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
-from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
-                       float_array)
+from .geometry import as_box, domain_box, domain_measure, float_array
 from .linear_analysis import LinearMap, operator_norm, operator_norm_report, vol_matrix
 from .maximal_volume import checked_base_norm, max_volume
 from .seeding import rng_for
@@ -83,71 +83,6 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
 
 
 # -- cell-measure integrals --------------------------------------------------
-
-
-def _boxes(E) -> list:
-    """E itself as one box, or the occupied cells of a GridSubset."""
-    return [cell for _, cell in E.cells()] if isinstance(E, GridSubset) else [as_box(E)]
-
-
-def _affine_pieces(g, E, what: str) -> list:
-    """(piecewise-affine map, boxes) pairs that decompose g on E.
-
-    A piecewise-affine map is one piece on its domain; a glued map has
-    one piece per inflated core, and its blend bands, where the map is
-    not piecewise affine, belong to no piece.  Each box of E (E itself,
-    or the occupied cells of a GridSubset) is intersected with each
-    piece's domain; empty intersections are dropped.
-    """
-    boxes = _boxes(E)
-    if isinstance(g, PiecewiseAffineMap):
-        domains = [(g.domain, g)]
-    elif isinstance(g, GluedMap):
-        domains = []
-        for core, piece in g.pieces():
-            if not isinstance(piece, PiecewiseAffineMap):
-                raise PreconditionError("glued map pieces must be piecewise affine")
-            domains.append((as_box(core), piece))
-    else:
-        raise PreconditionError(f"{what} needs a piecewise-affine or glued map")
-    parts = []
-    for dom, pam in domains:
-        clipped = []
-        for box in boxes:
-            lo = np.maximum(box[:, 0], dom[:, 0])
-            hi = np.minimum(box[:, 1], dom[:, 1])
-            if np.all(hi > lo):
-                clipped.append(np.stack([lo, hi], axis=1))
-        if clipped:
-            parts.append((pam, clipped))
-    return parts
-
-
-def _cell_measure_sum(g, E, weight: Callable, what: str) -> float:
-    """Exact sum over cells of weight(cell vol) times the cell's measure inside E.
-
-    For glued maps only the inflated cores are summed; the blend bands,
-    where the map is not piecewise affine, contribute zero.
-    """
-    total = 0.0
-    for pam, pam_boxes in _affine_pieces(g, E, what):
-        if pam.constant_cell_vol is not None:
-            overlap = sum(box_overlap(box, pam.domain) for box in pam_boxes)
-            total += weight(pam.constant_cell_vol) * overlap
-            continue
-        if not pam.identity_basis:
-            raise PreconditionError(
-                f"exact {what} needs identity basis or constant cell volume")
-        weights = weight(pam.cell_vol_table())
-        for box in pam_boxes:
-            measure = 1.0
-            for d, curve in enumerate(pam.curves):
-                b = curve.breakpoints
-                lo = np.maximum(b[:-1], box[d, 0])
-                hi = np.minimum(b[1:], box[d, 1])
-                measure = np.multiply.outer(measure, np.clip(hi - lo, 0.0, None))
-            total += float(np.sum(weights * measure))
-    return total
 
 
 def jacobian_integral(g, E) -> MeasureReport:
@@ -343,20 +278,21 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
 def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndarray):
     """(keys, weights) of the occupied boxes of pam(window), for a box ``window``.
 
-    When the window is a box in t (every row of basis^-1 has at most one
-    nonzero) and the map has at most 200,000 cells, each affine cell's
-    occupied boxes are enumerated exactly by column scanline, weighted by
-    the inverse direction factor of their cell.  Otherwise (a tilted
-    basis, or zigzag-dense maps) the image lies within the stored
-    deviation of an affine reference, which is rasterized over the
-    window instead when that deviation is at most 0.3 box; without such
-    a reference the raster guard is raised.
+    When the map has at most 200,000 cells and the window is a box in t
+    (PiecewiseAffineMap._segment_windows, the rule of the exact integrals
+    too), each affine cell's occupied boxes are enumerated exactly by
+    column scanline, weighted by the inverse direction factor of their
+    cell.  Otherwise (zigzag-dense maps, or a tilted basis) the image lies
+    within the stored deviation of an affine reference, which is
+    rasterized over the window instead when that deviation is at most
+    0.3 box; without such a reference the raster guard is raised, naming
+    the cell count before the basis.
     """
-    T = pam.coord_map
-    tilted = bool(np.any(np.count_nonzero(T, axis=1) > 1))
-    if tilted or int(np.prod(pam.cell_shape())) > 200_000:
+    many = int(np.prod(pam.cell_shape())) > 200_000
+    segments = None if many else pam._segment_windows(window)
+    if segments is None:
         if pam.affine_ref is None or pam.affine_ref[2] > 0.3 * box_size:
-            why = "tilted basis" if tilted else "too many cells"
+            why = "too many cells" if many else "tilted basis"
             raise NumericalFailure(
                 f"box-count raster guard: {why} and no tight affine reference")
         A_ref, off_ref, _dev = pam.affine_ref
@@ -365,21 +301,11 @@ def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndar
             return (np.zeros(0, dtype=np.int64), np.zeros(0))
         return keys, np.full(keys.shape, 1.0 / _direction_factor(A_ref))
 
-    # the t-range of the window: exact, since T maps the window onto a box
-    scaled = T[:, :, None] * window[None, :, :]
-    t_window = np.stack([scaled.min(axis=2).sum(axis=1), scaled.max(axis=2).sum(axis=1)],
-                        axis=1)
     # per axis, the live segments in the window: (t-interval, slope, value at its start)
     axes = []
-    for d, curve in enumerate(pam.curves):
-        b, last = curve.breakpoints, curve.segment_count - 1
-        i0 = int(np.clip(np.searchsorted(b, t_window[d, 0], side="right") - 1, 0, last))
-        i1 = int(np.clip(np.searchsorted(b, t_window[d, 1], side="left") - 1, 0, last)) + 1
-        seg = np.stack([np.maximum(b[i0:i1], t_window[d, 0]),
-                        np.minimum(b[i0 + 1:i1 + 1], t_window[d, 1])], axis=1)
+    for seg, curve in zip(segments, pam.curves):
         live = seg[:, 1] > seg[:, 0]
-        axes.append(list(zip(seg[live], curve.slopes[i0:i1][live],
-                             curve.eval_many(seg[live, 0]))))
+        axes.append(list(zip(seg[live], curve.slopes[live], curve.eval_many(seg[live, 0]))))
 
     factors: dict = {}
     keys_parts = []
@@ -653,6 +579,8 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
     """Inflate toward the target for each eps; one record per eps."""
     box = as_box(config.box)
     n = box.shape[0]
+    if domain_measure(box) <= 0.0:
+        raise PreconditionError("the positive experiment needs a box of positive measure")
     a = ns.norm_from_json({"dim": n, "kind": config.domain_kind})
     b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})
     fbatch = map_from_descriptor(config.f, n, config.m)
@@ -665,13 +593,12 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
     for eps in config.eps_schedule:
         glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),
                                     config.eta, config.seed, f_lip=f_lip)
-        jac = jacobian_integral(glued, box)
         record = {
             "eps": float(eps),
             "sup_dist": rep.sup_distance,
             "lip_exact": rep.lip_cells_exact,
             "lip_glue_bound": rep.lip_glue_bound,
-            "jac_integral": jac.value,
+            "jac_integral": rep.achieved_integral,
             "target": rep.target_integral,
             "boxcount": None,
             "superlevel_fraction": None,
@@ -738,35 +665,21 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
         searched = _adversarial_search(
             a, b, u, config.eps_schedule, threshold, config.grid, config.restarts,
             config.steps, [config.seed + 1000 * i for i in range(len(config.eps_schedule))])
+    M = np.concatenate([u[:, None], np.zeros((config.m, config.n - 1))], axis=1)  # (u|0)
     records = []
     for i, eps in enumerate(config.eps_schedule):
         if config.control:
-            M = np.concatenate([u[:, None], np.zeros((config.m, config.n - 1))], axis=1)
-            fbatch = lambda xs, M=M: xs @ M.T
-            glued, rep = inflate_on_set(fbatch, box, a, b, 1.0, float(eps), 0.9,
+            glued, rep = inflate_on_set(lambda xs: xs @ M.T, box, a, b, 1.0, float(eps), 0.9,
                                         seed=config.seed + i, f_lip=1.0)
             frac = superlevel_fraction(glued, box, threshold).value
-            records.append({
-                "eps": float(eps),
-                "superlevel_fraction": frac,
-                "sup_dist": rep.sup_distance,
-                "lip_exact": rep.lip_cells_exact,
-                "jac_integral": jacobian_integral(glued, box).value,
-                "boxcount": None,
-                "seed": config.seed,
-            })
+            sup, lip, jac = rep.sup_distance, rep.lip_cells_exact, rep.achieved_integral
         else:
             frac, best = searched[i]
-            sup = _exact_sup_dist(best, u)
-            records.append({
-                "eps": float(eps),
-                "superlevel_fraction": frac,
-                "sup_dist": sup,
-                "lip_exact": best.declared_lip,
-                "jac_integral": jacobian_integral(best, box).value,
-                "boxcount": None,
-                "seed": config.seed,
-            })
+            sup, lip = _exact_sup_dist(best, u), best.declared_lip
+            jac = jacobian_integral(best, box).value
+        records.append({"eps": float(eps), "superlevel_fraction": frac, "sup_dist": sup,
+                        "lip_exact": lip, "jac_integral": jac, "boxcount": None,
+                        "seed": config.seed})
     return {
         "experiment": "negative",
         "threshold": threshold,

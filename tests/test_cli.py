@@ -422,6 +422,16 @@ class TestRun:
         assert err == {"type": "precondition",
                        "message": "box-counting is desk-scale only: n <= 2, m <= 4"}
 
+    @pytest.mark.parametrize("boxcount", [False, True])
+    def test_positive_refuses_a_null_box(self, capsys, boxcount):
+        # its records used to integrate a glued map that a null box never builds
+        params = {"box": [[0, 0], [0, 1]], "m": 3, "f": {"kind": "zero"}, "eta": 0.9,
+                  "eps_schedule": [0.2], "boxcount": boxcount}
+        assert main(["experiment-positive", "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err == {"type": "precondition",
+                       "message": "the positive experiment needs a box of positive measure"}
+
 
 class TestExperimentNorms:
     @pytest.mark.parametrize("command, params", FORWARDED,
@@ -473,6 +483,15 @@ class TestExperimentNorms:
         for rec in report["records"]:
             assert rec["sup_dist"] <= rec["eps"]
             assert rec["lip_exact"] <= 1.0 + 1e-9
+
+    def test_positive_refuses_a_transformed_domain_before_building(self, capsys):
+        params = {"box": [[-1, 1], [-1, 1]], "m": 3, "f": {"kind": "zero"}, "eta": 0.9,
+                  "eps_schedule": [0.2], "domain_kind": {"transformed": {
+                      "base": EUCL2, "W": [[2, 0], [0, 1]]}}}
+        assert main(["experiment-positive", "--params", json.dumps(params)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "precondition"
+        assert "needs a euclidean or lp domain norm" in err["message"]
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from inflate_lab import constructions as co
 from inflate_lab import linear_analysis as la
+from inflate_lab import measure_lab as ml
 from inflate_lab import normed_space as ns
 from inflate_lab.errors import DimensionMismatch, NumericalFailure, PreconditionError
 from inflate_lab.geometry import GridSubset
@@ -253,6 +254,21 @@ class TestCoordinateCurve:
         with pytest.raises(DimensionMismatch, match="anchor shape"):
             co.CoordinateCurve(np.array([0.0, 1.0]), np.ones((1, 3)), np.array(anchor))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("slopes, anchor, field", [
+        (np.ones((1, 2)), np.array([np.nan, 0.0]), "anchor"),
+        (np.array([[np.inf, 1.0]]), np.zeros(2), "slopes"),
+    ], ids=["nan-anchor", "inf-slope"])
+    def test_slopes_and_anchor_must_be_finite(self, slopes, anchor, field):
+        # a NaN anchor used to build a curve that evaluates to NaN everywhere, and an
+        # infinite slope was refused only by the operator norm, after a RuntimeWarning
+        with pytest.raises(PreconditionError, match=f"{field} must be finite"):
+            co.CoordinateCurve(np.array([0.0, 1.0]), slopes, anchor)
+        with pytest.raises(PreconditionError, match=f"{field} must be finite"):
+            co.pa_from_axis_slopes(BOX, [BOX[0], BOX[1]], [slopes, np.ones((1, 2))],
+                                   [anchor, np.zeros(2)], np.zeros(2),
+                                   ns.euclidean(2), ns.euclidean(2))
+
     def test_memory_order_changes_no_map_output(self):
         A = np.array([[0.5, 0.0], [0.0, 0.25], [0.1, 0.0]])
         m = eucl_map(A)
@@ -294,6 +310,28 @@ class TestPiecewiseAffineMap:
         with pytest.raises(DimensionMismatch, match="one row per curve"):
             co.PiecewiseAffineMap((curve, curve), np.eye(2), np.zeros(2), domain,
                                   ns.euclidean(2), ns.euclidean(2))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_distinct_linears_match_the_per_combination_loop(self, seed):
+        # the reference is the loop distinct_linears ran before it became one array
+        # expression: one (m, n) column stack per combination, times basis^-1
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        m = n + int(rng.integers(0, 2))
+        curves = []
+        for _ in range(n):
+            k = int(rng.integers(1, 6))
+            rows = rng.normal(size=(int(rng.integers(1, 4)), m))
+            curves.append(co.CoordinateCurve(np.linspace(0.0, 1.0, k + 1),
+                                             rows[rng.integers(0, len(rows), k)], np.zeros(m)))
+        bases = [np.eye(n), np.diag(rng.uniform(0.5, 2.0, n)), rng.normal(size=(n, n))]
+        basis = bases[seed // 3 % 3]
+        pam = co.PiecewiseAffineMap(curves, basis, np.zeros(m), [[0.0, 1.0]] * n,
+                                    ns.euclidean(n), ns.euclidean(m))
+        uniques = [c._unique_slopes[0] for c in pam.curves]
+        want = [np.stack([u[i] for u, i in zip(uniques, combo)], axis=1) @ pam.coord_map
+                for combo in np.ndindex(*[len(u) for u in uniques])]
+        assert pam.distinct_linears().tobytes() == np.array(want).tobytes()
 
 
 class TestInflateAffine:
@@ -527,7 +565,48 @@ class TestMargins:
         assert fraction >= 1.0 - 1.0 / N - 1e-9
 
 
+class TestGridSubset:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)], ids=["short", "long"])
+    def test_shape_length_is_checked_at_construction(self, shape):
+        # used to fail in measure() with numpy's broadcast error
+        with pytest.raises(DimensionMismatch, match="must have one count per box row"):
+            GridSubset(BOX, shape, np.ones(shape, dtype=bool))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(2, 0), (2, -1), (2.0, 2.0)],
+                             ids=["zero", "negative", "float"])
+    def test_shape_counts_are_checked_at_construction(self, shape):
+        # a zero count used to divide by zero into infinite cell widths
+        with pytest.raises(PreconditionError, match="must hold positive integers"):
+            GridSubset(BOX, shape, np.ones((2, 2), dtype=bool))
+
+
 class TestInflateOnSet:
+    @pytest.mark.parametrize("a", [
+        ns.transformed(ns.euclidean(2), np.eye(2)),
+        ns.transformed(ns.euclidean(2), np.diag([2.0, 1.0])),
+        ns.polytopal([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+    ], ids=["transformed-identity", "transformed-diagonal", "polytopal-square"])
+    def test_domain_norms_the_glue_cannot_measure_are_refused_before_any_search(
+            self, monkeypatch, a):
+        # these used to build every patch, then fail in glue_patches
+        def no_search(*args, **kwargs):
+            raise AssertionError("ran an inflation search")
+
+        monkeypatch.setattr(co, "inflation_search", no_search)
+        with pytest.raises(PreconditionError, match="needs a euclidean or lp domain norm"):
+            co.inflate_on_set(lambda xs: np.zeros((xs.shape[0], 3)), BOX, a,
+                              ns.euclidean(3), 1.0, 0.2, 0.5, seed=0, f_lip=0.0)
+
+    def test_achieved_integral_is_the_jacobian_integral_of_the_glued_map(self):
+        subset = GridSubset(BOX, (2, 2), np.array([[True, True], [False, True]]))
+        for E in (BOX, subset):
+            glued, report = co.inflate_on_set(
+                lambda xs: np.zeros((xs.shape[0], 3)), E, ns.euclidean(2), ns.euclidean(3),
+                1.0, 0.2, 0.5, seed=4)
+            assert repr(report.achieved_integral) == repr(ml.jacobian_integral(glued, E).value)
+
     def test_zero_measure_set_trivial(self):
         empty = GridSubset.empty(BOX, (4, 4))
         glued, report = co.inflate_on_set(

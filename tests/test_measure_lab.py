@@ -140,7 +140,51 @@ class TestJacobianIntegral:
         assert ml.jacobian_integral(pam, subset).value == pytest.approx(2.0, rel=1e-12)
 
 
+class TestCellSumPins:
+    # read before the cell-measure sum moved into constructions and took its window
+    # rule from PiecewiseAffineMap, each value compared by repr
+    @staticmethod
+    def cases():
+        e2, e3 = ns.euclidean(2), ns.euclidean(3)
+        pam = graph_fixture(np.random.default_rng(7), pieces=5)
+        cores = (np.array([[0.1, 0.4], [0.1, 0.4]]), np.array([[0.6, 0.9], [0.6, 0.9]]))
+        spec = co.PatchSpec(cores, (0.05, 0.05), tuple(flat_square(c) for c in cores),
+                            lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1),
+                            0.1, e2, e3)
+        glued = co.glue_patches(spec, 1.0)
+        mask = np.array([[True, False, False], [False, True, True], [False, False, True]])
+        E = GridSubset(UNIT, (3, 3), mask)
+        window = np.array([[0.13, 0.71], [0.05, 0.62]])
+        return {"partial-window": (pam, window), "grid-subset": (pam, E), "glued": (glued, E)}
+
+    @pytest.mark.parametrize("case, jac, frac_high, frac_low", [
+        ("partial-window", 0.3869889143887334, 0.9534180278281913, 1.0000000000000002),
+        ("grid-subset", 0.49611426706979617, 0.6700000000000002, 1.0000000000000002),
+        ("glued", 0.13333333333333336, 0.0, 0.3000000000000001),
+    ])
+    def test_cell_sums_are_pinned(self, case, jac, frac_high, frac_low):
+        g, E = self.cases()[case]
+        assert repr(ml.jacobian_integral(g, E).value) == repr(jac)
+        assert repr(ml.superlevel_fraction(g, E, 1.1).value) == repr(frac_high)
+        assert repr(ml.superlevel_fraction(g, E, 0.5).value) == repr(frac_low)
+
+
 class TestGluedIntegrals:
+    @pytest.mark.parametrize("measure", [
+        ml.jacobian_integral,
+        lambda g, E: ml.boxcount_image_measure(g, E, 3, 0.01),
+    ], ids=["jacobian_integral", "boxcount"])
+    @pytest.mark.parametrize("points", [3, 4])
+    def test_point_cloud_cores_are_refused(self, measure, points):
+        # cores of increasing coordinates, which as_box took for a box of `points`
+        # rows; the sums then failed with numpy's broadcast error
+        cloud = np.linspace(0.2, 0.8, 2 * points).reshape(points, 2)
+        spec = co.PatchSpec((cloud,), (0.05,), (flat_square(UNIT),),
+                            lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1),
+                            0.1, ns.euclidean(2), ns.euclidean(3))
+        with pytest.raises(PreconditionError, match="need box cores; core 0 is a point cloud"):
+            measure(co.GluedMap(spec, 1.0), UNIT)
+
     @pytest.mark.parametrize("integral", [
         ml.jacobian_integral,
         lambda g, E: ml.superlevel_fraction(g, E, 0.5),
@@ -173,21 +217,39 @@ class TestGluedIntegrals:
                 for cell in cells), rel=1e-12)
 
 
-@pytest.mark.parametrize("integral", [
-    ml.jacobian_integral,
-    lambda g, E: ml.superlevel_fraction(g, E, 0.5),
-], ids=["jacobian_integral", "superlevel_fraction"])
-@pytest.mark.parametrize("stretch", [5e-6, 1e-13])
-def test_near_identity_basis_rejected(integral, stretch):
-    # cells live in t = basis^-1 x; only the exact identity lets them be measured in x
+def near_identity_map(basis):
     breaks = np.array([0.0, 0.5, 1.0])
     s1 = np.array([[1.0, 0.0], [1.0, 0.0]])
     s2 = np.array([[0.0, 1.0], [0.0, 2.0]])
-    pam = co.pa_from_axis_slopes(UNIT, [breaks, breaks], [s1, s2],
-                                 [np.zeros(2), np.zeros(2)], np.zeros(2),
-                                 ns.euclidean(2), ns.euclidean(2),
-                                 basis=np.diag([1.0 + stretch, 1.0]))
-    with pytest.raises(PreconditionError, match="identity basis"):
+    return co.pa_from_axis_slopes(UNIT, [breaks, breaks], [s1, s2],
+                                  [np.zeros(2), np.zeros(2)], np.zeros(2),
+                                  ns.euclidean(2), ns.euclidean(2), basis=basis)
+
+
+@pytest.mark.parametrize("integral, exact", [
+    (ml.jacobian_integral, lambda stretch: 1.5 / (1.0 + stretch)),
+    (lambda g, E: ml.superlevel_fraction(g, E, 1.5), lambda stretch: 0.5),
+], ids=["jacobian_integral", "superlevel_fraction"])
+@pytest.mark.parametrize("stretch", [5e-6, 1e-13])
+def test_diagonal_near_identity_basis_is_integrated(integral, exact, stretch):
+    # cells live in t = basis^-1 x; a diagonal basis maps UNIT onto a box in t, so the
+    # cells are summed one by one, each measured in x as |det basis| times its t-measure:
+    # on UNIT the map is (x, y) -> (x / (1 + stretch), y or 2y), whichever half y is in
+    pam = near_identity_map(np.diag([1.0 + stretch, 1.0]))
+    assert integral(pam, UNIT).value == pytest.approx(exact(stretch), rel=1e-12)
+
+
+@pytest.mark.parametrize("integral, error, match", [
+    (ml.jacobian_integral, PreconditionError, "constant cell volume"),
+    (lambda g, E: ml.superlevel_fraction(g, E, 0.5), PreconditionError, "constant cell volume"),
+    (lambda g, E: ml.boxcount_image_measure(g, E, 2, 0.01), NumericalFailure,
+     "raster guard: tilted basis"),
+], ids=["jacobian_integral", "superlevel_fraction", "boxcount"])
+def test_tilted_near_identity_basis_rejected(integral, error, match):
+    # basis^-1 has two nonzeros in its first row: UNIT is no box in t, and without a
+    # constant cell volume or an affine reference no cell can be measured in x
+    pam = near_identity_map(np.array([[1.0, 5e-6], [0.0, 1.0]]))
+    with pytest.raises(error, match=match):
         integral(pam, UNIT)
 
 
