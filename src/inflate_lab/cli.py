@@ -1,8 +1,11 @@
 """Command-line surface: parse experiment configs, dispatch, emit reports.
 
-Exit codes: 0 success, 2 precondition or schema violation, 3 numerical
-failure (no certificate found, unverifiable certificate, failed local
-search).  Errors are emitted as a JSON object on stderr.  Reports are
+``run`` is every job's lifecycle: check the whole request, run its
+handler, write its report, all inside one ``try`` that maps every
+failure to an exit code: 0 success, 2 precondition or schema violation
+(an ``--out`` that cannot be written too), 3 numerical failure (no
+certificate found, unverifiable certificate, failed local search).
+Errors are emitted as a JSON object on stderr.  Reports are
 deterministic: identical config + seed reproduce byte-identical files
 (no timestamps in any report).
 """
@@ -11,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,6 +163,7 @@ _SCHEMAS = {
 }
 
 COMMANDS = tuple(_SCHEMAS)
+_CSV_COMMANDS = ("inflate", "experiment-positive", "experiment-negative")
 
 
 def _config_int(data: dict, key: str, default: int) -> int:
@@ -215,6 +221,12 @@ def _validate(config: ExperimentConfig) -> None:
         raise PreconditionError(f"unknown command {config.command!r}")
     if config.format not in ("json", "csv"):
         raise PreconditionError(f"format must be json or csv, got {config.format!r}")
+    if config.format == "csv" and config.command not in _CSV_COMMANDS:
+        raise PreconditionError("csv format requires an experiment command")
+    if config.format == "csv" and config.command == "inflate" and not config.out:
+        raise PreconditionError("inflate csv needs --out")
+    if config.out and not os.path.isdir(folder := os.path.dirname(config.out) or "."):
+        raise PreconditionError(f"out directory {folder!r} does not exist")
     schema = _SCHEMAS[config.command]
     error = best_match(validator_for(schema)(schema).iter_errors(config.params))
     if error is not None:
@@ -297,7 +309,7 @@ def _cmd_inflate(params: dict, seed: int) -> dict:
             raise NumericalFailure("no certificate found for the requested lambda")
     pam = co.inflate_affine(map_, cert, params["box"], eps, **_given(params, "offset"))
     return {
-        "map": pam.to_json(),
+        "map": pam,  # turned into JSON only when JSON is written
         "summary": {
             "cells": [int(c.segment_count) for c in pam.curves],
             "declared_lip": pam.declared_lip,
@@ -382,11 +394,11 @@ _HANDLERS = {
 
 
 def run(config: ExperimentConfig) -> int:
-    """Validate, dispatch, write reports; returns the process exit code."""
+    """Check the whole request, run its handler, write its report; returns the exit code."""
     try:
         _validate(config)
-        report = _HANDLERS[config.command](config.params, config.seed)
-    except PreconditionError as exc:
+        _write(config, _HANDLERS[config.command](config.params, config.seed))
+    except (PreconditionError, OSError) as exc:
         _emit_error("precondition", exc)
         return 2
     except NumericalFailure as exc:
@@ -395,38 +407,23 @@ def run(config: ExperimentConfig) -> int:
     except InflateLabError as exc:
         _emit_error("error", exc)
         return 2
-
-    payload = {"command": config.command, "seed": config.seed, "report": report}
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
-    if config.format == "csv" and config.command == "inflate":
-        # flat CSV of cell records for external plotting
-        if not config.out:
-            _emit_error("precondition", PreconditionError("inflate csv needs --out"))
-            return 2
-        pam = co.PiecewiseAffineMap.from_json(report["map"])
-        try:
-            co.pa_cells_to_csv(pam, config.out)
-        except NumericalFailure as exc:
-            _emit_error("numerical", exc)
-            return 3
-        return 0
-    if config.format == "csv":
-        records = report.get("records") if isinstance(report, dict) else None
-        if records is None:
-            _emit_error("precondition",
-                        PreconditionError("csv format requires an experiment command"))
-            return 2
-        if config.out:
-            ml.records_to_csv(records, config.out)
-        else:
-            ml._write_records_csv(records, sys.stdout)
-        return 0
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
+
+
+def _write(config: ExperimentConfig, report: dict) -> None:
+    """Write a report as JSON, an experiment's records as CSV, or an inflated map's cells."""
+    if config.format == "csv" and config.command == "inflate":
+        co.pa_cells_to_csv(report["map"], config.out)  # guards its cell count before opening
+        return
+    if config.format == "json":
+        text = json.dumps({"command": config.command, "seed": config.seed, "report": report},
+                          sort_keys=True, indent=2, allow_nan=True,
+                          default=co.PiecewiseAffineMap.to_json) + "\n"
+    with open(config.out, "w", newline="") if config.out else nullcontext(sys.stdout) as fh:
+        if config.format == "csv":
+            ml._write_records_csv(report["records"], fh)
+        else:
+            fh.write(text)
 
 
 _NAN = object()  # the parsed form of JSON's NaN, so that _nan_path can name its field

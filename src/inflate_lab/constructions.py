@@ -876,20 +876,18 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     # cores: the counted integral is at least (L0 * sigma)^n * lam * H(E).
     # f itself is pre-scaled to Lipschitz constant L0, charging
     # (1 - scale) * sup|f| against the eps budget.
-    rng0 = rng_for(seed, 31)
-    sup_f = float(np.max(ns._eval_many(b, fbatch(sample_box(box, 512, rng0)))))
     target_core = min(eta + 0.35 * (1.0 - eta), 0.995)
     L0 = max(target_core ** (1.0 / (2.0 * n)), 0.3)
-    if est_lip > L0 and sup_f > 1e-12:
-        L0 = max(L0, min(1.0 - 1e-4, 1.0 - 0.45 * eps / sup_f))
+    if est_lip > L0:
+        sup_f = float(np.max(ns._eval_many(b, fbatch(sample_box(box, 512, rng_for(seed, 31))))))
+        if sup_f > 1e-12:
+            L0 = max(L0, min(1.0 - 1e-4, 1.0 - 0.45 * eps / sup_f))
     work_scale = min(1.0, L0 / max(est_lip, 1e-12))
     prescaled = work_scale < 1.0
     if prescaled:
         inner = fbatch
         fbatch = lambda xs: work_scale * inner(xs)
-    sigma_eff = max(0.9, target_core ** (1.0 / n) / L0)
-    if sigma_eff >= 1.0:
-        sigma_eff = 0.999
+    sigma_eff = max(0.9, target_core ** (1.0 / n) / L0)  # < 1: L0 >= target_core^(1/2n)
     delta_glue = min(0.45 * eps, 0.245 * (1.0 - L0))
 
     k = 2

@@ -589,8 +589,12 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
         LinearMap(config.f["linear"], a, b))
     if config.run_boxcount and config.m > n:
         _check_boxcount(n, config.m, config.box_size)
+    for eps in config.eps_schedule:  # the whole schedule, before the first build
+        if not eps > 0:
+            raise PreconditionError(f"eps must be positive, got {eps}")
     records = []
     for eps in config.eps_schedule:
+        glued = None  # free the last eps's construction before building the next
         glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),
                                     config.eta, config.seed, f_lip=f_lip)
         record = {
@@ -669,6 +673,7 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
     records = []
     for i, eps in enumerate(config.eps_schedule):
         if config.control:
+            glued = None  # free the last eps's construction before building the next
             glued, rep = inflate_on_set(lambda xs: xs @ M.T, box, a, b, 1.0, float(eps), 0.9,
                                         seed=config.seed + i, f_lip=1.0)
             frac = superlevel_fraction(glued, box, threshold).value

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -609,3 +610,106 @@ class TestEntryPoint:
         payload = json.loads(proc.stdout)
         assert payload["report"]["lip_bound"] == pytest.approx(0.4)
         assert payload["report"]["sampled_lip"] <= 0.4 + 1e-9
+
+
+# small valid params for every command, each a job that would run to its end
+MINIMAL = {
+    "check-inflation": {"map": INFLATE_HALF["map"], "lambda": 0.5},
+    "probe-pair": {"a": EUCL2, "b": EUCL2, "lambda": 0.5, "samples": 1, "restarts": 1},
+    "mv": {"u": [1.0, 0.0], "a": LINF2, "b": EUCL2},
+    "inflate": {**INFLATE_HALF, "certificate": HALF_CERT},
+    "glue": {"base": {"kind": "zero"},
+             "patches": [{"set": [[0.0, 0.0], [0.0, 0.0]], "rho": 1.0,
+                          "map": {"kind": "affine", "linear": [[0.0, 0.0], [0.0, 0.0]],
+                                  "offset": [0.05, 0.0]}}],
+             "delta": 0.1, "L": 0.0, "domain_norm": EUCL2, "codomain_norm": EUCL2,
+             "probes": 10},
+    "experiment-positive": {"box": [[0, 1], [0, 1]], "m": 2, "f": {"kind": "zero"},
+                            "eta": 0.5, "eps_schedule": [0.5]},
+    "experiment-negative": {"u": [1, 0], "r": 0.3, "eps_schedule": [0.5], "grid": 2,
+                            "restarts": 1, "steps": 1},
+    "calibrate": {"n": 1, "m": 2, "box_size": 0.01},
+}
+# the sha256 of test_inflate_cell_csv's cells, written through PiecewiseAffineMap.from_json
+CELL_CSV_SHA256 = "589c99424a3ffeb8bf1fae7787b3753fc0bace70262d7d57305210408abfac82"
+
+
+def no_handler(monkeypatch, command):
+    def refused(*args):
+        raise AssertionError(f"the {command} handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, command, refused)
+
+
+def one_error(capsys) -> dict:
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    return json.loads(err)["error"]
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_every_command_refuses_an_out_in_a_missing_directory(self, capsys, tmp_path,
+                                                                 command):
+        cli._validate(ExperimentConfig(command, MINIMAL[command]))  # a valid request
+        out = tmp_path / "missing" / "report.json"
+        assert main([command, "--params", json.dumps(MINIMAL[command]),
+                     "--out", str(out)]) == 2
+        assert one_error(capsys) == {
+            "type": "precondition",
+            "message": f"out directory {str(out.parent)!r} does not exist"}
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("mv", "json"), ("experiment-negative", "csv"), ("inflate", "csv")],
+        ids=["json", "records-csv", "cells-csv"])
+    def test_a_missing_out_directory_is_refused_before_the_handler(
+            self, capsys, monkeypatch, tmp_path, command, fmt):
+        no_handler(monkeypatch, command)
+        out = tmp_path / "missing" / "report"
+        assert main([command, "--params", json.dumps(MINIMAL[command]), "--format", fmt,
+                     "--out", str(out)]) == 2
+        assert one_error(capsys)["type"] == "precondition"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("probe-pair", "csv format requires an experiment command"),
+        ("inflate", "inflate csv needs --out"),
+    ], ids=["no-records", "cells-without-out"])
+    def test_csv_misuse_is_refused_before_the_handler(self, capsys, monkeypatch, command,
+                                                      message):
+        no_handler(monkeypatch, command)
+        assert main([command, "--params", json.dumps(MINIMAL[command]), "--format", "csv"]) == 2
+        assert one_error(capsys) == {"type": "precondition", "message": message}
+
+    def test_an_out_that_cannot_be_opened_is_a_precondition_violation(self, capsys,
+                                                                       tmp_path):
+        # the directory exists, but --out names the directory itself
+        assert main(["mv", "--params", json.dumps(MINIMAL["mv"]),
+                     "--out", str(tmp_path)]) == 2
+        err = one_error(capsys)
+        assert err["type"] == "precondition" and str(tmp_path) in err["message"]
+
+    def test_inflate_csv_writes_the_built_map_without_a_json_round_trip(
+            self, monkeypatch, tmp_path):
+        def no_parse(data):
+            raise AssertionError("the map was parsed back from JSON")
+
+        monkeypatch.setattr(co.PiecewiseAffineMap, "from_json", staticmethod(no_parse))
+        params = {
+            "map": {"entries": [[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]],
+                    "domain_norm": EUCL2,
+                    "codomain_norm": {"dim": 3, "kind": "euclidean"}},
+            "box": [[-1.0, 1.0], [-1.0, 1.0]], "eps": 0.5, "lambda": 1.0,
+        }
+        out = tmp_path / "cells.csv"
+        assert run(ExperimentConfig("inflate", params, seed=0, out=str(out),
+                                    format="csv")) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CELL_CSV_SHA256
+
+    def test_inflate_json_serializes_the_map_it_built(self, capsys):
+        assert main(["inflate", "--params", json.dumps(MINIMAL["inflate"])]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        pam = co.PiecewiseAffineMap.from_json(report["map"])
+        assert pam.to_json() == report["map"]
+        assert report["summary"]["cells"] == [c.segment_count for c in pam.curves]

@@ -984,6 +984,28 @@ class TestExperiments:
             assert rec["sup_dist"] <= rec["eps"]
             assert rec["lip_glue_bound"] <= 1.0
 
+    @pytest.mark.parametrize("schedule, builds", [
+        ((0.2, -1.0), 0), ((0.2, 0.0), 0), ((0.2, math.nan), 0), ((math.inf,), 1)],
+        ids=["negative", "zero", "nan", "infinity"])
+    def test_positive_schedule_is_checked_before_any_build(self, monkeypatch, schedule,
+                                                           builds):
+        # the eps-0.2 construction used to be built, certified and glued first
+        calls = []
+
+        class Built(Exception):
+            pass
+
+        def counted(*args, **kwargs):
+            calls.append(args[5])
+            raise Built
+
+        monkeypatch.setattr(ml, "inflate_on_set", counted)
+        config = ml.PositiveConfig(box=UNIT, m=3, f={"kind": "zero"}, eta=0.5, lam=1.0,
+                                   eps_schedule=schedule, seed=0)
+        with pytest.raises(Built if builds else PreconditionError):
+            ml.run_positive_experiment(config)
+        assert len(calls) == builds
+
     def test_negative_trend_at_calibrated_threshold(self):
         # every admissible map has superlevel fraction at most 2 eps / t^2
         # (derivation in test_acceptance); at t = 0.3 that bound is still
