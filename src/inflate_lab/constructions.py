@@ -39,7 +39,9 @@ from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
 from .seeding import rng_for
 
 _MAX_SEGMENTS = 2_000_000
-_MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS  # all zigzags of one inflate_on_set
+# all zigzags of one inflate_on_set: at 8 + 1 bytes a segment before evaluation and
+# 8 m more after it, about 0.53 GB for m = 3
+_MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS
 _MAX_LINEAR_COMBOS = 65_536
 _MAX_CSV_CELLS = 100_000
 _CLAMP_KINDS = ("euclidean", "lp")  # domain norms whose distance to a box is a clamp away
@@ -54,6 +56,8 @@ def zigzag_curve(a_vec, u, eps: float, interval,
 
     The result is a CoordinateCurve whose every slope row is exactly u or
     -u; the nondifferentiability set is the finite interior breakpoint set.
+    It stores the signs as one uint8 label a segment into the palette of
+    +-u, so a segment holds 8 + 1 bytes, and 8 m more once evaluated.
 
     Requires u parallel to a_vec with |u| >= |a_vec| (speed never below
     the target's), or a_vec = 0, in which case the curve is a triangle
@@ -85,8 +89,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         half = span / (2.0 * meshes)
         breaks = lo + np.arange(2 * meshes + 1) * half
         breaks[-1] = hi
-        return CoordinateCurve(breaks, _signed_rows(u, np.tile([1.0, -1.0], meshes)),
-                               np.zeros_like(u))
+        return _sign_curve(breaks, u, np.tile([True, False], meshes), np.zeros_like(u))
 
     if not (math.isfinite(len_a) and math.isfinite(len_u)):
         raise PreconditionError(f"lengths must be finite: |A(1)| = {len_a}, |u| = {len_u}")
@@ -103,8 +106,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     anchor = lo * a_vec
     if abs(kappa) <= 1.0 + 1e-12 or span * (kappa * kappa - 1.0) * len_a / (2.0 * abs(kappa)) <= 0.9 * eps:
         # single affine segment already stays within budget
-        sign = 1.0 if kappa > 0 else -1.0
-        return CoordinateCurve(np.array([lo, hi]), _signed_rows(u, np.array([sign])), anchor)
+        return _sign_curve(np.array([lo, hi]), u, np.array([kappa > 0]), anchor)
 
     h = 1.8 * eps * abs(kappa) / ((kappa * kappa - 1.0) * len_a)
     meshes = _guard_segments(span, h)
@@ -120,19 +122,29 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     np.add(starts, h, out=ends)
     ends[-1] = hi
     np.add(starts, alpha, out=turns)
-    signs = np.tile([1.0, -1.0], meshes)
+    up = np.tile([True, False], meshes)
     inner = (turns > starts + 1e-15) & (turns < ends - 1e-15)
     drop = np.flatnonzero(~inner)
     if drop.size:
-        signs[2 * drop + 1] = 1.0 if alpha >= h / 2 else -1.0
+        up[2 * drop + 1] = alpha >= h / 2
         breaks = np.delete(breaks, 2 * drop + 1)
-        signs = np.delete(signs, 2 * drop)
-    return CoordinateCurve(breaks, _signed_rows(u, signs), anchor)
+        up = np.delete(up, 2 * drop)
+    return _sign_curve(breaks, u, up, anchor)
 
 
-def _signed_rows(u: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The (K, m) slope rows signs[k] * u, stored column by column."""
-    return np.multiply.outer(u, signs).T
+def _sign_curve(breaks: np.ndarray, u: np.ndarray, up: np.ndarray,
+                anchor: np.ndarray) -> CoordinateCurve:
+    """The curve with slope u on the segments where ``up`` holds and -u elsewhere.
+
+    Its palette is the one CoordinateCurve(breaks, slopes, anchor) factors
+    from the (K, m) slope rows, which are never built: the rows of +-u
+    that occur, in np.unique's order, and one uint8 label a segment.
+    """
+    present = [i for i, occurs in enumerate((not up.all(), up.any())) if occurs]
+    rows, inverse = np.unique(np.stack([-u, u])[present], axis=0, return_inverse=True)
+    lut = np.zeros(2, dtype=np.uint8)  # label of -u, label of +u
+    lut[present] = inverse.ravel()
+    return CoordinateCurve._from_palette(breaks, rows, lut[up.view(np.uint8)], anchor)
 
 
 def _guard_segments(span: float, h: float) -> int:
@@ -158,9 +170,8 @@ def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> 
 
     ``slopes`` is (..., K, m) in any memory order and ``anchor`` (..., m);
     leading axes are a stack of curves on the same breakpoints.  The
-    result takes the slopes' memory order, so a column-major (K, m)
-    zigzag gets column-major node values and every cumsum runs down a
-    contiguous column.
+    result takes the slopes' memory order.  CoordinateCurve folds its
+    node values one column at a time to the same bits.
     """
     k, m = slopes.shape[-2:]
     out = np.empty_like(slopes, dtype=float, shape=slopes.shape[:-2] + (k + 1, m))
@@ -172,48 +183,82 @@ def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> 
     return out
 
 
-@dataclass(frozen=True)
+def _increasing(breakpoints) -> np.ndarray:
+    b = np.asarray(breakpoints, dtype=float)
+    # every comparison with NaN is False, so strictly increasing
+    # breakpoints with finite ends are all finite
+    if (b.ndim != 1 or b.shape[0] < 2 or not (math.isfinite(b[0]) and math.isfinite(b[-1]))
+            or not np.all(b[1:] > b[:-1])):
+        raise PreconditionError("breakpoints must be finite and strictly increasing")
+    return b
+
+
 class CoordinateCurve:
     """Continuous piecewise-affine curve R -> R^m with arbitrary per-segment slopes.
 
-    ``slopes`` may be in any memory order; zigzag_curve stores them
-    column-major, and the node values follow the slopes' order.
+    The slopes are stored as a palette: ``rows`` (J, m), the distinct
+    slope vectors in np.unique's order, and ``labels`` (K,), one row index
+    per segment in the smallest unsigned dtype that holds J.  ``slopes``,
+    the (K, m) rows, is rebuilt from them on each read, in the memory
+    order the slopes came in (column-major for a zigzag); no output
+    depends on that order.
     """
 
-    breakpoints: np.ndarray  # (K+1,) finite, strictly increasing
-    slopes: np.ndarray       # (K, m)
-    anchor: np.ndarray       # (m,) value at breakpoints[0]
-
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        s = float_array(self.slopes, "slopes")
-        a = float_array(self.anchor, "anchor")
-        # every comparison with NaN is False, so strictly increasing
-        # breakpoints with finite ends are all finite
-        if (b.ndim != 1 or b.shape[0] < 2 or not (math.isfinite(b[0]) and math.isfinite(b[-1]))
-                or not np.all(b[1:] > b[:-1])):
-            raise PreconditionError("breakpoints must be finite and strictly increasing")
+    def __init__(self, breakpoints, slopes, anchor):
+        s = float_array(slopes, "slopes")
+        a = float_array(anchor, "anchor")
+        b = _increasing(breakpoints)
         if s.ndim != 2 or s.shape[0] != b.shape[0] - 1:
             raise PreconditionError("need one slope vector per segment")
-        if a.shape != s.shape[1:]:
-            raise DimensionMismatch(f"anchor shape {a.shape} does not match slope rows of "
-                                    f"length {s.shape[1]}")
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "slopes", s)
-        object.__setattr__(self, "anchor", a)
+        rows, inverse = np.unique(s, axis=0, return_inverse=True)
+        order = "F" if s.flags.f_contiguous and not s.flags.c_contiguous else "C"
+        self._hold(b, rows, inverse.ravel(), a, order)
+
+    @classmethod
+    def _from_palette(cls, breakpoints, rows, labels, anchor) -> CoordinateCurve:
+        """The column-major curve whose segment k has slope rows[labels[k]], made
+        without a (K, m) array."""
+        curve = cls.__new__(cls)
+        curve._hold(breakpoints, rows, labels, anchor, "F")
+        return curve
+
+    def _hold(self, breakpoints, rows, labels, anchor, order: str) -> None:
+        rows = float_array(rows, "slopes")
+        anchor = float_array(anchor, "anchor")
+        self.breakpoints = _increasing(breakpoints)  # (K+1,) finite, strictly increasing
+        if anchor.shape != rows.shape[1:]:
+            raise DimensionMismatch(f"anchor shape {anchor.shape} does not match slope rows of "
+                                    f"length {rows.shape[1]}")
+        self.rows = rows          # (J, m) distinct slope vectors
+        self.labels = labels.astype(np.min_scalar_type(rows.shape[0] - 1), copy=False)  # (K,)
+        self.anchor = anchor      # (m,) value at breakpoints[0]
+        self._order = order
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """The (K, m) slope rows, rows[labels]."""
+        out = np.empty((self.segment_count, self.rows.shape[1]), order=self._order)
+        return np.take(self.rows, self.labels, axis=0, out=out)
 
     @cached_property
     def _values(self) -> np.ndarray:
-        return _node_values(self.breakpoints, self.slopes, self.anchor)
-
-    @cached_property
-    def _unique_slopes(self):
-        uniq, inverse = np.unique(self.slopes, axis=0, return_inverse=True)
-        return uniq, inverse.ravel()
+        # down one contiguous column at a time, the bits of
+        # _node_values(breakpoints, slopes, anchor); labels are in range, so
+        # take's "clip" only skips its buffered bounds check
+        out = np.empty((self.segment_count + 1, self.rows.shape[1]), order="F")
+        out[0] = self.anchor
+        widths = np.diff(self.breakpoints)
+        for j, start in enumerate(self.anchor):
+            col = out[1:, j]
+            np.take(self.rows[:, j], self.labels, out=col, mode="clip")
+            col *= widths
+            np.cumsum(col, out=col)
+            col += start
+        return out
 
     @property
     def segment_count(self) -> int:
-        return self.slopes.shape[0]
+        return self.labels.shape[0]
 
     def segment_index(self, ts: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
@@ -222,7 +267,8 @@ class CoordinateCurve:
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         idx = self.segment_index(ts)
-        return self._values[idx] + self.slopes[idx] * (ts - self.breakpoints[idx])[:, None]
+        return (self._values[idx]
+                + self.rows[self.labels[idx]] * (ts - self.breakpoints[idx])[:, None])
 
 
 @dataclass(frozen=True)
@@ -255,7 +301,7 @@ class PiecewiseAffineMap:
         if not full_rank(np.linalg.svd(basis, compute_uv=False)):
             raise PreconditionError("basis must be invertible")
         anchor = float_array(self.anchor_value, "anchor_value", (None,))
-        if {c.slopes.shape[1] for c in self.curves} != {len(anchor)}:
+        if {c.rows.shape[1] for c in self.curves} != {len(anchor)}:
             raise DimensionMismatch("anchor_value must have the curves' slope width")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "anchor_value", anchor)
@@ -317,16 +363,16 @@ class PiecewiseAffineMap:
         return tuple(c.segment_count for c in self.curves)
 
     def cell_linear(self, index) -> np.ndarray:
-        cols = np.stack([self.curves[d].slopes[index[d]] for d in range(self.n)], axis=1)
+        cols = np.stack([c.rows[c.labels[i]] for c, i in zip(self.curves, index)], axis=1)
         return cols @ self.coord_map
 
     def distinct_linears(self) -> np.ndarray:
         """All distinct cell differentials, shape (k, m, n)."""
-        uniques = [c._unique_slopes[0] for c in self.curves]
-        if math.prod(u.shape[0] for u in uniques) > _MAX_LINEAR_COMBOS:
+        palettes = [c.rows for c in self.curves]
+        if math.prod(p.shape[0] for p in palettes) > _MAX_LINEAR_COMBOS:
             raise NumericalFailure("too many distinct cell differentials to enumerate")
-        grids = np.meshgrid(*[np.arange(u.shape[0]) for u in uniques], indexing="ij")
-        return np.stack([u[g.ravel()] for u, g in zip(uniques, grids)], axis=-1) @ self.coord_map
+        grids = np.meshgrid(*[np.arange(p.shape[0]) for p in palettes], indexing="ij")
+        return np.stack([p[g.ravel()] for p, g in zip(palettes, grids)], axis=-1) @ self.coord_map
 
     def exact_lipschitz(self) -> float:
         """Largest cell operator norm: the exact Lipschitz constant of the map.
@@ -341,9 +387,9 @@ class PiecewiseAffineMap:
         """Volume of the differential on every cell, shape ``cell_shape()``."""
         if self.n > self.m:
             raise PreconditionError(f"vol requires n <= m, got {self.n} > {self.m}")
-        uniq = [c._unique_slopes for c in self.curves]
         vols = np.prod(np.linalg.svd(self.distinct_linears(), compute_uv=False), axis=-1)
-        return vols.reshape([u.shape[0] for u, _ in uniq])[np.ix_(*[i for _, i in uniq])]
+        return vols.reshape([c.rows.shape[0] for c in self.curves])[
+            np.ix_(*[c.labels for c in self.curves])]
 
     def continuity_defect(self) -> float:
         """Largest jump across interior facets, probed at paired points."""
@@ -871,24 +917,12 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
     if not est_lip <= 1.0 + 1e-6:
         raise PreconditionError(f"Lip(f) ~ {est_lip} >= 1")
 
-    # Split the core-measure requirement between the Lipschitz headroom
-    # L0 < 1 of the rescaled fits and the shrink factor sigma of the
-    # cores: the counted integral is at least (L0 * sigma)^n * lam * H(E).
-    # f itself is pre-scaled to Lipschitz constant L0, charging
-    # (1 - scale) * sup|f| against the eps budget.
-    target_core = min(eta + 0.35 * (1.0 - eta), 0.995)
-    L0 = max(target_core ** (1.0 / (2.0 * n)), 0.3)
-    if est_lip > L0:
-        sup_f = float(np.max(ns._eval_many(b, fbatch(sample_box(box, 512, rng_for(seed, 31))))))
-        if sup_f > 1e-12:
-            L0 = max(L0, min(1.0 - 1e-4, 1.0 - 0.45 * eps / sup_f))
+    L0, sigma_eff, delta_glue = _eps_scales(fbatch, box, b, eta, eps, est_lip, seed)
     work_scale = min(1.0, L0 / max(est_lip, 1e-12))
     prescaled = work_scale < 1.0
     if prescaled:
         inner = fbatch
         fbatch = lambda xs: work_scale * inner(xs)
-    sigma_eff = max(0.9, target_core ** (1.0 / n) / L0)  # < 1: L0 >= target_core^(1/2n)
-    delta_glue = min(0.45 * eps, 0.245 * (1.0 - L0))
 
     k = 2
     if subset is not None:
@@ -945,6 +979,28 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         prescaled=bool(prescaled),
         patch_count=len(rows),
     )
+
+
+def _eps_scales(fbatch: Callable, box: np.ndarray, b: ns.Norm, eta: float, eps: float,
+                est_lip: float, seed: int) -> tuple:
+    """(L0, sigma, delta_glue) of inflate_on_set, the only values of its build that eps reaches.
+
+    Two eps with equal scales build the same glued map.  The core-measure
+    requirement is split between the Lipschitz headroom L0 < 1 of the
+    rescaled fits and the shrink factor sigma of the cores: the counted
+    integral is at least (L0 * sigma)^n * lam * H(E).  An f with
+    est_lip > L0 is pre-scaled to Lipschitz constant L0, which charges
+    (1 - scale) * sup|f| against the eps budget.
+    """
+    n = box.shape[0]
+    target_core = min(eta + 0.35 * (1.0 - eta), 0.995)
+    L0 = max(target_core ** (1.0 / (2.0 * n)), 0.3)
+    if est_lip > L0:
+        sup_f = float(np.max(ns._eval_many(b, fbatch(sample_box(box, 512, rng_for(seed, 31))))))
+        if sup_f > 1e-12:
+            L0 = max(L0, min(1.0 - 1e-4, 1.0 - 0.45 * eps / sup_f))
+    sigma = max(0.9, target_core ** (1.0 / n) / L0)  # < 1: L0 >= target_core^(1/2n)
+    return L0, sigma, min(0.45 * eps, 0.245 * (1.0 - L0))
 
 
 def _as_batch(f: Callable, n: int) -> Callable:

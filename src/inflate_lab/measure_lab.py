@@ -22,7 +22,7 @@ import numpy as np
 
 from . import normed_space as ns
 from .constructions import (GluedMap, PiecewiseAffineMap, _affine_pieces, _as_batch, _boxes,
-                            _cell_measure_sum, _node_values, _sampled_lipschitz,
+                            _cell_measure_sum, _eps_scales, _node_values, _sampled_lipschitz,
                             inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
 from .geometry import as_box, domain_box, domain_measure, float_array
@@ -305,7 +305,8 @@ def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndar
     axes = []
     for seg, curve in zip(segments, pam.curves):
         live = seg[:, 1] > seg[:, 0]
-        axes.append(list(zip(seg[live], curve.slopes[live], curve.eval_many(seg[live, 0]))))
+        axes.append(list(zip(seg[live], curve.rows[curve.labels[live]],
+                             curve.eval_many(seg[live, 0]))))
 
     factors: dict = {}
     keys_parts = []
@@ -593,25 +594,31 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
         if not eps > 0:
             raise PreconditionError(f"eps must be positive, got {eps}")
     records = []
+    last = None  # (scales, report, boxcount) of the last build
     for eps in config.eps_schedule:
-        glued = None  # free the last eps's construction before building the next
-        glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),
-                                    config.eta, config.seed, f_lip=f_lip)
-        record = {
+        # eps reaches the build only through its scales: an eps with the
+        # last one's scales reuses that build's report and box count
+        scales = _eps_scales(fbatch, box, b, config.eta, float(eps), f_lip, config.seed)
+        if last is None or last[0] != scales:
+            glued, rep = inflate_on_set(fbatch, box, a, b, config.lam, float(eps),
+                                        config.eta, config.seed, f_lip=f_lip)
+            boxcount = None
+            if config.run_boxcount and config.m > n:
+                boxcount = boxcount_image_measure(glued, box, config.m, config.box_size).value
+            del glued  # hold no construction while the next eps builds
+            last = (scales, rep, boxcount)
+        _, rep, boxcount = last
+        records.append({
             "eps": float(eps),
             "sup_dist": rep.sup_distance,
             "lip_exact": rep.lip_cells_exact,
             "lip_glue_bound": rep.lip_glue_bound,
             "jac_integral": rep.achieved_integral,
             "target": rep.target_integral,
-            "boxcount": None,
+            "boxcount": boxcount,
             "superlevel_fraction": None,
             "seed": config.seed,
-        }
-        if config.run_boxcount and config.m > n:
-            record["boxcount"] = boxcount_image_measure(glued, box, config.m,
-                                                        config.box_size).value
-        records.append(record)
+        })
     return {"experiment": "positive", "config": _config_json(config), "records": records}
 
 

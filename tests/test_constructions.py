@@ -130,6 +130,23 @@ class TestZigzag:
         assert build_peak / k < 52.0
         assert values_peak / k < 72.0
 
+    def test_palette_bytes_per_segment(self):
+        # 8 bytes of breakpoint and 1 of label a segment, and 8 m of node values
+        # once evaluated; the (K, m) slope rows took 8 m more before either
+        a = np.array([0.5, 0.0, 0.2])
+        tracemalloc.start()
+        try:
+            z = co.zigzag_curve(a, 2.0 * a, 4.5e-6, (0.0, 1.0))
+            built, _ = tracemalloc.get_traced_memory()
+            z.eval_many(np.linspace(0.0, 1.0, 7))
+            evaluated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k = z.segment_count
+        assert k > 190_000
+        assert built <= 9 * k + 16_384
+        assert evaluated <= (9 + 8 * 3) * k + 16_384
+
 
 def reference_zigzag(a_vec, u, eps, interval):
     """zigzag_curve's former per-mesh loop, for Euclidean lengths and a_vec != 0.
@@ -207,6 +224,62 @@ class TestZigzagOracle:
                                      (0.14495879772967157, 1.1026317974327937))
         signs = slope_signs(z, u)
         assert 0 < np.sum(signs > 0) < np.sum(signs < 0)
+
+
+def explicit_zigzag(a, u, eps, interval):
+    """The zigzag in the form CoordinateCurve(breaks, u x signs, anchor).
+
+    Breakpoints and signs come from reference_zigzag, or for a = 0 from
+    the triangle wave's +u, -u alternation from 0 on zigzag_curve's breakpoints.
+    """
+    if not np.any(a):
+        breaks = co.zigzag_curve(a, u, eps, interval).breakpoints
+        signs = np.tile([1.0, -1.0], (len(breaks) - 1) // 2)
+        return co.CoordinateCurve(breaks, np.multiply.outer(u, signs).T, np.zeros_like(u))
+    breaks, signs = reference_zigzag(a, u, eps, interval)
+    return co.CoordinateCurve(breaks, np.multiply.outer(u, signs).T, interval[0] * a)
+
+
+class TestZigzagPalette:
+    @given(kind=st.sampled_from(["triangle", "single", "mesh", "dropped"]),
+           m=st.integers(1, 3), sign=st.sampled_from([-1.0, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=160)
+    def test_bit_identical_to_the_explicit_form(self, kind, m, sign, seed):
+        r = np.random.default_rng(seed)
+        a = r.uniform(-1.0, 1.0, m)
+        assume(np.linalg.norm(a) > 1e-2)
+        lo = r.uniform(-5.0, 5.0)
+        width = 10.0 ** r.uniform(-1.0, 0.3)
+        eps = 10.0 ** r.uniform(-3.0, 0.0)
+        if kind == "triangle":
+            a, u = np.zeros(m), sign * a
+        elif kind == "single":  # kappa = +-1
+            u = sign * a
+        elif kind == "mesh":
+            u = sign * (1.0 + 10.0 ** r.uniform(-3.0, 1.0)) * a
+        else:  # turns within about 1e-15 of a mesh end: some or all dropped
+            u = sign * (1.0 + 10.0 ** r.uniform(-12.0, -10.5)) * a
+            eps = 10.0 ** r.uniform(-15.5, -14.5)
+        interval = (lo, lo + width)
+        z = co.zigzag_curve(a, u, eps, interval)
+        x = explicit_zigzag(a, u, eps, interval)
+        assert z.labels.dtype == np.uint8
+        ts = np.linspace(lo - 0.1 * width, lo + 1.1 * width, 2000)
+
+        def pam(c):
+            return co.PiecewiseAffineMap((c,), [[1.0]], np.zeros(m), [interval],
+                                         ns.euclidean(1), ns.euclidean(m))
+
+        pairs = [(z.breakpoints, x.breakpoints), (z.rows, x.rows), (z.labels, x.labels),
+                 (z.slopes, x.slopes), (z._values, x._values),
+                 (z._values, co._node_values(x.breakpoints, x.slopes, x.anchor)),
+                 (z.eval_many(ts), x.eval_many(ts)),
+                 (pam(z).distinct_linears(), pam(x).distinct_linears()),
+                 (pam(z).cell_vol_table(), pam(x).cell_vol_table())]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def reference_node_values(breaks, slopes, anchor):
@@ -328,7 +401,7 @@ class TestPiecewiseAffineMap:
         basis = bases[seed // 3 % 3]
         pam = co.PiecewiseAffineMap(curves, basis, np.zeros(m), [[0.0, 1.0]] * n,
                                     ns.euclidean(n), ns.euclidean(m))
-        uniques = [c._unique_slopes[0] for c in pam.curves]
+        uniques = [np.unique(c.slopes, axis=0) for c in pam.curves]
         want = [np.stack([u[i] for u, i in zip(uniques, combo)], axis=1) @ pam.coord_map
                 for combo in np.ndindex(*[len(u) for u in uniques])]
         assert pam.distinct_linears().tobytes() == np.array(want).tobytes()

@@ -1006,6 +1006,27 @@ class TestExperiments:
             ml.run_positive_experiment(config)
         assert len(calls) == builds
 
+    @pytest.mark.parametrize("schedule, builds", [((0.2, 0.1), 1), ((0.1, 0.005), 2)])
+    def test_equal_scales_make_one_build(self, monkeypatch, schedule, builds):
+        # eps 0.2 and 0.1 give the README job the same L0 and delta_glue, so the
+        # same map; at 0.005 delta_glue is 0.45 eps, below its cap 0.245 (1 - L0)
+        def config(eps_schedule):
+            return ml.PositiveConfig(box=BOX, m=3, f={"kind": "zero"}, eta=0.9, lam=1.0,
+                                     eps_schedule=eps_schedule, seed=0, run_boxcount=True)
+
+        singles = [rec for eps in schedule
+                   for rec in ml.run_positive_experiment(config((eps,)))["records"]]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[5])
+            return co.inflate_on_set(*args, **kwargs)
+
+        monkeypatch.setattr(ml, "inflate_on_set", counted)
+        records = ml.run_positive_experiment(config(schedule))["records"]
+        assert len(calls) == builds
+        assert repr(records) == repr(singles)
+
     def test_negative_trend_at_calibrated_threshold(self):
         # every admissible map has superlevel fraction at most 2 eps / t^2
         # (derivation in test_acceptance); at t = 0.3 that bound is still
