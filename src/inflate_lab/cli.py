@@ -225,6 +225,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise PreconditionError("csv format requires an experiment command")
     if config.format == "csv" and config.command == "inflate" and not config.out:
         raise PreconditionError("inflate csv needs --out")
+    if config.out is not None and not isinstance(config.out, str):
+        raise PreconditionError(f"out must be a path string, got {config.out!r}")
     if config.out and not os.path.isdir(folder := os.path.dirname(config.out) or "."):
         raise PreconditionError(f"out directory {folder!r} does not exist")
     schema = _SCHEMAS[config.command]
@@ -426,13 +428,9 @@ def _write(config: ExperimentConfig, report: dict) -> None:
             fh.write(text)
 
 
-_NAN = object()  # the parsed form of JSON's NaN, so that _nan_path can name its field
-_parse_constant = lambda name: _NAN if name == "NaN" else float(name)  # noqa: E731
-
-
 def _nan_path(value, path: tuple = ()):
     """Keys that lead to the first NaN in parsed JSON, or None; Infinity stays a number."""
-    if value is _NAN:
+    if isinstance(value, float) and value != value:
         return path
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
@@ -448,37 +446,33 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="inflate-lab",
+        prog="inflate-lab", usage="%(prog)s <command> [flags]",
         description="Norm geometry, inflation certificates and measure experiments.",
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file with {params: ...} or the params object itself")
-        p.add_argument("--params", type=str, default=None,
-                       help="inline JSON params (overrides --config)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, choices=("json", "csv"), default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored; every command runs in one thread")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of: " + ", ".join(COMMANDS))
+    parser.add_argument("--config", type=str, default=None,
+                        help="JSON file with {params: ...} or the params object itself")
+    parser.add_argument("--params", type=str, default=None,
+                        help="inline JSON params (overrides --config)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--format", type=str, choices=("json", "csv"), default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored; every command runs in one thread")
     args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help()
-        return 2
 
     try:
         data: dict = {}
         if args.config:
-            with open(args.config) as fh:
-                data = json.load(fh, parse_constant=_parse_constant)
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
             if not isinstance(data, dict):
                 raise PreconditionError("config file must hold a JSON object")
         if "params" not in data:
             data = {"params": data}
         if args.params is not None:
-            data["params"] = json.loads(args.params, parse_constant=_parse_constant)
+            data["params"] = json.loads(args.params)
         if (path := _nan_path(data)) is not None:
             field = path[0] + "." + "/".join(path[1:]) if len(path) > 1 else path[0]
             raise PreconditionError(f"config {field}: NaN is not a number")
@@ -487,7 +481,7 @@ def main(argv: Optional[list] = None) -> int:
         data.update({key: value for key, value in flags.items() if value is not None})
         data["command"] = args.command
         config = ExperimentConfig.from_json(data)
-    except (OSError, json.JSONDecodeError, PreconditionError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError, PreconditionError
         _emit_error("precondition", exc)
         return 2
     return run(config)

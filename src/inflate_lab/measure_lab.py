@@ -650,10 +650,16 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
     _adversarial_search call, seed + 1000 i for eps i), with the same
     records as one search per eps.  With ``control`` set, the map is
     produced by the inflation pipeline instead (the contrast case where
-    the fraction stays high), one eps at a time.
+    the fraction stays high), one eps at a time.  The control inflates
+    at lambda = 1, which only a Euclidean domain and codomain reach, so
+    it needs both and a threshold below 1, the largest volume of a
+    Euclidean contraction; anything else is refused before any build.
     """
     a = ns.norm_from_json({"dim": config.n, "kind": config.domain_kind})
     b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})
+    if config.control and not (ns._is_euclidean(a) and ns._is_euclidean(b)):
+        raise PreconditionError("the control inflates at lambda = 1 and needs a Euclidean "
+                                "domain and codomain")
     if not config.control and config.n != 2:
         raise PreconditionError("the adversarial searcher is implemented for n = 2")
     if config.restarts < 1 or config.grid < 2:
@@ -670,6 +676,9 @@ def run_negative_experiment(config: NegativeConfig) -> dict:
     else:
         mv = max_volume(u, a, b, restarts=8, seed=config.seed)
         threshold = mv.value + config.r
+    if config.control and not threshold < 1.0:
+        raise PreconditionError("the control threshold must be below 1, the largest volume "
+                                f"of a Euclidean contraction, got {threshold}")
 
     box = np.stack([-np.ones(config.n), np.ones(config.n)], axis=1)
     if not config.control:
@@ -860,14 +869,9 @@ def _adversarial_search(a: ns.Norm, b: ns.Norm, u: np.ndarray, schedule, thresho
         if not active.any():
             break
     _, fracs = score(cand)
-    found = []
-    for lo in range(0, eps.size, restarts):
-        best = lo
-        for r in range(lo + 1, lo + restarts):
-            if fracs[r] > fracs[best] + 1e-15:
-                best = r
-        found.append((float(fracs[best]), _separable_map(u, cand[best], a, b)))
-    return found
+    # each search's first best restart; fractions are multiples of 1/k^2, so ties are exact
+    best = rows[::restarts] + np.argmax(fracs.reshape(schedule.size, restarts), axis=1)
+    return [(float(fracs[j]), _separable_map(u, cand[j], a, b)) for j in best]
 
 
 # -- report output -------------------------------------------------------------

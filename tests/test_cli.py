@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -452,6 +453,25 @@ class TestExperimentNorms:
                        for cmd, params in FORWARDED if cmd == command for key in params}
             assert covered == {f.name for f in dataclasses.fields(config)} - {"seed"}
 
+    @pytest.mark.parametrize("params, message", [
+        ({}, "needs a Euclidean domain and codomain"),
+        ({"domain_kind": "euclidean", "codomain_kind": "linf"},
+         "needs a Euclidean domain and codomain"),
+        ({"domain_kind": "euclidean"}, "the control threshold must be below 1"),
+    ], ids=["default-domain", "linf-codomain", "default-threshold"])
+    def test_a_control_that_cannot_run_is_refused_before_the_build(self, capsys, monkeypatch,
+                                                                   params, message):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the control went past its checks")
+
+        monkeypatch.setattr(ml, "inflate_on_set", not_called)
+        if "Euclidean" in message:  # refused before the threshold's max_volume too
+            monkeypatch.setattr(ml, "max_volume", not_called)
+        params = {"u": [1, 0], "r": 0.3, "eps_schedule": [0.5], "control": True, **params}
+        assert main(["experiment-negative", "--params", json.dumps(params)]) == 2
+        err = one_error(capsys)
+        assert err["type"] == "precondition" and message in err["message"]
+
     def test_negative_on_a_hexagon_codomain(self, capsys):
         params = {"u": [1, 0], "r": 0.3, "eps_schedule": [0.5, 0.25],
                   "codomain_kind": {"polytopal": HEXAGON}, "restarts": 4, "steps": 60}
@@ -612,6 +632,47 @@ class TestEntryPoint:
         assert payload["report"]["sampled_lip"] <= 0.4 + 1e-9
 
 
+    def test_one_call_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        params = json.dumps({"u": [1.0, 0.0], "a": LINF2, "b": EUCL2})
+        assert main(["mv", "--params", params]) == 0
+        assert len(built) == 1
+
+    def test_flags_may_come_before_the_command(self, capsys):
+        params = json.dumps({"u": [1.0, 0.0], "a": LINF2, "b": EUCL2})
+        assert main(["--seed", "4", "--params", params, "mv"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
+
+    def test_a_command_help_is_the_one_help_page(self, capsys):
+        pages = []
+        for argv in (["--help"], ["mv", "--help"], ["calibrate", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[1] == pages[2]
+        assert pages[0].startswith("usage: inflate-lab <command> [flags]")
+        assert all(command in pages[0] for command in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--seed", "1"]],
+                             ids=["missing", "unknown", "flags-only"])
+    def test_a_missing_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument" in err
+
+
+# small valid params for every command, each a job that would run to its end
+
 # small valid params for every command, each a job that would run to its end
 MINIMAL = {
     "check-inflation": {"map": INFLATE_HALF["map"], "lambda": 0.5},
@@ -713,3 +774,75 @@ class TestLifecycle:
         pam = co.PiecewiseAffineMap.from_json(report["map"])
         assert pam.to_json() == report["map"]
         assert report["summary"]["cells"] == [c.segment_count for c in pam.curves]
+
+
+def malformed_config(tmp_path, case: str) -> str:
+    """The path of a config file for the mv job that is broken in one way."""
+    if case == "directory":
+        return str(tmp_path)
+    path = tmp_path / "config.json"
+    contents = {
+        "not-utf8": b'{"params": {}, "out": "r\xe9sum\xe9.json"}',  # latin-1
+        "out-number": {"params": MINIMAL["mv"], "out": 5},
+        "out-list": {"params": MINIMAL["mv"], "out": ["a"]},
+        "top-level-list": [MINIMAL["mv"]],
+        "params-number": {"params": 5},
+        "seed-text": {"params": MINIMAL["mv"], "seed": "abc"},
+    }[case]
+    path.write_bytes(contents if isinstance(contents, bytes) else json.dumps(contents).encode())
+    return str(path)
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("case", ["not-utf8", "out-number", "out-list", "top-level-list",
+                                      "params-number", "seed-text", "directory"])
+    def test_a_malformed_config_file_exits_2_with_one_error_line(self, capsys, tmp_path,
+                                                                 case):
+        assert main(["mv", "--config", malformed_config(tmp_path, case)]) == 2
+        assert one_error(capsys)["type"] == "precondition"
+
+    @pytest.mark.parametrize("out", [5, ["a"]], ids=["number", "list"])
+    def test_run_refuses_an_out_that_is_not_a_string(self, capsys, out):
+        assert run(ExperimentConfig("mv", MINIMAL["mv"], out=out)) == 2
+        assert one_error(capsys) == {"type": "precondition",
+                                     "message": f"out must be a path string, got {out!r}"}
+
+
+# a box patch and a three-point cloud, far apart, each a shift of the base x -> x / 2
+HALF = [[0.5, 0.0], [0.0, 0.5]]
+GLUE = {"base": {"kind": "affine", "linear": HALF},
+        "patches": [{"set": [[0, 1], [0, 1]], "rho": 0.5,
+                     "map": {"kind": "affine", "linear": HALF, "offset": [0.05, 0.0]}},
+                    {"set": [[4, 4], [5, 4], [4, 5]], "rho": 1.0,
+                     "map": {"kind": "affine", "linear": HALF, "offset": [0.0, -0.1]}}],
+        "delta": 0.2, "L": 0.5, "domain_norm": EUCL2, "codomain_norm": EUCL2, "probes": 500}
+
+
+def glue_with(patch: int, **changes) -> dict:
+    patches = [dict(p) for p in GLUE["patches"]]
+    patches[patch].update(changes)
+    return {**GLUE, "patches": patches}
+
+
+class TestGlue:
+    @pytest.mark.parametrize("domain_box", [None, [[-1, 6], [-1, 6]]],
+                             ids=["default-box", "explicit-box"])
+    def test_a_box_and_a_point_cloud_patch(self, capsys, domain_box):
+        params = GLUE if domain_box is None else {**GLUE, "domain_box": domain_box}
+        assert main(["glue", "--params", json.dumps(params), "--seed", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["lip_bound"] == GLUE["L"] + 4 * GLUE["delta"]
+        assert report["patches"] == 2
+        assert report["sampled_lip"] <= report["lip_bound"]
+        assert report["sampled_sup_dist"] <= GLUE["delta"] * max(
+            p["rho"] for p in GLUE["patches"])
+
+    @pytest.mark.parametrize("params, word", [
+        (glue_with(1, set=[[1.5, 0.5], [2, 0.5], [2, 1]], rho=0.5), "overlap"),
+        (glue_with(1, map={"kind": "affine", "linear": HALF, "offset": [0.0, -0.5]}),
+         "deviates"),
+    ], ids=["overlap", "deviates"])
+    def test_a_broken_patch_hypothesis_exits_2(self, capsys, params, word):
+        assert main(["glue", "--params", json.dumps(params)]) == 2
+        err = one_error(capsys)
+        assert err["type"] == "precondition" and word in err["message"]
