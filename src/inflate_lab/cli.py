@@ -230,7 +230,10 @@ def _validate(config: ExperimentConfig) -> None:
     if config.out and not os.path.isdir(folder := os.path.dirname(config.out) or "."):
         raise PreconditionError(f"out directory {folder!r} does not exist")
     schema = _SCHEMAS[config.command]
-    error = best_match(validator_for(schema)(schema).iter_errors(config.params))
+    try:
+        error = best_match(validator_for(schema)(schema).iter_errors(config.params))
+    except RecursionError as exc:  # the check and its messages recurse once a nesting level
+        raise PreconditionError(f"config params nest too deeply to check: {exc}") from exc
     if error is not None:
         pointer = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise PreconditionError(f"config params.{pointer}: {error.message}") from error
@@ -481,7 +484,8 @@ def main(argv: Optional[list] = None) -> int:
         data.update({key: value for key, value in flags.items() if value is not None})
         data["command"] = args.command
         config = ExperimentConfig.from_json(data)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError, PreconditionError
+    except (OSError, ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, PreconditionError; RecursionError: nested too deep
         _emit_error("precondition", exc)
         return 2
     return run(config)

@@ -616,11 +616,15 @@ def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
     return np.min(dists, axis=1)
 
 
+def _box_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-axis gap from box a to box b, or to each box of a (k, n, 2) stack b."""
+    return np.maximum(0.0, np.maximum(b[..., 0] - a[:, 1], a[:, 0] - b[..., 1]))
+
+
 def _set_to_set_distance(a: np.ndarray, b: np.ndarray, norm: ns.Norm) -> float:
     if is_box(a, norm.dim):
         if is_box(b, norm.dim):
-            gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
-            return float(ns.norm_eval(norm, gap))
+            return float(ns.norm_eval(norm, _box_gap(a, b)))
         return float(np.min(_dist_to_set(b, a, norm)))
     return float(np.min(_dist_to_set(a, b, norm)))
 
@@ -707,13 +711,9 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
     close to the base map on its neighborhood (checked on up to 160
     samples per patch).
     """
-    k = len(spec.patch_sets)
-    for i in range(k):
-        for j in range(i + 1, k):
-            gap = _set_to_set_distance(spec.patch_sets[i], spec.patch_sets[j], spec.domain_norm)
-            if gap <= spec.radii[i] + spec.radii[j]:
-                raise PreconditionError(
-                    f"patch neighborhoods {i} and {j} overlap (gap {gap:.3g})")
+    if (pair := _first_overlap(spec)) is not None:
+        i, j, gap = pair
+        raise PreconditionError(f"patch neighborhoods {i} and {j} overlap (gap {gap:.3g})")
     glued = GluedMap(spec, L)
     rng = rng_for(seed, 606)
     for i, (patch_set, rho, g_i) in enumerate(zip(spec.patch_sets, spec.radii, glued._patches)):
@@ -725,6 +725,29 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
             raise PreconditionError(
                 f"patch {i} deviates {float(np.max(dev)):.3g} > delta*rho = {spec.delta * rho:.3g}")
     return glued
+
+
+def _first_overlap(spec: PatchSpec):
+    """(i, j, gap) of the first pair in loop order whose rho-neighborhoods meet, or None.
+
+    Boxes under a euclidean or lp norm take row i's gaps to all later boxes in
+    one array expression (with norm_eval's bits); other sets go pair by pair.
+    """
+    sets, radii, norm = spec.patch_sets, spec.radii, spec.domain_norm
+    k = len(sets)
+    if k and norm.kind in _CLAMP_KINDS and all(is_box(s, norm.dim) for s in sets):
+        boxes, rho = np.stack(sets), np.asarray(radii)
+        for i in range(k - 1):
+            gaps = ns._eval_many(norm, _box_gap(boxes[i], boxes[i + 1:]))
+            if (hits := np.flatnonzero(gaps <= rho[i] + rho[i + 1:])).size:
+                return i, i + 1 + int(hits[0]), float(gaps[hits[0]])
+        return None
+    for i in range(k):
+        for j in range(i + 1, k):
+            gap = _set_to_set_distance(sets[i], sets[j], norm)
+            if gap <= radii[i] + radii[j]:
+                return i, j, gap
+    return None
 
 
 def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
@@ -741,19 +764,19 @@ def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
 # -- cell-measure sums --------------------------------------------------------
 
 
-def _boxes(E) -> list:
-    """E itself as one box, or the occupied cells of a GridSubset."""
-    return [cell for _, cell in E.cells()] if isinstance(E, GridSubset) else [as_box(E)]
+def _boxes(E) -> np.ndarray:
+    """E's boxes as one (P, n, 2) array: E itself, or the occupied cells of a GridSubset."""
+    return E.cell_boxes if isinstance(E, GridSubset) else as_box(E)[None]
 
 
 def _affine_pieces(g, E, what: str) -> list:
-    """(piecewise-affine map, boxes) pairs that decompose g on E.
+    """(piecewise-affine map, (P, n, 2) box array) pairs that decompose g on E.
 
     A piecewise-affine map is one piece on its domain; a glued map has
     one piece per inflated core, and its blend bands, where the map is
-    not piecewise affine, belong to no piece.  Each box of E (E itself,
-    or the occupied cells of a GridSubset) is intersected with each
-    piece's domain; empty intersections are dropped.
+    not piecewise affine, belong to no piece.  The boxes of E (see
+    _boxes) are clipped to each piece's domain in one array expression;
+    empty intersections are dropped.
     """
     boxes = _boxes(E)
     if isinstance(g, PiecewiseAffineMap):
@@ -771,14 +794,11 @@ def _affine_pieces(g, E, what: str) -> list:
         raise PreconditionError(f"{what} needs a piecewise-affine or glued map")
     parts = []
     for dom, pam in domains:
-        clipped = []
-        for box in boxes:
-            lo = np.maximum(box[:, 0], dom[:, 0])
-            hi = np.minimum(box[:, 1], dom[:, 1])
-            if np.all(hi > lo):
-                clipped.append(np.stack([lo, hi], axis=1))
-        if clipped:
-            parts.append((pam, clipped))
+        lo = np.maximum(boxes[:, :, 0], dom[:, 0])
+        hi = np.minimum(boxes[:, :, 1], dom[:, 1])
+        keep = np.all(hi > lo, axis=1)
+        if keep.any():
+            parts.append((pam, np.stack([lo[keep], hi[keep]], axis=2)))
     return parts
 
 
@@ -871,10 +891,10 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
                    eta: float, seed: int, f_lip: Optional[float] = None):
     """Push the Jacobian integral of f over E up to eta * lam * H^n(E).
 
-    Stages: fit an affine map to f on each cell of a uniform grid that
-    meets E (_inflate_on_grid); the grid starts at 2 cells per axis (or
-    the grid of a GridSubset E) and doubles while some fit is too coarse,
-    up to 64, so it is fixed from the fits before any search.  Then nudge
+    Stages: fit an affine map to f on each grid cell in E (_inflate_on_grid);
+    the grid is E's lattice (a box is one cell) with one-cell axes split in
+    two, and every axis doubles while some fit is too coarse, up to 64, so
+    the grid is fixed from the fits before any search.  Then nudge
     each fit to full rank and generic position, certify an inflation of
     the rescaled fit (16 restarts for a non-Euclidean pair), inflate it
     with per-cell exactness, and glue all patches into f once.  Cores keep
@@ -924,13 +944,11 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         inner = fbatch
         fbatch = lambda xs: work_scale * inner(xs)
 
-    k = 2
-    if subset is not None:
-        k = max(k, *subset.shape)
-    while (rows := _inflate_on_grid(fbatch, box, subset, b, sigma_eff, delta_glue, k)) is None:
-        if 2 * k > 64:
-            raise NumericalFailure(f"affine fits do not converge at {k} cells per axis")
-        k *= 2
+    grid = tuple(max(int(c), 2) for c in (subset.shape if subset is not None else (1,) * n))
+    while (rows := _inflate_on_grid(fbatch, box, subset, b, sigma_eff, delta_glue, grid)) is None:
+        if 2 * max(grid) > 64:
+            raise NumericalFailure(f"affine fits do not converge at {max(grid)} cells per axis")
+        grid = tuple(2 * c for c in grid)
 
     patch_maps = []
     lip_cells = 0.0
@@ -947,7 +965,7 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         segments += sum(curve.segment_count for curve in g_i.curves)
         if segments > _MAX_GRID_SEGMENTS:
             raise NumericalFailure(f"zigzag resolution guard: {segments} segments after "
-                                   f"{len(patch_maps) + 1} of {len(rows)} cells, {k} per axis")
+                                   f"{len(patch_maps) + 1} of {len(rows)} cells, grid {grid}")
         patch_maps.append(g_i)
         lip_cells = max(lip_cells, g_i.declared_lip)
 
@@ -969,7 +987,7 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         sup_distance=sup_dist,
         lip_cells_exact=float(lip_cells),
         lip_glue_bound=float(L0 + 4.0 * delta_glue),
-        cell_grid=(k,) * n,
+        cell_grid=grid,
         sigma=float(sigma_eff),
         lip_scale=float(L0),
         lam=float(lam),
@@ -1042,7 +1060,7 @@ def _sample_pairs(E, count: int, rng: np.random.Generator):
     over the whole box.
     """
     if isinstance(E, GridSubset):
-        occupied = [cell for _, cell in E.cells()]
+        occupied = E.cell_boxes
         pts = np.stack([sample_box(occupied[int(rng.integers(0, len(occupied)))], 2, rng)
                         for _ in range(count)])
         return pts[:, 0], pts[:, 1]
@@ -1072,25 +1090,28 @@ def _sampled_lipschitz(fbatch: Callable, E, a: ns.Norm, b: ns.Norm, seed: int,
     return float(np.max(quot)) if quot.size else 0.0
 
 
-def _inflate_on_grid(fbatch, box, subset, b, sigma, delta_glue, k):
-    """Fit stage of inflate_on_set on the grid of k cells per axis over ``box``.
+def _inflate_on_grid(fbatch, box, subset, b, sigma, delta_glue, grid):
+    """Fit stage of inflate_on_set on the grid of ``grid`` cells per axis over ``box``.
 
-    One row (lin_idx, idx, cell, core, rho, M_fit, c_fit) per cell that meets
-    E, with lin_idx the cell's row-major index in the full grid, and (M_fit,
-    c_fit) the least-squares fit to f on a 5^n stencil; None when some fit
-    misses f by more than 0.30 delta_glue rho, that is when the grid is too coarse.
+    The grid refines E's lattice (a box is one cell); one row (lin_idx, idx, cell,
+    core, rho, M_fit, c_fit) per grid cell whose cell of E is occupied, with lin_idx
+    the cell's row-major index in the full grid, and (M_fit, c_fit) the least-squares
+    fit to f on a 5^n stencil; None when some fit misses f by more than 0.30
+    delta_glue rho, that is when the grid is too coarse.
     """
-    widths = (box[:, 1] - box[:, 0]) / k
+    mask = subset.mask if subset is not None else np.ones((1,) * len(grid), dtype=bool)
+    refine = np.asarray(grid) // mask.shape
+    widths = (box[:, 1] - box[:, 0]) / np.asarray(grid)
     rho = min(1.0, 0.9 * float(np.min((1.0 - sigma) * 0.5 * widths)))
     if rho <= 0:
         raise NumericalFailure("cell too small for a positive glue radius")
     budget = delta_glue * rho
     rows = []
-    for lin_idx, idx in enumerate(np.ndindex(*(k,) * box.shape[0])):
+    for lin_idx, idx in enumerate(np.ndindex(*grid)):
+        if not mask[tuple(np.asarray(idx) // refine)]:
+            continue
         lo = box[:, 0] + np.asarray(idx) * widths
         cell = np.stack([lo, lo + widths], axis=1)
-        if subset is not None and subset.overlap(cell) <= 0.0:
-            continue
         stencil = grid_points(shrink_box(cell, 0.999), 5)
         values = fbatch(stencil)
         M_fit, c_fit = _affine_fit(stencil, values)

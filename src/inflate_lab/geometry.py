@@ -10,6 +10,7 @@ of intervals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -132,18 +133,18 @@ class GridSubset:
         lo = self.box[:, 0] + idx * self.cell_widths
         return np.stack([lo, lo + self.cell_widths], axis=1)
 
+    @cached_property
+    def cell_boxes(self) -> np.ndarray:
+        """The occupied cells as one read-only (P, n, 2) array, in np.argwhere order."""
+        lo = self.box[:, 0] + np.argwhere(self.mask) * self.cell_widths
+        boxes = np.stack([lo, lo + self.cell_widths], axis=2)
+        boxes.flags.writeable = False
+        return boxes
+
     def cells(self):
         """Yield (index, box) for every occupied cell."""
-        for idx in np.argwhere(self.mask):
-            yield tuple(idx), self.cell_box(idx)
-
-    def overlap(self, box) -> float:
-        """Exact measure of the intersection of the subset with a box."""
-        other = as_box(box)
-        total = 0.0
-        for _, cell in self.cells():
-            total += box_overlap(cell, other)
-        return total
+        for idx, cell in zip(np.argwhere(self.mask), self.cell_boxes):
+            yield tuple(idx), cell
 
     @staticmethod
     def full(box, shape) -> "GridSubset":

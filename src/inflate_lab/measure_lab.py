@@ -402,7 +402,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     else:
         fbatch = _as_batch(g, n)
         boxes = _boxes(E)  # none for an empty GridSubset, whose image has measure 0
-        raw = 0.0 if not boxes else _cloud_boxcount(
+        raw = 0.0 if len(boxes) == 0 else _cloud_boxcount(
             fbatch, boxes, n, box_size, lip_hint if lip_hint is not None else
             _sampled_lipschitz(fbatch, E, ns.euclidean(n), ns.euclidean(m), seed))
         method = "cloud"
@@ -418,7 +418,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     )
 
 
-def _cloud_boxcount(fbatch: Callable, boxes: list, n: int, box_size: float,
+def _cloud_boxcount(fbatch: Callable, boxes: np.ndarray, n: int, box_size: float,
                     lip: float) -> float:
     """Plain sample-cloud box count over a union of boxes, for maps without affine structure."""
     spacing = box_size / (2.0 * max(lip, 1e-9))

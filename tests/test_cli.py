@@ -801,6 +801,28 @@ class TestConfigFiles:
         assert main(["mv", "--config", malformed_config(tmp_path, case)]) == 2
         assert one_error(capsys)["type"] == "precondition"
 
+    @pytest.mark.parametrize("flag", ["--config", "--params"])
+    def test_params_nested_past_the_recursion_limit_exit_2(self, capsys, tmp_path, flag):
+        # decoding used to end in a RecursionError traceback with exit 1
+        depth = 100_000
+        params = '{"u": ' + "[" * depth + "1" + "]" * depth + ', "a": {}, "b": {}}'
+        if flag == "--config":
+            path = tmp_path / "config.json"
+            path.write_text('{"params": ' + params + "}")
+            params = str(path)
+        assert main(["mv", flag, params]) == 2
+        assert one_error(capsys)["type"] == "precondition"
+
+    def test_the_schema_check_refuses_params_nested_past_the_recursion_limit(self, capsys):
+        # a value deep enough to decode could still overflow the schema check
+        deep = 1.0
+        for _ in range(100_000):
+            deep = [deep]
+        assert run(ExperimentConfig("mv", {**MINIMAL["mv"], "u": deep})) == 2
+        err = one_error(capsys)
+        assert err["type"] == "precondition"
+        assert err["message"].startswith("config params nest too deeply to check")
+
     @pytest.mark.parametrize("out", [5, ["a"]], ids=["number", "list"])
     def test_run_refuses_an_out_that_is_not_a_string(self, capsys, out):
         assert run(ExperimentConfig("mv", MINIMAL["mv"], out=out)) == 2

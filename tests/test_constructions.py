@@ -537,6 +537,34 @@ class TestGluePatches:
         with pytest.raises(PreconditionError, match="overlap"):
             co.glue_patches(spec, 0.0)
 
+    @pytest.mark.parametrize("cloud", [False, True], ids=["all-boxes", "with-a-cloud"])
+    def test_the_first_overlapping_pair_in_loop_order_is_named(self, cloud):
+        # boxes 0 and 1 are apart, box 2 meets both; a far point cloud forces the pair loop
+        a, b = self._norms()
+        f = lambda xs: np.zeros_like(xs)
+        sets = [np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[3.0, 4.0], [0.0, 1.0]]),
+                np.array([[1.5, 2.5], [0.0, 1.0]])] + [np.array([[50.0, 50.0]])] * cloud
+        spec = co.PatchSpec(tuple(sets), (0.5,) * len(sets), (f,) * len(sets), f, 0.1, a, b)
+        with pytest.raises(PreconditionError,
+                           match=r"patch neighborhoods 0 and 2 overlap \(gap 0.5\)"):
+            co.glue_patches(spec, 0.0)
+
+    @pytest.mark.parametrize("norm", [ns.euclidean(3), ns.l1(3), ns.linf(3), ns.lp(3, 3.0)],
+                             ids=["l2", "l1", "linf", "lp3"])
+    def test_rows_of_box_gaps_find_the_pair_the_pair_loop_finds(self, norm):
+        rng = np.random.default_rng(11)
+        f = lambda xs: np.zeros_like(xs)
+        for _ in range(40):
+            k = int(rng.integers(2, 30))
+            lo = rng.uniform(-4.0, 4.0, (k, 3))
+            sets = tuple(np.stack([row, row + rng.uniform(0.0, 1.0, 3)], axis=1) for row in lo)
+            radii = tuple(rng.uniform(0.01, 0.3, k))
+            spec = co.PatchSpec(sets, radii, (f,) * k, f, 0.1, norm, norm)
+            want = next(((i, j, gap) for i in range(k) for j in range(i + 1, k)
+                         if (gap := co._set_to_set_distance(sets[i], sets[j], norm))
+                         <= radii[i] + radii[j]), None)
+            assert co._first_overlap(spec) == want
+
     def test_deviating_patch_rejected(self):
         a, b = self._norms()
         f = lambda xs: np.zeros_like(xs)
@@ -654,6 +682,57 @@ class TestGridSubset:
         with pytest.raises(PreconditionError, match="must hold positive integers"):
             GridSubset(BOX, shape, np.ones((2, 2), dtype=bool))
 
+    def test_cell_boxes_equal_cell_box_cell_by_cell(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            shape = tuple(int(c) for c in rng.integers(1, 7, n))
+            lo = rng.uniform(-3.0, 3.0, n)
+            E = GridSubset(np.stack([lo, lo + rng.uniform(0.01, 4.0, n)], axis=1), shape,
+                           rng.random(shape) < 0.5)
+            cells = E.cell_boxes
+            assert cells.shape == (np.count_nonzero(E.mask), n, 2)
+            for row, idx in zip(cells, np.argwhere(E.mask)):
+                assert row.tobytes() == E.cell_box(idx).tobytes()
+            assert [c.tobytes() for _, c in E.cells()] == [c.tobytes() for c in cells]
+
+    def test_affine_pieces_clip_like_the_per_box_loop(self):
+        # lattices whose neighbouring cells touch by an ulp, clipped to cells,
+        # to cells nudged by an ulp, and to random boxes
+        rng = np.random.default_rng(8)
+        curve = co.CoordinateCurve(np.array([0.0, 1.0]), np.ones((1, 2)), np.zeros(2))
+        f = lambda xs: np.zeros_like(xs)
+        a = ns.euclidean(2)
+        for trial in range(40):
+            lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+            shape = tuple(int(c) for c in rng.integers(1, 8, 2))
+            E = GridSubset([[lo, hi]] * 2, shape, rng.random(shape) < 0.6)
+            loop_boxes = [E.cell_box(idx) for idx in np.argwhere(E.mask)]
+            domains = [E.cell_box(rng.integers(0, shape)) for _ in range(4)]
+            domains += [np.nextafter(d, d + np.array([1.0, -1.0]) * (-1) ** trial)
+                        for d in domains]
+            domains += [np.sort(rng.uniform(lo - 0.5, hi + 0.5, (2, 2)), axis=1)
+                        for _ in range(4)]
+            pams = [co.PiecewiseAffineMap((curve, curve), np.eye(2), np.zeros(2), d, a, a)
+                    for d in domains]
+            glued = co.GluedMap(co.PatchSpec(tuple(domains), (0.5,) * len(domains),
+                                             tuple(pams), f, 0.1, a, a), 1.0)
+            want = []
+            for dom, pam in zip(domains, pams):
+                clipped = []
+                for box in loop_boxes:
+                    box_lo = np.maximum(box[:, 0], dom[:, 0])
+                    box_hi = np.minimum(box[:, 1], dom[:, 1])
+                    if np.all(box_hi > box_lo):
+                        clipped.append(np.stack([box_lo, box_hi], axis=1))
+                if clipped:
+                    want.append((pam, clipped))
+            got = co._affine_pieces(glued, E, "test")
+            assert [pam for pam, _ in got] == [pam for pam, _ in want]
+            for (_, got_boxes), (_, want_boxes) in zip(got, want):
+                assert [box.tobytes() for box in got_boxes] == \
+                    [box.tobytes() for box in want_boxes]
+
 
 class TestInflateOnSet:
     @pytest.mark.parametrize("a", [
@@ -714,6 +793,39 @@ class TestInflateOnSet:
             lambda xs: np.zeros((xs.shape[0], 3)), subset,
             ns.euclidean(2), ns.euclidean(3), 1.0, 0.2, 0.5, seed=1)
         assert report.domain_measure == pytest.approx(1.0)
+        assert report.achieved_integral >= report.target_integral
+
+    @staticmethod
+    def _cores_lie_in_occupied_cells(glued, E):
+        cells = E.cell_boxes
+        for core in glued.spec.patch_sets:
+            inside = np.all((cells[:, :, 0] <= core[:, 0]) & (core[:, 1] <= cells[:, :, 1]),
+                            axis=1)
+            assert inside.any()
+
+    def test_touching_cells_of_an_unoccupied_row_build_no_patch(self):
+        # on this box row 1's float upper bound passes row 2's lower bound by
+        # 1.1e-16; the float overlap test used to build 12 patches for 6 cells
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[2] = True
+        E = GridSubset([[0.087, 1.964]] * 2, (6, 6), mask)
+        assert E.cell_box((1, 0))[0, 1] > E.cell_box((2, 0))[0, 0]
+        glued, report = co.inflate_on_set(
+            lambda xs: np.zeros((xs.shape[0], 3)), E, ns.euclidean(2), ns.euclidean(3),
+            1.0, 0.2, 0.5, seed=0)
+        assert report.cell_grid == (6, 6)
+        assert report.patch_count == 6
+        self._cores_lie_in_occupied_cells(glued, E)
+        assert report.achieved_integral >= report.target_integral
+
+    def test_a_non_square_subset_refines_its_own_lattice(self):
+        E = GridSubset([[0.0, 1.0], [0.0, 1.0]], (1, 4), np.array([[True, False, True, True]]))
+        glued, report = co.inflate_on_set(
+            lambda xs: np.zeros((xs.shape[0], 3)), E, ns.euclidean(2), ns.euclidean(3),
+            1.0, 0.2, 0.5, seed=0)
+        assert report.cell_grid == (2, 4)
+        assert report.patch_count == 6
+        self._cores_lie_in_occupied_cells(glued, E)
         assert report.achieved_integral >= report.target_integral
 
     def test_expanding_map_rejected(self):
