@@ -616,15 +616,11 @@ def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
     return np.min(dists, axis=1)
 
 
-def _box_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-axis gap from box a to box b, or to each box of a (k, n, 2) stack b."""
-    return np.maximum(0.0, np.maximum(b[..., 0] - a[:, 1], a[:, 0] - b[..., 1]))
-
-
 def _set_to_set_distance(a: np.ndarray, b: np.ndarray, norm: ns.Norm) -> float:
     if is_box(a, norm.dim):
         if is_box(b, norm.dim):
-            return float(ns.norm_eval(norm, _box_gap(a, b)))
+            gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
+            return float(ns.norm_eval(norm, gap))
         return float(np.min(_dist_to_set(b, a, norm)))
     return float(np.min(_dist_to_set(a, b, norm)))
 
@@ -711,9 +707,13 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
     close to the base map on its neighborhood (checked on up to 160
     samples per patch).
     """
-    if (pair := _first_overlap(spec)) is not None:
-        i, j, gap = pair
-        raise PreconditionError(f"patch neighborhoods {i} and {j} overlap (gap {gap:.3g})")
+    k = len(spec.patch_sets)
+    for i in range(k):
+        for j in range(i + 1, k):
+            gap = _set_to_set_distance(spec.patch_sets[i], spec.patch_sets[j], spec.domain_norm)
+            if gap <= spec.radii[i] + spec.radii[j]:
+                raise PreconditionError(
+                    f"patch neighborhoods {i} and {j} overlap (gap {gap:.3g})")
     glued = GluedMap(spec, L)
     rng = rng_for(seed, 606)
     for i, (patch_set, rho, g_i) in enumerate(zip(spec.patch_sets, spec.radii, glued._patches)):
@@ -725,29 +725,6 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
             raise PreconditionError(
                 f"patch {i} deviates {float(np.max(dev)):.3g} > delta*rho = {spec.delta * rho:.3g}")
     return glued
-
-
-def _first_overlap(spec: PatchSpec):
-    """(i, j, gap) of the first pair in loop order whose rho-neighborhoods meet, or None.
-
-    Boxes under a euclidean or lp norm take row i's gaps to all later boxes in
-    one array expression (with norm_eval's bits); other sets go pair by pair.
-    """
-    sets, radii, norm = spec.patch_sets, spec.radii, spec.domain_norm
-    k = len(sets)
-    if k and norm.kind in _CLAMP_KINDS and all(is_box(s, norm.dim) for s in sets):
-        boxes, rho = np.stack(sets), np.asarray(radii)
-        for i in range(k - 1):
-            gaps = ns._eval_many(norm, _box_gap(boxes[i], boxes[i + 1:]))
-            if (hits := np.flatnonzero(gaps <= rho[i] + rho[i + 1:])).size:
-                return i, i + 1 + int(hits[0]), float(gaps[hits[0]])
-        return None
-    for i in range(k):
-        for j in range(i + 1, k):
-            gap = _set_to_set_distance(sets[i], sets[j], norm)
-            if gap <= radii[i] + radii[j]:
-                return i, j, gap
-    return None
 
 
 def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
@@ -893,8 +870,8 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
 
     Stages: fit an affine map to f on each grid cell in E (_inflate_on_grid);
     the grid is E's lattice (a box is one cell) with one-cell axes split in
-    two, and every axis doubles while some fit is too coarse, up to 64, so
-    the grid is fixed from the fits before any search.  Then nudge
+    two, and every axis that stays within 64 cells doubles while some fit
+    is too coarse, so the grid is fixed from the fits before any search.  Then nudge
     each fit to full rank and generic position, certify an inflation of
     the rescaled fit (16 restarts for a non-Euclidean pair), inflate it
     with per-cell exactness, and glue all patches into f once.  Cores keep
@@ -946,9 +923,9 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
 
     grid = tuple(max(int(c), 2) for c in (subset.shape if subset is not None else (1,) * n))
     while (rows := _inflate_on_grid(fbatch, box, subset, b, sigma_eff, delta_glue, grid)) is None:
-        if 2 * max(grid) > 64:
+        if 2 * min(grid) > 64:
             raise NumericalFailure(f"affine fits do not converge at {max(grid)} cells per axis")
-        grid = tuple(2 * c for c in grid)
+        grid = tuple(2 * c if 2 * c <= 64 else c for c in grid)
 
     patch_maps = []
     lip_cells = 0.0

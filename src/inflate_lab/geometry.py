@@ -112,9 +112,10 @@ class GridSubset:
             raise DimensionMismatch(f"grid shape {self.shape} must have one count per box row")
         if shape.dtype.kind not in "iu" or np.any(shape <= 0):
             raise PreconditionError(f"grid shape {self.shape} must hold positive integers")
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)  # a read-only copy, so cell_boxes stays true to it
         if mask.shape != tuple(self.shape):
             raise PreconditionError("mask shape does not match grid shape")
+        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     @property

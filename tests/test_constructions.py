@@ -537,33 +537,16 @@ class TestGluePatches:
         with pytest.raises(PreconditionError, match="overlap"):
             co.glue_patches(spec, 0.0)
 
-    @pytest.mark.parametrize("cloud", [False, True], ids=["all-boxes", "with-a-cloud"])
-    def test_the_first_overlapping_pair_in_loop_order_is_named(self, cloud):
-        # boxes 0 and 1 are apart, box 2 meets both; a far point cloud forces the pair loop
+    def test_the_first_overlapping_pair_in_loop_order_is_named(self):
+        # boxes 0 and 1 are apart, box 2 meets both
         a, b = self._norms()
         f = lambda xs: np.zeros_like(xs)
-        sets = [np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[3.0, 4.0], [0.0, 1.0]]),
-                np.array([[1.5, 2.5], [0.0, 1.0]])] + [np.array([[50.0, 50.0]])] * cloud
-        spec = co.PatchSpec(tuple(sets), (0.5,) * len(sets), (f,) * len(sets), f, 0.1, a, b)
+        sets = (np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[3.0, 4.0], [0.0, 1.0]]),
+                np.array([[1.5, 2.5], [0.0, 1.0]]))
+        spec = co.PatchSpec(sets, (0.5,) * 3, (f,) * 3, f, 0.1, a, b)
         with pytest.raises(PreconditionError,
                            match=r"patch neighborhoods 0 and 2 overlap \(gap 0.5\)"):
             co.glue_patches(spec, 0.0)
-
-    @pytest.mark.parametrize("norm", [ns.euclidean(3), ns.l1(3), ns.linf(3), ns.lp(3, 3.0)],
-                             ids=["l2", "l1", "linf", "lp3"])
-    def test_rows_of_box_gaps_find_the_pair_the_pair_loop_finds(self, norm):
-        rng = np.random.default_rng(11)
-        f = lambda xs: np.zeros_like(xs)
-        for _ in range(40):
-            k = int(rng.integers(2, 30))
-            lo = rng.uniform(-4.0, 4.0, (k, 3))
-            sets = tuple(np.stack([row, row + rng.uniform(0.0, 1.0, 3)], axis=1) for row in lo)
-            radii = tuple(rng.uniform(0.01, 0.3, k))
-            spec = co.PatchSpec(sets, radii, (f,) * k, f, 0.1, norm, norm)
-            want = next(((i, j, gap) for i in range(k) for j in range(i + 1, k)
-                         if (gap := co._set_to_set_distance(sets[i], sets[j], norm))
-                         <= radii[i] + radii[j]), None)
-            assert co._first_overlap(spec) == want
 
     def test_deviating_patch_rejected(self):
         a, b = self._norms()
@@ -696,6 +679,17 @@ class TestGridSubset:
                 assert row.tobytes() == E.cell_box(idx).tobytes()
             assert [c.tobytes() for _, c in E.cells()] == [c.tobytes() for c in cells]
 
+    def test_the_mask_is_a_read_only_copy(self):
+        mask = np.zeros((2, 2), dtype=bool)
+        mask[0, 0] = True
+        E = GridSubset(BOX, (2, 2), mask)
+        cells = E.cell_boxes.copy()
+        mask[1, 1] = True
+        assert E.measure() == pytest.approx(1.0)
+        assert np.array_equal(E.cell_boxes, cells)
+        with pytest.raises(ValueError, match="read-only"):
+            E.mask[1, 1] = True
+
     def test_affine_pieces_clip_like_the_per_box_loop(self):
         # lattices whose neighbouring cells touch by an ulp, clipped to cells,
         # to cells nudged by an ulp, and to random boxes
@@ -827,6 +821,29 @@ class TestInflateOnSet:
         assert report.patch_count == 6
         self._cores_lie_in_occupied_cells(glued, E)
         assert report.achieved_integral >= report.target_integral
+
+    def test_an_elongated_subset_doubles_the_axes_below_the_cap(self, monkeypatch):
+        # (2, 40) is too coarse along x0; doubling both axes would reach 80 > 64
+        calls = []
+        grid = co._inflate_on_grid
+
+        def counted(*args):
+            calls.append(args[-1])
+            return grid(*args)
+
+        monkeypatch.setattr(co, "_inflate_on_grid", counted)
+        mask = np.zeros((1, 40), dtype=bool)
+        mask[0, 5] = True
+        E = GridSubset([[0.0, 1.0], [0.0, 1.0]], (1, 40), mask)
+        f = lambda xs: 0.5 * np.stack([xs[:, 0], xs[:, 1], 0.05 * xs[:, 0] ** 2], axis=1)
+        glued, report = co.inflate_on_set(f, E, ns.euclidean(2), ns.euclidean(3), 1.0, 0.2,
+                                          0.5, seed=0, f_lip=0.51)
+        assert calls == [(2, 40), (4, 40), (8, 40), (16, 40), (32, 40)]
+        assert report.cell_grid == (32, 40)
+        assert report.patch_count == 32
+        self._cores_lie_in_occupied_cells(glued, E)
+        assert report.achieved_integral >= report.target_integral
+        assert report.sup_distance <= 0.2
 
     def test_expanding_map_rejected(self):
         M = 2.0 * np.eye(2)
