@@ -164,6 +164,7 @@ _SCHEMAS = {
 
 COMMANDS = tuple(_SCHEMAS)
 _CSV_COMMANDS = ("inflate", "experiment-positive", "experiment-negative")
+_MAX_ECHO = 200  # characters of an offending value that a schema error repeats
 
 
 def _config_int(data: dict, key: str, default: int) -> int:
@@ -236,7 +237,10 @@ def _validate(config: ExperimentConfig) -> None:
         raise PreconditionError(f"config params nest too deeply to check: {exc}") from exc
     if error is not None:
         pointer = "/".join(str(p) for p in error.absolute_path) or "(root)"
-        raise PreconditionError(f"config params.{pointer}: {error.message}") from error
+        message = error.message
+        if len(value := repr(error.instance)) > _MAX_ECHO:  # echo a long value's head only
+            message = message.replace(value, value[:_MAX_ECHO] + "...")
+        raise PreconditionError(f"config params.{pointer}: {message}") from error
 
 
 # -- command implementations ---------------------------------------------------
@@ -325,11 +329,13 @@ def _cmd_inflate(params: dict, seed: int) -> dict:
 
 
 def _cmd_glue(params: dict, seed: int) -> dict:
+    patches = params["patches"]
+    if not patches and "domain_box" not in params:
+        raise PreconditionError("glue with no patches needs a domain_box to sample")
     a = ns.norm_from_json(params["domain_norm"])
     b = ns.norm_from_json(params["codomain_norm"])
     n, m = a.dim, b.dim
     base = ml.map_from_descriptor(params["base"], n, m)
-    patches = params["patches"]
     spec = co.PatchSpec(tuple(patch["set"] for patch in patches),
                         tuple(float(patch["rho"]) for patch in patches),
                         tuple(ml.map_from_descriptor(patch["map"], n, m) for patch in patches),
@@ -339,9 +345,9 @@ def _cmd_glue(params: dict, seed: int) -> dict:
     if "domain_box" in params:
         box = float_array(params["domain_box"], "domain_box", (n, 2))
     else:
-        # a box contributes its lo and hi corners, a point cloud its points
-        pts = np.concatenate([s.T if co.is_box(s, n) else s for s in spec.patch_sets])
-        box = np.stack([pts.min(axis=0) - 2.0, pts.max(axis=0) + 2.0], axis=1)
+        boxes = np.concatenate(spec.patch_sets)
+        box = np.stack([boxes[:, :, 0].min(axis=0) - 2.0, boxes[:, :, 1].max(axis=0) + 2.0],
+                       axis=1)
     probes = int(params.get("probes", 4000))
     lip = ml.estimate_lipschitz(glued, box, a, b, pairs=probes, seed=seed)
     from .seeding import rng_for

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import normed_space as ns
 from .errors import DimensionMismatch, NumericalFailure, PreconditionError
-from .geometry import (GridSubset, as_box, box_overlap, domain_box, domain_measure,
-                       float_array, full_rank, grid_points, sample_box, shrink_box)
+from .geometry import (GridSubset, as_box, as_domain, float_array, full_rank, grid_points,
+                       sample_box, shrink_box)
 from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
                               operator_norm, operator_norm_report, verify_certificate,
                               vol_matrix, inflation_search)
@@ -541,7 +541,7 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
         raise NumericalFailure("certificate is not verified")
     A = map.matrix
     n, m = map.n, map.m
-    box = float_array(domain_box(E), "domain box", (n, 2))
+    box = float_array(as_domain(E).box, "domain box", (n, 2))
     offset = np.zeros(m) if offset is None else float_array(offset, "offset", (m,))
     if not is_full_rank(A):
         raise PreconditionError("affine map must have a full-rank linear part")
@@ -584,55 +584,48 @@ def inflate_affine(map: LinearMap, cert: InflationCertificate, E, eps: float,
 # -- gluing ------------------------------------------------------------------
 
 
-def is_box(patch_set: np.ndarray, n: int) -> bool:
-    """True for a box patch set, (n, 2) rows [lo, hi]; any other shape is a point cloud."""
-    return patch_set.shape == (n, 2)
-
-
 def _patch_set(value, n: int) -> np.ndarray:
-    """A patch set as a 2-D array: an (n, 2) box with low <= high, or a (k, n)
-    point cloud, of which one point may come as an (n,) vector."""
+    """A patch set as a read-only (k, n, 2) stack of boxes, the one reading of its shape:
+    an (n, 2) array is a box of [low, high] rows, any other a (k, n) point cloud (or one
+    (n,) point) of k boxes of width 0.  So in R^2 [[0, 0], [1, 1]] is the box {0} x {1},
+    the point (0, 1); a cloud of two points lists one of them twice."""
     arr = float_array(value, "patch set")
-    if arr.shape == (n,):
-        arr = arr[None, :]
-    if is_box(arr, n):
+    if arr.shape == (n, 2):
         if np.any(arr[:, 1] < arr[:, 0]):
             raise PreconditionError("patch set must be a box with low <= high in every row")
-        return arr
-    return float_array(arr, "patch set", (None, n))
+        stack = arr[None].copy()
+    else:
+        points = float_array(arr.reshape(1, n) if arr.shape == (n,) else arr, "patch set",
+                             (None, n))
+        stack = np.stack([points, points], axis=2)
+    stack.flags.writeable = False
+    return stack
 
 
-def _dist_to_set(xs: np.ndarray, arr: np.ndarray, norm: ns.Norm) -> np.ndarray:
-    """Distance from each row of xs to a box or point cloud, in the given norm."""
-    if is_box(arr, norm.dim):
-        # axis-aligned box: nearest point by clamping (valid for lp-family norms)
-        if norm.kind not in _CLAMP_KINDS:
-            raise PreconditionError("box patch sets require an lp-family domain norm")
-        closest = np.clip(xs, arr[:, 0], arr[:, 1])
-        return ns._eval_many(norm, xs - closest)
-    dists = np.empty((xs.shape[0], arr.shape[0]))
-    for j, p in enumerate(arr):
-        dists[:, j] = ns._eval_many(norm, xs - p[None, :])
+def _dist_to_set(xs: np.ndarray, boxes: np.ndarray, norm: ns.Norm) -> np.ndarray:
+    """Distance from each row of xs to a box stack: x's distance to its clamp into a box."""
+    gaps = xs[:, None, :] - np.clip(xs[:, None, :], boxes[:, :, 0], boxes[:, :, 1])
+    dists = ns._eval_many(norm, gaps.reshape(-1, norm.dim)).reshape(len(xs), len(boxes))
     return np.min(dists, axis=1)
 
 
 def _set_to_set_distance(a: np.ndarray, b: np.ndarray, norm: ns.Norm) -> float:
-    if is_box(a, norm.dim):
-        if is_box(b, norm.dim):
-            gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
-            return float(ns.norm_eval(norm, gap))
-        return float(np.min(_dist_to_set(b, a, norm)))
-    return float(np.min(_dist_to_set(a, b, norm)))
+    """Least norm of the signed gap a - b over box pairs of two stacks (for points, a - b)."""
+    gaps = (np.maximum(a[:, None, :, 0] - b[None, :, :, 1], 0.0)
+            + np.minimum(a[:, None, :, 1] - b[None, :, :, 0], 0.0))
+    return float(np.min(ns._eval_many(norm, gaps.reshape(-1, norm.dim))))
 
 
 @dataclass(frozen=True)
 class PatchSpec:
     """Input bundle for glue_patches.
 
-    ``patch_sets`` are boxes ((n, 2) arrays) or point clouds ((k, n)
-    arrays; one (n,) point is stored as (1, n)); ``radii`` their
-    neighborhood radii in (0, 1]; ``patch_maps`` the maps defined on the
-    neighborhoods; ``base_map`` the global map f;
+    ``patch_sets`` are boxes ((n, 2) arrays; in R^2 a (2, 2) array is a box)
+    or point clouds ((k, n) arrays, or one (n,) point), stored as (k, n, 2)
+    box stacks (see _patch_set); a box of positive width needs an lp-family
+    domain norm, since distances to it are clamps, exact for points in any
+    norm; ``radii`` their neighborhood radii in (0, 1]; ``patch_maps`` the
+    maps defined on the neighborhoods; ``base_map`` the global map f;
     ``delta`` the patch closeness scale (||g_i - f|| <= delta * rho_i on
     each neighborhood).  Each map may be a batch callable, a single-point
     callable, or a piecewise-affine or glued map (see _as_batch).
@@ -654,8 +647,11 @@ class PatchSpec:
         for rho in self.radii:
             if not (0 < rho <= 1):
                 raise PreconditionError("radii must lie in (0, 1]")
-        n = self.domain_norm.dim
-        object.__setattr__(self, "patch_sets", tuple(_patch_set(s, n) for s in self.patch_sets))
+        sets = tuple(_patch_set(s, self.domain_norm.dim) for s in self.patch_sets)
+        if self.domain_norm.kind not in _CLAMP_KINDS and any(
+                np.any(s[:, :, 1] > s[:, :, 0]) for s in sets):
+            raise PreconditionError("box patch sets require an lp-family domain norm")
+        object.__setattr__(self, "patch_sets", sets)
 
 
 class GluedMap:
@@ -727,35 +723,31 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
     return glued
 
 
-def _sample_neighborhood(arr, rho, count, rng, norm) -> np.ndarray:
-    if is_box(arr, norm.dim):
-        hull = np.stack([arr[:, 0] - rho, arr[:, 1] + rho], axis=1)
-        pts = sample_box(hull, 4 * count, rng)
-    else:
-        idx = rng.integers(0, arr.shape[0], size=4 * count)
-        pts = arr[idx] + rng.standard_normal((4 * count, arr.shape[1])) * rho
-    dist = _dist_to_set(pts, arr, norm)
+def _sample_neighborhood(boxes, rho, count, rng, norm) -> np.ndarray:
+    """At most ``count`` of 4 count draws that lie within rho of a box stack; each
+    draw is uniform in the rho-hull of a box drawn from the stack."""
+    hulls = np.stack([boxes[:, :, 0] - rho, boxes[:, :, 1] + rho], axis=2)
+    if len(hulls) > 1:
+        hulls = hulls[rng.integers(0, len(hulls), size=4 * count)]
+    lo = hulls[:, :, 0]
+    pts = lo + rng.random((4 * count, norm.dim)) * (hulls[:, :, 1] - lo)
+    dist = _dist_to_set(pts, boxes, norm)
     return pts[dist <= rho][:count]
 
 
 # -- cell-measure sums --------------------------------------------------------
 
 
-def _boxes(E) -> np.ndarray:
-    """E's boxes as one (P, n, 2) array: E itself, or the occupied cells of a GridSubset."""
-    return E.cell_boxes if isinstance(E, GridSubset) else as_box(E)[None]
-
-
-def _affine_pieces(g, E, what: str) -> list:
+def _affine_pieces(g, E: GridSubset, what: str) -> list:
     """(piecewise-affine map, (P, n, 2) box array) pairs that decompose g on E.
 
     A piecewise-affine map is one piece on its domain; a glued map has
-    one piece per inflated core, and its blend bands, where the map is
-    not piecewise affine, belong to no piece.  The boxes of E (see
-    _boxes) are clipped to each piece's domain in one array expression;
+    one piece per inflated core, a core being one box, and its blend
+    bands, where the map is not piecewise affine, belong to no piece.
+    E's cells are clipped to each piece's domain in one array expression;
     empty intersections are dropped.
     """
-    boxes = _boxes(E)
+    boxes = E.cell_boxes
     if isinstance(g, PiecewiseAffineMap):
         domains = [(g.domain, g)]
     elif isinstance(g, GluedMap):
@@ -763,10 +755,10 @@ def _affine_pieces(g, E, what: str) -> list:
         for i, (core, piece) in enumerate(g.pieces()):
             if not isinstance(piece, PiecewiseAffineMap):
                 raise PreconditionError("glued map pieces must be piecewise affine")
-            if not is_box(core, g.spec.domain_norm.dim):
+            if len(core) > 1:
                 raise PreconditionError(
                     f"exact integrals and box counts need box cores; core {i} is a point cloud")
-            domains.append((core, piece))
+            domains.append((core[0], piece))
     else:
         raise PreconditionError(f"{what} needs a piecewise-affine or glued map")
     parts = []
@@ -779,7 +771,7 @@ def _affine_pieces(g, E, what: str) -> list:
     return parts
 
 
-def _cell_measure_sum(g, E, weight: Callable, what: str) -> float:
+def _cell_measure_sum(g, E: GridSubset, weight: Callable, what: str) -> float:
     """Exact sum over cells of weight(cell vol) times the cell's measure inside E.
 
     For glued maps only the inflated cores are summed; the blend bands,
@@ -790,7 +782,9 @@ def _cell_measure_sum(g, E, weight: Callable, what: str) -> float:
     total = 0.0
     for pam, pam_boxes in _affine_pieces(g, E, what):
         if pam.constant_cell_vol is not None:
-            overlap = sum(box_overlap(box, pam.domain) for box in pam_boxes)
+            lo = np.maximum(pam_boxes[:, :, 0], pam.domain[:, 0])
+            hi = np.minimum(pam_boxes[:, :, 1], pam.domain[:, 1])
+            overlap = sum(np.prod(np.clip(hi - lo, 0.0, None), axis=1).tolist())
             total += weight(pam.constant_cell_vol) * overlap
             continue
         weights = weight(pam.cell_vol_table())
@@ -900,9 +894,9 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
                                 f"got {a.kind!r}: the glue measures distances to box cores")
     n = a.dim
 
-    subset = E if isinstance(E, GridSubset) else None
-    box = domain_box(E)
-    measure_E = domain_measure(E)
+    E = as_domain(E)
+    box = E.box
+    measure_E = E.measure()
     target = eta * lam * measure_E
     if measure_E == 0.0:
         report = InflateReport(0.0, target, 0.0, 0.0, 0.0, 0.0, (0,) * n, 0.9, 1.0,
@@ -921,8 +915,8 @@ def inflate_on_set(f: Callable, E, a: ns.Norm, b: ns.Norm, lam: float, eps: floa
         inner = fbatch
         fbatch = lambda xs: work_scale * inner(xs)
 
-    grid = tuple(max(int(c), 2) for c in (subset.shape if subset is not None else (1,) * n))
-    while (rows := _inflate_on_grid(fbatch, box, subset, b, sigma_eff, delta_glue, grid)) is None:
+    grid = tuple(max(int(c), 2) for c in E.shape)
+    while (rows := _inflate_on_grid(fbatch, box, E, b, sigma_eff, delta_glue, grid)) is None:
         if 2 * min(grid) > 64:
             raise NumericalFailure(f"affine fits do not converge at {max(grid)} cells per axis")
         grid = tuple(2 * c if 2 * c <= 64 else c for c in grid)
@@ -1029,20 +1023,19 @@ def _as_batch(f: Callable, n: int) -> Callable:
     return lambda xs: np.stack([np.asarray(f(x), dtype=float) for x in np.atleast_2d(xs)])
 
 
-def _sample_pairs(E, count: int, rng: np.random.Generator):
+def _sample_pairs(E: GridSubset, count: int, rng: np.random.Generator):
     """``count`` point pairs (xs, ys) in E.
 
-    For a GridSubset both points of a pair lie in one occupied cell, drawn
-    uniformly among the cells; for a box the pairs are independent draws
-    over the whole box.
+    On a lattice of several occupied cells both points of a pair lie in one
+    cell, drawn uniformly among the cells; on one cell (a box) the pairs
+    are independent draws over the whole cell.
     """
-    if isinstance(E, GridSubset):
-        occupied = E.cell_boxes
-        pts = np.stack([sample_box(occupied[int(rng.integers(0, len(occupied)))], 2, rng)
-                        for _ in range(count)])
-        return pts[:, 0], pts[:, 1]
-    box = as_box(E)
-    return sample_box(box, count, rng), sample_box(box, count, rng)
+    cells = E.cell_boxes
+    if len(cells) == 1:
+        return sample_box(cells[0], count, rng), sample_box(cells[0], count, rng)
+    pts = np.stack([sample_box(cells[int(rng.integers(0, len(cells)))], 2, rng)
+                    for _ in range(count)])
+    return pts[:, 0], pts[:, 1]
 
 
 def _sampled_lipschitz(fbatch: Callable, E, a: ns.Norm, b: ns.Norm, seed: int,
@@ -1054,9 +1047,9 @@ def _sampled_lipschitz(fbatch: Callable, E, a: ns.Norm, b: ns.Norm, seed: int,
     the near pair (x, x + 1e-4 diam (y - x) / ||y - x||_a), where diam is
     the a-diameter of E's bounding box.  fbatch is a batch callable.
     """
-    box = domain_box(E)
+    E = as_domain(E)
     xs, ys = _sample_pairs(E, pairs, rng_for(seed, 51))
-    diam = float(ns.norm_eval(a, box[:, 1] - box[:, 0]))
+    diam = float(ns.norm_eval(a, E.box[:, 1] - E.box[:, 0]))
     near = xs + (ys - xs) * (1e-4 * diam / np.maximum(
         ns._eval_many(a, ys - xs), 1e-300))[:, None]
     xs = np.concatenate([xs, xs], axis=0)
@@ -1076,19 +1069,16 @@ def _inflate_on_grid(fbatch, box, subset, b, sigma, delta_glue, grid):
     fit to f on a 5^n stencil; None when some fit misses f by more than 0.30
     delta_glue rho, that is when the grid is too coarse.
     """
-    mask = subset.mask if subset is not None else np.ones((1,) * len(grid), dtype=bool)
-    refine = np.asarray(grid) // mask.shape
-    widths = (box[:, 1] - box[:, 0]) / np.asarray(grid)
-    rho = min(1.0, 0.9 * float(np.min((1.0 - sigma) * 0.5 * widths)))
+    refine = np.asarray(grid) // subset.shape
+    lattice = GridSubset(box, grid, np.kron(subset.mask, np.ones(refine, dtype=bool)))
+    rho = min(1.0, 0.9 * float(np.min((1.0 - sigma) * 0.5 * lattice.cell_widths)))
     if rho <= 0:
         raise NumericalFailure("cell too small for a positive glue radius")
     budget = delta_glue * rho
     rows = []
-    for lin_idx, idx in enumerate(np.ndindex(*grid)):
-        if not mask[tuple(np.asarray(idx) // refine)]:
-            continue
-        lo = box[:, 0] + np.asarray(idx) * widths
-        cell = np.stack([lo, lo + widths], axis=1)
+    for index, cell in zip(np.argwhere(lattice.mask), lattice.cell_boxes):
+        idx = tuple(index.tolist())
+        lin_idx = int(np.ravel_multi_index(idx, grid))
         stencil = grid_points(shrink_box(cell, 0.999), 5)
         values = fbatch(stencil)
         M_fit, c_fit = _affine_fit(stencil, values)

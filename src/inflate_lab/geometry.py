@@ -1,10 +1,11 @@
 """Axis-aligned boxes and uniform grid subsets of R^n.
 
-These are the only domain shapes the desk-scale operations work on: a
-box is an (n, 2) array of [low, high] rows, and a :class:`GridSubset`
-is a uniform grid over a box with a boolean occupancy mask.  All
-measure computations on them are exact (products and clipped overlaps
-of intervals).
+A box is an (n, 2) array of [low, high] rows, and a :class:`GridSubset`
+is a uniform grid over a box with a boolean occupancy mask.  Every set
+E that the desk-scale operations measure is a GridSubset: as_domain
+takes a box to its one-cell lattice, whose one cell is the box bit for
+bit.  All measure computations on them are exact (products and clipped
+overlaps of intervals).
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ def as_box(box) -> np.ndarray:
 def box_measure(box) -> float:
     b = as_box(box)
     return float(np.prod(b[:, 1] - b[:, 0]))
-
-
-def box_overlap(box_a, box_b) -> float:
-    """Lebesgue measure of the intersection of two boxes."""
-    a, b = as_box(box_a), as_box(box_b)
-    lo = np.maximum(a[:, 0], b[:, 0])
-    hi = np.minimum(a[:, 1], b[:, 1])
-    return float(np.prod(np.clip(hi - lo, 0.0, None)))
 
 
 def box_center(box) -> np.ndarray:
@@ -129,16 +122,20 @@ class GridSubset:
     def measure(self) -> float:
         return float(np.count_nonzero(self.mask) * np.prod(self.cell_widths))
 
-    def cell_box(self, index) -> np.ndarray:
-        idx = np.asarray(index, dtype=int)
+    def _cells_at(self, idx: np.ndarray) -> np.ndarray:
+        """The cells at indices idx (..., n) as (..., n, 2) boxes; each axis's last
+        cell ends on the box's high face, which lo + width can miss by an ulp."""
         lo = self.box[:, 0] + idx * self.cell_widths
-        return np.stack([lo, lo + self.cell_widths], axis=1)
+        last = idx == np.asarray(self.shape) - 1
+        return np.stack([lo, np.where(last, self.box[:, 1], lo + self.cell_widths)], axis=-1)
+
+    def cell_box(self, index) -> np.ndarray:
+        return self._cells_at(np.asarray(index, dtype=int))
 
     @cached_property
     def cell_boxes(self) -> np.ndarray:
         """The occupied cells as one read-only (P, n, 2) array, in np.argwhere order."""
-        lo = self.box[:, 0] + np.argwhere(self.mask) * self.cell_widths
-        boxes = np.stack([lo, lo + self.cell_widths], axis=2)
+        boxes = self._cells_at(np.argwhere(self.mask))
         boxes.flags.writeable = False
         return boxes
 
@@ -158,18 +155,9 @@ class GridSubset:
         return GridSubset(as_box(box), shape, np.zeros(shape, dtype=bool))
 
 
-def as_domain(domain) -> "GridSubset | np.ndarray":
-    """Accept a box or a GridSubset; normalize boxes to arrays."""
+def as_domain(domain) -> GridSubset:
+    """E as a GridSubset: a GridSubset as it is, a box as its one-cell lattice."""
     if isinstance(domain, GridSubset):
         return domain
-    return as_box(domain)
-
-
-def domain_measure(domain) -> float:
-    d = as_domain(domain)
-    return d.measure() if isinstance(d, GridSubset) else box_measure(d)
-
-
-def domain_box(domain) -> np.ndarray:
-    d = as_domain(domain)
-    return d.box if isinstance(d, GridSubset) else d
+    box = as_box(domain)
+    return GridSubset.full(box, (1,) * box.shape[0])

@@ -21,11 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import normed_space as ns
-from .constructions import (GluedMap, PiecewiseAffineMap, _affine_pieces, _as_batch, _boxes,
+from .constructions import (GluedMap, PiecewiseAffineMap, _affine_pieces, _as_batch,
                             _cell_measure_sum, _eps_scales, _node_values, _sampled_lipschitz,
                             inflate_on_set, pa_from_axis_slopes)
 from .errors import NumericalFailure, PreconditionError
-from .geometry import as_box, domain_box, domain_measure, float_array
+from .geometry import as_box, as_domain, box_measure, float_array
 from .linear_analysis import LinearMap, operator_norm, operator_norm_report, vol_matrix
 from .maximal_volume import checked_base_norm, max_volume
 from .seeding import rng_for
@@ -62,10 +62,11 @@ def estimate_lipschitz(f, domain, a: ns.Norm, b: ns.Norm, pairs: int = 2000,
     """
     if pairs < 1:
         raise PreconditionError("need at least one sample pair")
-    if domain_measure(domain) <= 0.0:
+    E = as_domain(domain)
+    if E.measure() <= 0.0:
         raise PreconditionError("empty domain")
-    fbatch = _as_batch(f, domain_box(domain).shape[0])
-    sampled = _sampled_lipschitz(fbatch, domain, a, b, seed, pairs)
+    fbatch = _as_batch(f, E.dim)
+    sampled = _sampled_lipschitz(fbatch, E, a, b, seed, pairs)
 
     exact = None
     if isinstance(f, PiecewiseAffineMap):
@@ -93,11 +94,12 @@ def jacobian_integral(g, E) -> MeasureReport:
     the value is a certified lower bound there; for plain
     piecewise-affine maps it is the exact integral.
     """
+    E = as_domain(E)
     value = _cell_measure_sum(g, E, lambda vol: vol, "jacobian_integral")
     return MeasureReport(
         quantity="jacobian_integral",
         value=float(value),
-        resolution={"domain_measure": domain_measure(E)},
+        resolution={"domain_measure": E.measure()},
         seed=0,
         error_bound=0.0,
     )
@@ -108,7 +110,8 @@ def superlevel_fraction(g, E, r: float) -> MeasureReport:
 
     Blend bands of glued maps count as below threshold (conservative).
     """
-    total = domain_measure(E)
+    E = as_domain(E)
+    total = E.measure()
     if total <= 0:
         raise PreconditionError("superlevel fraction needs a positive-measure set")
     meas = _cell_measure_sum(g, E, lambda vol: vol >= r, "superlevel_fraction")
@@ -383,15 +386,15 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     rasterized piece by piece on the part of E inside each piece's
     domain (see _affine_pieces); for glued maps that leaves out the
     blend bands, making the value a lower bound there.  Other maps are
-    sampled on a point cloud over the boxes of E (see _boxes), spaced
+    sampled on a point cloud over the cells of E, spaced
     box_size / (2 lip_hint); without lip_hint, the Euclidean
     _sampled_lipschitz of g on E stands in.  The
     reported error bound is empirical, from calibration behaviour; both
     over- and under-counting are possible at patch boundaries and
     overlaps.
     """
-    box = domain_box(E)
-    n = box.shape[0]
+    E = as_domain(E)
+    n = E.dim
     _check_boxcount(n, m, box_size)
     if isinstance(g, (PiecewiseAffineMap, GluedMap)):
         parts = [_pa_boxcount_parts(pam, box_size, window)
@@ -401,7 +404,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         method = "raster" if isinstance(g, PiecewiseAffineMap) else "raster-cores"
     else:
         fbatch = _as_batch(g, n)
-        boxes = _boxes(E)  # none for an empty GridSubset, whose image has measure 0
+        boxes = E.cell_boxes  # none for an empty GridSubset, whose image has measure 0
         raw = 0.0 if len(boxes) == 0 else _cloud_boxcount(
             fbatch, boxes, n, box_size, lip_hint if lip_hint is not None else
             _sampled_lipschitz(fbatch, E, ns.euclidean(n), ns.euclidean(m), seed))
@@ -580,7 +583,7 @@ def run_positive_experiment(config: PositiveConfig) -> dict:
     """Inflate toward the target for each eps; one record per eps."""
     box = as_box(config.box)
     n = box.shape[0]
-    if domain_measure(box) <= 0.0:
+    if box_measure(box) <= 0.0:
         raise PreconditionError("the positive experiment needs a box of positive measure")
     a = ns.norm_from_json({"dim": n, "kind": config.domain_kind})
     b = ns.norm_from_json({"dim": config.m, "kind": config.codomain_kind})

@@ -823,6 +823,17 @@ class TestConfigFiles:
         assert err["type"] == "precondition"
         assert err["message"].startswith("config params nest too deeply to check")
 
+    def test_a_schema_error_echoes_only_the_head_of_a_long_value(self, capsys, tmp_path):
+        # the message used to repeat all 100,000 entries, a 500 KB stderr line
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"params": {**MINIMAL["mv"],
+                                               "u": [list(range(100_000)), 0.0]}}))
+        assert main(["mv", "--config", str(path)]) == 2
+        err = one_error(capsys)
+        assert len(err["message"]) < 1000
+        assert err["message"].startswith("config params.u/0: [0, 1, 2, ")
+        assert err["message"].endswith("... is not of type 'number'")
+
     @pytest.mark.parametrize("out", [5, ["a"]], ids=["number", "list"])
     def test_run_refuses_an_out_that_is_not_a_string(self, capsys, out):
         assert run(ExperimentConfig("mv", MINIMAL["mv"], out=out)) == 2
@@ -858,6 +869,25 @@ class TestGlue:
         assert report["sampled_lip"] <= report["lip_bound"]
         assert report["sampled_sup_dist"] <= GLUE["delta"] * max(
             p["rho"] for p in GLUE["patches"])
+
+    def test_no_patches_need_a_domain_box(self, capsys):
+        # the default box used to concatenate no patch sets: a traceback and exit 1
+        params = {**GLUE, "patches": []}
+        assert main(["glue", "--params", json.dumps(params)]) == 2
+        assert one_error(capsys) == {"type": "precondition", "message":
+                                     "glue with no patches needs a domain_box to sample"}
+        params["domain_box"] = [[-1, 1], [-1, 1]]
+        assert main(["glue", "--params", json.dumps(params)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["patches"] == 0
+
+    def test_a_two_by_two_set_in_the_plane_is_a_box(self, capsys):
+        # [[0, 0], [1, 1]] is the box {0} x {1}, the point (0, 1); listing a
+        # point twice makes a cloud of the two points (0, 0) and (1, 1)
+        for rows in ([[0, 0], [1, 1]], [[0, 0], [1, 1], [1, 1]]):
+            params = glue_with(1, set=rows, rho=0.5)
+            params["patches"][0]["set"] = [[-4, -3], [-4, -3]]
+            assert main(["glue", "--params", json.dumps(params)]) == 0
+            assert json.loads(capsys.readouterr().out)["report"]["patches"] == 2
 
     @pytest.mark.parametrize("params, word", [
         (glue_with(1, set=[[1.5, 0.5], [2, 0.5], [2, 1]], rho=0.5), "overlap"),

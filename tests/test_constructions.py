@@ -13,7 +13,7 @@ from inflate_lab import linear_analysis as la
 from inflate_lab import measure_lab as ml
 from inflate_lab import normed_space as ns
 from inflate_lab.errors import DimensionMismatch, NumericalFailure, PreconditionError
-from inflate_lab.geometry import GridSubset
+from inflate_lab.geometry import GridSubset, as_domain
 
 
 def eucl_map(matrix):
@@ -585,6 +585,96 @@ class TestGluePatches:
             assert [piece for _, piece in g_glued.pieces()] == [g, g]
 
 
+HEXAGON = ns.polytopal([[1.0, 0.0], [0.5, 0.75], [-0.5, 0.75], [-1.0, 0.0], [-0.5, -0.75],
+                        [0.5, -0.75]])
+
+
+class TestPatchSets:
+    def test_a_two_by_two_array_in_the_plane_is_a_box(self):
+        # the one shape rule: (n, 2) is a box, so [[0, 0], [1, 1]] is the point (0, 1)
+        point = co._patch_set([[0, 0], [1, 1]], 2)
+        assert point.tobytes() == np.array([[[0.0, 0.0], [1.0, 1.0]]]).tobytes()
+        # one point listed twice makes a cloud of (0, 0) and (1, 1)
+        cloud = co._patch_set([[0, 0], [1, 1], [1, 1]], 2)
+        assert cloud.tobytes() == np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                                            [[1.0, 1.0], [1.0, 1.0]]]).tobytes()
+        assert co._patch_set([2, 3], 2).tobytes() == co._patch_set([[2, 3]], 2).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            point[0, 0, 0] = 1.0
+
+    def test_a_point_patch_set_is_accepted_in_any_norm(self):
+        # a box of width 0 is a point, whose clamp is exact in every norm
+        f = lambda xs: np.zeros_like(xs)
+        g1 = lambda xs: np.full((xs.shape[0], 2), 0.05)
+        for point in ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]):
+            spec = co.PatchSpec((point,), (1.0,), (g1,), f, 0.1, HEXAGON, ns.euclidean(2))
+            g = co.glue_patches(spec, 0.0)
+            assert np.array_equal(g.eval_many(np.zeros((1, 2))), [[0.05, 0.05]])
+        with pytest.raises(PreconditionError, match="lp-family domain norm"):
+            co.PatchSpec(([[0.0, 1.0], [0.0, 0.0]],), (1.0,), (g1,), f, 0.1, HEXAGON,
+                         ns.euclidean(2))
+
+
+def old_dist_to_set(xs, arr, norm):
+    """Distance to a box ((n, 2) rows) or a point cloud ((k, n)), as it was written per shape."""
+    if arr.shape == (norm.dim, 2):
+        return ns._eval_many(norm, xs - np.clip(xs, arr[:, 0], arr[:, 1]))
+    dists = np.empty((xs.shape[0], arr.shape[0]))
+    for j, p in enumerate(arr):
+        dists[:, j] = ns._eval_many(norm, xs - p[None, :])
+    return np.min(dists, axis=1)
+
+
+def old_set_to_set_distance(a, b, norm):
+    if a.shape == (norm.dim, 2):
+        if b.shape == (norm.dim, 2):
+            gap = np.maximum(0.0, np.maximum(b[:, 0] - a[:, 1], a[:, 0] - b[:, 1]))
+            return float(ns.norm_eval(norm, gap))
+        return float(np.min(old_dist_to_set(b, a, norm)))
+    return float(np.min(old_dist_to_set(a, b, norm)))
+
+
+_COORD = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def patch_arrays(draw, clouds_only=False):
+    """A box ((2, 2), low <= high) or a cloud of 1, 3 or 4 points of the plane."""
+    if not clouds_only and draw(st.booleans()):
+        rows = [sorted(draw(st.lists(_COORD, min_size=2, max_size=2))) for _ in range(2)]
+        return np.array(rows)
+    k = draw(st.sampled_from([1, 3, 4]))
+    return np.array(draw(st.lists(st.lists(_COORD, min_size=2, max_size=2),
+                                  min_size=k, max_size=k)))
+
+
+class TestStackedDistances:
+    LP = [ns.l1(2), ns.euclidean(2), ns.linf(2), ns.lp(2, 3.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(patch_arrays(), patch_arrays(), st.lists(st.lists(_COORD, min_size=2, max_size=2),
+                                                     min_size=1, max_size=5))
+    def test_lp_distances_equal_the_per_shape_formulas_bit_for_bit(self, a, b, xs):
+        xs = np.array(xs)
+        for norm in self.LP:
+            got = co._dist_to_set(xs, co._patch_set(a, 2), norm)
+            assert got.tobytes() == old_dist_to_set(xs, a, norm).tobytes()
+            got = co._set_to_set_distance(co._patch_set(a, 2), co._patch_set(b, 2), norm)
+            assert repr(got) == repr(old_set_to_set_distance(a, b, norm))
+
+    @settings(max_examples=150, deadline=None)
+    @given(patch_arrays(clouds_only=True), patch_arrays(clouds_only=True),
+           st.lists(st.lists(_COORD, min_size=2, max_size=2), min_size=1, max_size=5))
+    def test_hexagon_cloud_distances_agree_within_4_ulps(self, a, b, xs):
+        # one (k_a k_b, 2) matmul may round apart from k_b matmuls of (k_a, 2)
+        xs = np.array(xs)
+        np.testing.assert_array_max_ulp(co._dist_to_set(xs, co._patch_set(a, 2), HEXAGON),
+                                        old_dist_to_set(xs, a, HEXAGON), maxulp=4)
+        np.testing.assert_array_max_ulp(
+            co._set_to_set_distance(co._patch_set(a, 2), co._patch_set(b, 2), HEXAGON),
+            old_set_to_set_distance(a, b, HEXAGON), maxulp=4)
+
+
 def test_batch_form_adapts_to_itself():
     # the single-point f reads a lone coordinate too, with another value
     def f(x):
@@ -664,6 +754,24 @@ class TestGridSubset:
         # a zero count used to divide by zero into infinite cell widths
         with pytest.raises(PreconditionError, match="must hold positive integers"):
             GridSubset(BOX, shape, np.ones((2, 2), dtype=bool))
+
+    def test_a_box_is_its_one_cell_lattice_bit_for_bit(self):
+        # lo + (hi - lo) is 0.0 here, not 2^-60
+        box = np.array([[-1.0, 2.0 ** -60]] * 2)
+        E = as_domain(box)
+        assert E.shape == (1, 1) and E.measure() == (1.0 + 2.0 ** -60) ** 2
+        assert E.cell_boxes[0].tobytes() == box.tobytes()
+        assert E.cell_box((0, 0)).tobytes() == box.tobytes()
+        assert as_domain(E) is E
+
+    def test_every_lattice_ends_on_its_box(self):
+        # lo + k (hi - lo) / k missed hi by an ulp on about 40% of these lattices
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            k = int(rng.integers(1, 65))
+            lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+            cells = GridSubset.full([[lo, hi]], (k,)).cell_boxes[:, 0]
+            assert cells[0, 0] == lo and cells[-1, 1] == hi
 
     def test_cell_boxes_equal_cell_box_cell_by_cell(self):
         rng = np.random.default_rng(7)
@@ -792,7 +900,7 @@ class TestInflateOnSet:
     @staticmethod
     def _cores_lie_in_occupied_cells(glued, E):
         cells = E.cell_boxes
-        for core in glued.spec.patch_sets:
+        for (core,) in glued.spec.patch_sets:
             inside = np.all((cells[:, :, 0] <= core[:, 0]) & (core[:, 1] <= cells[:, :, 1]),
                             axis=1)
             assert inside.any()

@@ -253,6 +253,31 @@ def test_tilted_near_identity_basis_rejected(integral, error, match):
         integral(pam, UNIT)
 
 
+class TestABoxIsItsOneCellLattice:
+    # a box and GridSubset.full(box, (1, 1)) are one set, read the same way
+    SUB = np.array([[0.1, 0.7], [0.3, 0.9]])
+
+    @pytest.mark.parametrize("measure", [
+        lambda E: ml.jacobian_integral(graph_fixture(np.random.default_rng(3)), E),
+        lambda E: ml.superlevel_fraction(graph_fixture(np.random.default_rng(3)), E, 1.05),
+        lambda E: ml.boxcount_image_measure(graph_fixture(np.random.default_rng(3)), E, 3, 0.02),
+        lambda E: ml.boxcount_image_measure(
+            lambda xs: np.stack([xs[:, 0], np.sin(xs[:, 1]), xs[:, 0] * xs[:, 1]], axis=1),
+            E, 3, 0.02, seed=2),
+        lambda E: ml.estimate_lipschitz(
+            lambda xs: np.stack([np.sin(3 * xs[:, 0]), xs[:, 0] * xs[:, 1]], axis=1),
+            E, ns.euclidean(2), ns.linf(2), pairs=300, seed=6),
+        lambda E: co.inflate_on_set(lambda xs: 0.5 * np.stack([xs[:, 0], xs[:, 1],
+                                                               0.02 * xs[:, 0] ** 2], axis=1),
+                                    E, ns.euclidean(2), ns.euclidean(3), 1.0, 0.2, 0.5,
+                                    seed=1)[1],
+    ], ids=["jacobian_integral", "superlevel_fraction", "boxcount-raster", "boxcount-cloud",
+            "estimate_lipschitz", "inflate_on_set"])
+    def test_a_box_reads_as_its_one_cell_lattice(self, measure):
+        got, want = measure(self.SUB), measure(GridSubset.full(self.SUB, (1, 1)))
+        assert repr(got) == repr(want)
+
+
 class TestSuperlevel:
     def test_all_cells_at_one(self):
         rep = ml.superlevel_fraction(pa_identity(UNIT), UNIT, 0.5)
