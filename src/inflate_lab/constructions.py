@@ -39,8 +39,10 @@ from .linear_analysis import (LinearMap, InflationCertificate, is_full_rank,
 from .seeding import rng_for
 
 _MAX_SEGMENTS = 2_000_000
+_NODE_STRIDE = 16       # C: a curve caches its running step sums at every C-th node
+_NODE_CHUNK = 1 << 15   # segments a checkpoint pass takes at a time, a multiple of C
 # all zigzags of one inflate_on_set: at 8 + 1 bytes a segment before evaluation and
-# 8 m more after it, about 0.53 GB for m = 3
+# 8 m / _NODE_STRIDE more after it, about 0.17 GB for m = 3
 _MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS
 _MAX_LINEAR_COMBOS = 65_536
 _MAX_CSV_CELLS = 100_000
@@ -57,7 +59,8 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     The result is a CoordinateCurve whose every slope row is exactly u or
     -u; the nondifferentiability set is the finite interior breakpoint set.
     It stores the signs as one uint8 label a segment into the palette of
-    +-u, so a segment holds 8 + 1 bytes, and 8 m more once evaluated.
+    +-u, so a segment holds 8 + 1 bytes, and 8 m / _NODE_STRIDE more once
+    evaluated (see CoordinateCurve._checkpoints).
 
     Requires u parallel to a_vec with |u| >= |a_vec| (speed never below
     the target's), or a_vec = 0, in which case the curve is a triangle
@@ -89,7 +92,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
         half = span / (2.0 * meshes)
         breaks = lo + np.arange(2 * meshes + 1) * half
         breaks[-1] = hi
-        return _sign_curve(breaks, u, np.tile([True, False], meshes), np.zeros_like(u))
+        return _sign_curve(breaks, u, np.zeros_like(u))
 
     if not (math.isfinite(len_a) and math.isfinite(len_u)):
         raise PreconditionError(f"lengths must be finite: |A(1)| = {len_a}, |u| = {len_u}")
@@ -106,7 +109,7 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     anchor = lo * a_vec
     if abs(kappa) <= 1.0 + 1e-12 or span * (kappa * kappa - 1.0) * len_a / (2.0 * abs(kappa)) <= 0.9 * eps:
         # single affine segment already stays within budget
-        return _sign_curve(np.array([lo, hi]), u, np.array([kappa > 0]), anchor)
+        return _sign_curve(np.array([lo, hi]), u, anchor, np.array([0]), kappa > 0)
 
     h = 1.8 * eps * abs(kappa) / ((kappa * kappa - 1.0) * len_a)
     meshes = _guard_segments(span, h)
@@ -122,29 +125,39 @@ def zigzag_curve(a_vec, u, eps: float, interval,
     np.add(starts, h, out=ends)
     ends[-1] = hi
     np.add(starts, alpha, out=turns)
-    up = np.tile([True, False], meshes)
     inner = (turns > starts + 1e-15) & (turns < ends - 1e-15)
     drop = np.flatnonzero(~inner)
     if drop.size:
-        up[2 * drop + 1] = alpha >= h / 2
         breaks = np.delete(breaks, 2 * drop + 1)
-        up = np.delete(up, 2 * drop)
-    return _sign_curve(breaks, u, up, anchor)
+    return _sign_curve(breaks, u, anchor, drop, alpha >= h / 2)
 
 
-def _sign_curve(breaks: np.ndarray, u: np.ndarray, up: np.ndarray,
-                anchor: np.ndarray) -> CoordinateCurve:
-    """The curve with slope u on the segments where ``up`` holds and -u elsewhere.
+def _sign_curve(breaks: np.ndarray, u: np.ndarray, anchor: np.ndarray,
+                drop: np.ndarray = np.empty(0, dtype=int), merged_up: bool = True,
+                ) -> CoordinateCurve:
+    """The curve on ``breaks`` whose every mesh climbs with slope u, then returns with -u,
+    but for the meshes listed in ``drop``: each is one segment of slope u if
+    ``merged_up``, else -u.
 
     Its palette is the one CoordinateCurve(breaks, slopes, anchor) factors
     from the (K, m) slope rows, which are never built: the rows of +-u
-    that occur, in np.unique's order, and one uint8 label a segment.
+    that occur, in np.unique's order, and one uint8 label a segment,
+    written by strided assignment.
     """
-    present = [i for i, occurs in enumerate((not up.all(), up.any())) if occurs]
+    meshes = (breaks.shape[0] - 1 + drop.size) // 2
+    turns = drop.size < meshes
+    present = [i for i, occurs in enumerate((turns or not merged_up, turns or merged_up))
+               if occurs]
     rows, inverse = np.unique(np.stack([-u, u])[present], axis=0, return_inverse=True)
     lut = np.zeros(2, dtype=np.uint8)  # label of -u, label of +u
     lut[present] = inverse.ravel()
-    return CoordinateCurve._from_palette(breaks, rows, lut[up.view(np.uint8)], anchor)
+    labels = np.empty(2 * meshes, dtype=np.uint8)
+    labels[0::2] = lut[1]
+    labels[1::2] = lut[0]
+    if drop.size:
+        labels[2 * drop + 1] = lut[int(merged_up)]
+        labels = np.delete(labels, 2 * drop)
+    return CoordinateCurve._from_palette(breaks, rows, labels, anchor)
 
 
 def _guard_segments(span: float, h: float) -> int:
@@ -170,8 +183,10 @@ def _node_values(breaks: np.ndarray, slopes: np.ndarray, anchor: np.ndarray) -> 
 
     ``slopes`` is (..., K, m) in any memory order and ``anchor`` (..., m);
     leading axes are a stack of curves on the same breakpoints.  The
-    result takes the slopes' memory order.  CoordinateCurve folds its
-    node values one column at a time to the same bits.
+    result takes the slopes' memory order.  It holds all K + 1 nodes, 8 m
+    bytes a segment, for the adversary's stacks; CoordinateCurve keeps
+    only every _NODE_STRIDE-th running sum and rebuilds any node from it
+    to the same bits (_nodes).
     """
     k, m = slopes.shape[-2:]
     out = np.empty_like(slopes, dtype=float, shape=slopes.shape[:-2] + (k + 1, m))
@@ -241,20 +256,53 @@ class CoordinateCurve:
         return np.take(self.rows, self.labels, axis=0, out=out)
 
     @cached_property
-    def _values(self) -> np.ndarray:
-        # down one contiguous column at a time, the bits of
-        # _node_values(breakpoints, slopes, anchor); labels are in range, so
-        # take's "clip" only skips its buffered bounds check
-        out = np.empty((self.segment_count + 1, self.rows.shape[1]), order="F")
-        out[0] = self.anchor
-        widths = np.diff(self.breakpoints)
-        for j, start in enumerate(self.anchor):
-            col = out[1:, j]
-            np.take(self.rows[:, j], self.labels, out=col, mode="clip")
-            col *= widths
-            np.cumsum(col, out=col)
-            col += start
+    def _checkpoints(self) -> np.ndarray:
+        """Running step sums at nodes 0, C, 2C, ... (C = _NODE_STRIDE), shape (K // C + 1, m).
+
+        One pass over the segments, _NODE_CHUNK at a time and one column at a
+        time, in np.cumsum's sequential order: each chunk's first step adds the
+        sum carried from the last, and the empty sum is -0.0, which adds
+        exactly.  So every checkpoint has the bits of the full cumsum that
+        _node_values takes.  Labels are in range, so take's "clip" only skips
+        its buffered bounds check.
+        """
+        k, m = self.segment_count, self.rows.shape[1]
+        out = np.empty((k // _NODE_STRIDE + 1, m), order="F")
+        out[0] = -0.0
+        b = self.breakpoints
+        widths = np.empty(min(k, _NODE_CHUNK))
+        col = np.empty_like(widths)
+        for s in range(0, k, _NODE_CHUNK):
+            e = min(s + _NODE_CHUNK, k)
+            w, steps = widths[:e - s], col[:e - s]
+            np.subtract(b[s + 1:e + 1], b[s:e], out=w)
+            first, last = s // _NODE_STRIDE, e // _NODE_STRIDE
+            for j in range(m):
+                np.take(self.rows[:, j], self.labels[s:e], out=steps, mode="clip")
+                steps *= w
+                steps[0] += out[first, j]
+                np.cumsum(steps, out=steps)
+                out[first + 1:last + 1, j] = steps[_NODE_STRIDE - 1::_NODE_STRIDE]
         return out
+
+    def _nodes(self, idx: np.ndarray) -> np.ndarray:
+        """Values at the nodes ``idx`` (Q,) in 0..K, shape (Q, m), with the bits of
+        _node_values(breakpoints, slopes, anchor)[idx].
+
+        From each node's checkpoint the steps up to it are summed down axis 0
+        of a (C, Q, m) block, every column in np.cumsum's sequential order.
+        """
+        idx = np.asarray(idx)
+        c, r = np.divmod(idx, _NODE_STRIDE)
+        depth = int(r.max(initial=0)) + 1
+        # row 0 of the block is the checkpoint; row i the step into node cC + i
+        seg = np.clip(c * _NODE_STRIDE + np.arange(-1, depth - 1)[:, None],
+                      0, self.segment_count - 1)
+        block = self.rows[self.labels[seg]]
+        block *= (self.breakpoints[seg + 1] - self.breakpoints[seg])[:, :, None]
+        block[0] = self._checkpoints[c]
+        np.cumsum(block, axis=0, out=block)
+        return block[r, np.arange(idx.shape[0])] + self.anchor
 
     @property
     def segment_count(self) -> int:
@@ -267,7 +315,7 @@ class CoordinateCurve:
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         idx = self.segment_index(ts)
-        return (self._values[idx]
+        return (self._nodes(idx)
                 + self.rows[self.labels[idx]] * (ts - self.breakpoints[idx])[:, None])
 
 
@@ -670,6 +718,14 @@ class GluedMap:
         n = spec.domain_norm.dim
         self._base = _as_batch(spec.base_map, n)
         self._patches = tuple(_as_batch(g_i, n) for g_i in spec.patch_maps)
+        # per patch, the bounding box of its coordinate hulls at rho / 2, where chi > 0;
+        # a relative 1e-9 and 4 ulps outward keep the float test a superset
+        self._hull_bounds = []
+        for boxes, rho in zip(spec.patch_sets, spec.radii):
+            hulls = _coordinate_hulls(boxes, 0.5 * rho * (1.0 + 1e-9), spec.domain_norm)
+            lo, hi = hulls[:, :, 0].min(axis=0), hulls[:, :, 1].max(axis=0)
+            self._hull_bounds.append((lo - 4.0 * np.spacing(np.abs(lo)),
+                                hi + 4.0 * np.spacing(np.abs(hi))))
 
     def chi(self, xs: np.ndarray, i: int) -> np.ndarray:
         rho = self.spec.radii[i]
@@ -677,14 +733,28 @@ class GluedMap:
         return np.maximum(0.5 * rho - d, 0.0) / (0.5 * rho)
 
     def eval_many(self, xs) -> np.ndarray:
+        """f on every point, blended with each patch on the points where its chi > 0.
+
+        chi_i is computed only on the points in patch i's coordinate hull,
+        found from the points sorted by their first coordinate; the points
+        a patch sees keep their order, so every patch map gets the batch it
+        got when chi_i was taken on every point.
+        """
         xs = np.asarray(xs, dtype=float)
         out = self._base(xs).copy()
+        order = np.argsort(xs[:, 0], kind="stable")
+        first = xs[order, 0]
         for i, g_i in enumerate(self._patches):
-            w = self.chi(xs, i)
+            lo, hi = self._hull_bounds[i]
+            near = order[np.searchsorted(first, lo[0], "left"):
+                         np.searchsorted(first, hi[0], "right")]
+            near = np.sort(near[np.all((xs[near] >= lo) & (xs[near] <= hi), axis=1)])
+            w = self.chi(xs[near], i)
             active = w > 0.0
             if np.any(active):
-                diff = g_i(xs[active]) - out[active]
-                out[active] += w[active, None] * diff
+                pts = near[active]
+                diff = g_i(xs[pts]) - out[pts]
+                out[pts] += w[active, None] * diff
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -723,10 +793,22 @@ def glue_patches(spec: PatchSpec, L: float, seed: int = 0) -> GluedMap:
     return glued
 
 
+def _coordinate_hulls(boxes, radius, norm: ns.Norm) -> np.ndarray:
+    """A (k, n, 2) box stack with axis j grown by radius |e_j|_* on both sides.
+
+    Hull i holds every point within ``radius`` of box i in ``norm``, since
+    |v_j| <= |e_j|_* |v| for the dual norm |.|_*.  For lp norms |e_j|_* is
+    1.0 exactly, so the hulls are the boxes grown by radius.
+    """
+    reach = radius * ns._eval_many(ns.dual(norm), np.eye(norm.dim))
+    return np.stack([boxes[:, :, 0] - reach, boxes[:, :, 1] + reach], axis=2)
+
+
 def _sample_neighborhood(boxes, rho, count, rng, norm) -> np.ndarray:
     """At most ``count`` of 4 count draws that lie within rho of a box stack; each
-    draw is uniform in the rho-hull of a box drawn from the stack."""
-    hulls = np.stack([boxes[:, :, 0] - rho, boxes[:, :, 1] + rho], axis=2)
+    draw is uniform in the coordinate hull (see _coordinate_hulls) of a box drawn
+    from the stack."""
+    hulls = _coordinate_hulls(boxes, rho, norm)
     if len(hulls) > 1:
         hulls = hulls[rng.integers(0, len(hulls), size=4 * count)]
     lo = hulls[:, :, 0]

@@ -123,11 +123,13 @@ class GridSubset:
         return float(np.count_nonzero(self.mask) * np.prod(self.cell_widths))
 
     def _cells_at(self, idx: np.ndarray) -> np.ndarray:
-        """The cells at indices idx (..., n) as (..., n, 2) boxes; each axis's last
-        cell ends on the box's high face, which lo + width can miss by an ulp."""
+        """The cells at indices idx (..., n) as (..., n, 2) boxes.  Cell i ends where
+        cell i + 1 starts, at lo + (i + 1) w, bit for bit, and each axis's last cell
+        on the box's high face, which lo + n w can miss by an ulp."""
         lo = self.box[:, 0] + idx * self.cell_widths
+        hi = self.box[:, 0] + (idx + 1) * self.cell_widths
         last = idx == np.asarray(self.shape) - 1
-        return np.stack([lo, np.where(last, self.box[:, 1], lo + self.cell_widths)], axis=-1)
+        return np.stack([lo, np.where(last, self.box[:, 1], hi)], axis=-1)
 
     def cell_box(self, index) -> np.ndarray:
         return self._cells_at(np.asarray(index, dtype=int))

@@ -22,6 +22,11 @@ def eucl_map(matrix):
     return la.linear_map(matrix, ns.euclidean(n), ns.euclidean(m))
 
 
+def all_nodes(curve):
+    """The curve's values at all K + 1 of its nodes, from its node lookup."""
+    return curve._nodes(np.arange(curve.segment_count + 1))
+
+
 def slope_signs(z, u):
     """Sign of each segment of a zigzag, asserting every slope row is exactly u or -u."""
     plus = np.all(z.slopes == u, axis=1)
@@ -111,24 +116,27 @@ class TestZigzag:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_build_and_node_values_peak_bytes_per_segment(self):
-        # column-major slopes and node values: building about 9e4 segments
-        # peaks near 45.5 bytes a segment, and the node values near 64 with the
-        # curve's own arrays; a (K, m) temporary in either adds 24 (m = 3)
+    def test_build_and_evaluation_peak_bytes_per_segment(self):
+        # building about 9e4 column-major segments peaks near 45.5 bytes a segment;
+        # evaluating adds only the checkpoints, 8 m / C bytes a segment, and the
+        # fixed chunk buffers (widths, steps and take's intp copy of the labels)
+        # where a (K + 1, m) node-value array added 8 m
         a = np.array([0.5, 0.0, 0.2])
         tracemalloc.start()
         try:
             z = co.zigzag_curve(a, 2.0 * a, 1e-5, (0.0, 1.0))
-            _, build_peak = tracemalloc.get_traced_memory()
+            built, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            z._values
-            _, values_peak = tracemalloc.get_traced_memory()
+            z.eval_many(np.linspace(0.0, 1.0, 160))
+            _, eval_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         k = z.segment_count
-        assert k > 80_000
+        assert k > 2 * co._NODE_CHUNK
         assert build_peak / k < 52.0
-        assert values_peak / k < 72.0
+        chunk_buffers = 3 * 8 * co._NODE_CHUNK
+        query = 131_072  # the lookup's (C, 160, m) block and eval_many's own arrays
+        assert eval_peak - built <= 8 * 3 / co._NODE_STRIDE * k + chunk_buffers + query
 
     def test_palette_bytes_per_segment(self):
         # 8 bytes of breakpoint and 1 of label a segment, and 8 m of node values
@@ -272,8 +280,8 @@ class TestZigzagPalette:
                                          ns.euclidean(1), ns.euclidean(m))
 
         pairs = [(z.breakpoints, x.breakpoints), (z.rows, x.rows), (z.labels, x.labels),
-                 (z.slopes, x.slopes), (z._values, x._values),
-                 (z._values, co._node_values(x.breakpoints, x.slopes, x.anchor)),
+                 (z.slopes, x.slopes), (all_nodes(z), all_nodes(x)),
+                 (all_nodes(z), co._node_values(x.breakpoints, x.slopes, x.anchor)),
                  (z.eval_many(ts), x.eval_many(ts)),
                  (pam(z).distinct_linears(), pam(x).distinct_linears()),
                  (pam(z).cell_vol_table(), pam(x).cell_vol_table())]
@@ -315,6 +323,32 @@ class TestNodeValues:
         assert got.tobytes() == reference_node_values(breaks, slopes, anchor).tobytes()
 
 
+C, CHUNK = co._NODE_STRIDE, co._NODE_CHUNK
+
+
+class TestNodeLookup:
+    @given(k=st.one_of(st.integers(1, 3 * C),
+                       st.sampled_from([C - 1, C, C + 1, 2 * C, CHUNK - 1, CHUNK, CHUNK + 1,
+                                        CHUNK + C - 1, 2 * CHUNK + 17])),
+           m=st.integers(1, 3), palette=st.integers(1, 4), negative_zero=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_node_values_at_every_node(self, k, m, palette, negative_zero,
+                                                        seed):
+        r = np.random.default_rng(seed)
+        breaks = np.cumsum(r.uniform(1e-3, 2.0, k + 1)) - r.uniform(0.0, 5.0)
+        rows = r.standard_normal((palette, m)) * 10.0 ** r.uniform(-8, 8, (palette, 1))
+        anchor = r.standard_normal(m) * 10.0 ** r.uniform(-8, 8)
+        if negative_zero:  # -0.0 steps from node 0 on must keep their sign
+            rows[0], anchor[:] = -0.0, -0.0
+        curve = co.CoordinateCurve(breaks, rows[r.integers(0, palette, k)], anchor)
+        want = co._node_values(curve.breakpoints, curve.slopes, curve.anchor)
+        assert curve._checkpoints.shape == (k // C + 1, m)
+        assert all_nodes(curve).tobytes() == want.tobytes()
+        some = r.integers(0, k + 1, 300)  # any order, repeats allowed
+        assert curve._nodes(some).tobytes() == want[some].tobytes()
+
+
 class TestCoordinateCurve:
     @pytest.mark.parametrize("breaks", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
                                         [np.nan, np.nan], [-np.inf, 0.0], [0.0, 1.0, 1.0]])
@@ -349,9 +383,11 @@ class TestCoordinateCurve:
         c_order = dataclasses.replace(g, curves=tuple(
             co.CoordinateCurve(c.breakpoints, np.ascontiguousarray(c.slopes), c.anchor)
             for c in g.curves))
-        assert all(c.segment_count > 1 and c.slopes.flags.f_contiguous
-                   and c._values.flags.f_contiguous for c in g.curves)
+        assert all(c.segment_count > 1 and c.slopes.flags.f_contiguous for c in g.curves)
         assert all(c.slopes.flags.c_contiguous for c in c_order.curves)
+        for c, d in zip(g.curves, c_order.curves):
+            want = co._node_values(c.breakpoints, c.slopes, c.anchor)
+            assert all_nodes(c).tobytes() == all_nodes(d).tobytes() == want.tobytes()
         xs = np.random.default_rng(3).uniform(-1, 1, (5000, 2))
         assert g.eval_many(xs).tobytes() == c_order.eval_many(xs).tobytes()
         assert g.distinct_linears().tobytes() == c_order.distinct_linears().tobytes()
@@ -615,6 +651,109 @@ class TestPatchSets:
                          ns.euclidean(2))
 
 
+def every_point_glue(glued, xs):
+    """GluedMap.eval_many as it was written: every patch's chi over every point."""
+    out = glued._base(xs).copy()
+    for i, g_i in enumerate(glued._patches):
+        w = glued.chi(xs, i)
+        active = w > 0.0
+        if np.any(active):
+            diff = g_i(xs[active]) - out[active]
+            out[active] += w[active, None] * diff
+    return out
+
+
+class TestGluedEvaluation:
+    LP = [ns.euclidean(2), ns.l1(2), ns.linf(2), ns.lp(2, 3.0), ns.euclidean(3), ns.lp(3, 1.5)]
+    OTHER = [HEXAGON, ns.transformed(ns.euclidean(2), [[3.0, 1.0], [0.5, 2.0]])]
+
+    @staticmethod
+    def _glued_and_points(norm, seed):
+        """Up to five random box or cloud patches with affine maps (boxes only in an lp
+        norm), and points in the whole square and close to the patches."""
+        r = np.random.default_rng(seed)
+        n, k = norm.dim, int(r.integers(1, 6))
+        sets = []
+        for _ in range(k):
+            if norm.kind in co._CLAMP_KINDS and r.random() < 0.5:
+                lo = r.uniform(-3.0, 3.0, n)
+                sets.append(np.stack([lo, lo + r.uniform(0.0, 1.0, n)], axis=1))
+            else:
+                sets.append(r.uniform(-3.0, 3.0, (int(r.choice([1, 3, 4])), n)))
+
+        def affine():
+            M, c = r.standard_normal((3, n)), r.standard_normal(3)
+            return lambda xs: xs @ M.T + c
+
+        radii = tuple(r.uniform(0.05, 1.0, k))
+        spec = co.PatchSpec(tuple(sets), radii, tuple(affine() for _ in range(k)), affine(),
+                            0.1, norm, ns.euclidean(3))
+        near = [co._patch_set(s, n)[:, :, 0] for s in sets]
+        near = np.concatenate([p + r.uniform(-rho, rho, p.shape) for p, rho in zip(near, radii)])
+        xs = np.concatenate([r.uniform(-4.0, 4.0, (int(r.integers(0, 2000)), n)), near])
+        return co.GluedMap(spec, 1.0), r.permutation(xs)
+
+    @pytest.mark.parametrize("norm", LP, ids=lambda a: f"{a.kind}{a.dim}-{a.p}")
+    def test_lp_outputs_equal_every_point_chi_bit_for_bit(self, norm):
+        for seed in range(60):
+            glued, xs = self._glued_and_points(norm, seed)
+            assert glued.eval_many(xs).tobytes() == every_point_glue(glued, xs).tobytes()
+
+    @pytest.mark.parametrize("norm", OTHER, ids=["hexagon", "transformed"])
+    def test_other_norms_agree_within_an_ulp_of_the_largest_patch_offset(self, norm):
+        # a patch's distances are taken as one matmul over the points in its hull, which
+        # may round apart from one over all points; over these seeds the outputs moved by
+        # at most 0.49 eps max_i |g_i - f| (hexagon) and 0.17 eps of it (transformed)
+        for seed in range(60):
+            glued, xs = self._glued_and_points(norm, seed)
+            offset = max(np.max(np.abs(g_i(xs) - glued._base(xs))) for g_i in glued._patches)
+            gap = np.abs(glued.eval_many(xs) - every_point_glue(glued, xs))
+            assert np.all(gap <= np.finfo(float).eps * offset)
+
+    def test_chi_is_zero_outside_the_coordinate_hull(self):
+        # |v_j| <= |e_j|_* |v|: in transformed(euclidean, 3 I) chi reaches 1.5 rho / 2 on
+        # an axis, three times what a coordinate box of rho / 2 would hold
+        norm = ns.transformed(ns.euclidean(2), 3.0 * np.eye(2))
+        f = lambda xs: np.zeros((xs.shape[0], 2))
+        g1 = lambda xs: np.ones((xs.shape[0], 2))
+        glued = co.GluedMap(co.PatchSpec(([0.0, 0.0],), (1.0,), (g1,), f, 0.1, norm,
+                                         ns.euclidean(2)), 0.0)
+        ts = np.linspace(-2.0, 2.0, 4001)
+        xs = np.stack([ts, np.zeros_like(ts)], axis=1)
+        out = glued.eval_many(xs)
+        assert out.tobytes() == every_point_glue(glued, xs).tobytes()
+        assert np.max(np.abs(ts[out[:, 0] > 0.0])) == pytest.approx(1.5, abs=1e-3)
+
+
+class TestNeighbourhoodSamples:
+    NORM = ns.transformed(ns.euclidean(2), 3.0 * np.eye(2))  # |e_j| = 1/3
+
+    def test_samples_reach_the_whole_neighbourhood(self):
+        # the rho-ball is the disk of radius 3 rho; coordinate boxes of rho held
+        # every draw within linf 0.5
+        point = co._patch_set([0.0, 0.0], 2)
+        pts = co._sample_neighborhood(point, 0.5, 160, np.random.default_rng(0), self.NORM)
+        assert len(pts) == 160
+        assert np.all(ns.eval_many(self.NORM, pts) <= 0.5)
+        assert np.max(np.abs(pts)) > 0.5
+
+    def test_lp_draws_keep_their_bits(self):
+        # |e_j|_* is 1.0 exactly in lp norms: the hulls are the boxes grown by rho
+        boxes = co._patch_set([[0.0, 0.3], [-0.2, 0.1]], 2)
+        for norm in (ns.euclidean(2), ns.l1(2), ns.linf(2), ns.lp(2, 3.0)):
+            hulls = co._coordinate_hulls(boxes, 0.37, norm)
+            assert hulls.tobytes() == np.stack([boxes[:, :, 0] - 0.37, boxes[:, :, 1] + 0.37],
+                                               axis=2).tobytes()
+
+    def test_a_patch_deviating_only_beyond_the_coordinate_box_is_refused(self):
+        f = lambda xs: np.zeros((xs.shape[0], 2))
+        g1 = lambda xs: np.where(np.max(np.abs(xs), axis=1, keepdims=True) > 0.5, 1.0, 0.0) \
+            * np.ones((1, 2))
+        spec = co.PatchSpec(([0.0, 0.0],), (0.5,), (g1,), f, 0.1, self.NORM, ns.euclidean(2))
+        with pytest.raises(PreconditionError, match="deviates"):
+            co.glue_patches(spec, 0.0)
+
+
 def old_dist_to_set(xs, arr, norm):
     """Distance to a box ((n, 2) rows) or a point cloud ((k, n)), as it was written per shape."""
     if arr.shape == (norm.dim, 2):
@@ -773,6 +912,21 @@ class TestGridSubset:
             cells = GridSubset.full([[lo, hi]], (k,)).cell_boxes[:, 0]
             assert cells[0, 0] == lo and cells[-1, 1] == hi
 
+    def test_neighbouring_cells_share_their_face_bit_for_bit(self):
+        # cell i ended at lo + i w + w, cell i + 1 started at lo + (i + 1) w: on
+        # 847 of these lattices some neighbours overlapped or left a gap
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            n = int(rng.integers(1, 4))
+            shape = tuple(int(c) for c in rng.integers(2, 65 if n == 1 else 9, n))
+            lo = rng.uniform(-3.0, 3.0, n)
+            E = GridSubset.full(np.stack([lo, lo + rng.uniform(1e-3, 6.0, n)], axis=1), shape)
+            cells = E.cell_boxes.reshape(shape + (n, 2))
+            for d in range(n):
+                upper = np.take(cells, np.arange(shape[d] - 1), axis=d)[..., d, 1]
+                lower = np.take(cells, np.arange(1, shape[d]), axis=d)[..., d, 0]
+                assert upper.tobytes() == lower.tobytes()
+
     def test_cell_boxes_equal_cell_box_cell_by_cell(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -906,12 +1060,13 @@ class TestInflateOnSet:
             assert inside.any()
 
     def test_touching_cells_of_an_unoccupied_row_build_no_patch(self):
-        # on this box row 1's float upper bound passes row 2's lower bound by
-        # 1.1e-16; the float overlap test used to build 12 patches for 6 cells
+        # on this box row 1's float upper bound passed row 2's lower bound by
+        # 1.1e-16 and now meets it; the float overlap test used to build 12
+        # patches for 6 cells
         mask = np.zeros((6, 6), dtype=bool)
         mask[2] = True
         E = GridSubset([[0.087, 1.964]] * 2, (6, 6), mask)
-        assert E.cell_box((1, 0))[0, 1] > E.cell_box((2, 0))[0, 0]
+        assert E.cell_box((1, 0))[0, 1] == E.cell_box((2, 0))[0, 0]
         glued, report = co.inflate_on_set(
             lambda xs: np.zeros((xs.shape[0], 3)), E, ns.euclidean(2), ns.euclidean(3),
             1.0, 0.2, 0.5, seed=0)
