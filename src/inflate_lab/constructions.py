@@ -41,6 +41,7 @@ from .seeding import rng_for
 _MAX_SEGMENTS = 2_000_000
 _NODE_STRIDE = 16       # C: a curve caches its running step sums at every C-th node
 _NODE_CHUNK = 1 << 15   # segments a checkpoint pass takes at a time, a multiple of C
+_QUERY_CHUNK = 1 << 12  # nodes a lookup takes at a time: about 4 MB of work arrays at m = 3
 # all zigzags of one inflate_on_set: at 8 + 1 bytes a segment before evaluation and
 # 8 m / _NODE_STRIDE more after it, about 0.17 GB for m = 3
 _MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS
@@ -290,19 +291,22 @@ class CoordinateCurve:
         _node_values(breakpoints, slopes, anchor)[idx].
 
         From each node's checkpoint the steps up to it are summed down axis 0
-        of a (C, Q, m) block, every column in np.cumsum's sequential order.
+        of a (C, q, m) block, every column in np.cumsum's sequential order,
+        for q = _QUERY_CHUNK nodes at a time.
         """
         idx = np.asarray(idx)
-        c, r = np.divmod(idx, _NODE_STRIDE)
-        depth = int(r.max(initial=0)) + 1
-        # row 0 of the block is the checkpoint; row i the step into node cC + i
-        seg = np.clip(c * _NODE_STRIDE + np.arange(-1, depth - 1)[:, None],
-                      0, self.segment_count - 1)
-        block = self.rows[self.labels[seg]]
-        block *= (self.breakpoints[seg + 1] - self.breakpoints[seg])[:, :, None]
-        block[0] = self._checkpoints[c]
-        np.cumsum(block, axis=0, out=block)
-        return block[r, np.arange(idx.shape[0])] + self.anchor
+        out = np.empty((idx.shape[0], self.rows.shape[1]))
+        for a in range(0, idx.shape[0], _QUERY_CHUNK):
+            c, r = np.divmod(idx[a:a + _QUERY_CHUNK], _NODE_STRIDE)
+            # row 0 of the block is the checkpoint; row i the step into node cC + i
+            seg = np.clip(c * _NODE_STRIDE + np.arange(-1, int(r.max()))[:, None],
+                          0, self.segment_count - 1)
+            block = self.rows[self.labels[seg]]
+            block *= (self.breakpoints[seg + 1] - self.breakpoints[seg])[:, :, None]
+            block[0] = self._checkpoints[c]
+            np.cumsum(block, axis=0, out=block)
+            np.add(block[r, np.arange(r.shape[0])], self.anchor, out=out[a:a + _QUERY_CHUNK])
+        return out
 
     @property
     def segment_count(self) -> int:

@@ -31,7 +31,11 @@ from .maximal_volume import checked_base_norm, max_volume
 from .seeding import rng_for
 
 _MAX_CLOUD_POINTS = 60_000_000
+# boxes one patch's raster may enumerate: its keys take 8 bytes a box, 0.96 GB
+# at the limit and twice that while its blocks are joined, and the distinct-box
+# sum then holds about 32 bytes a key
 _MAX_RASTER_BOXES = 120_000_000
+_RASTER_BLOCK = 1 << 16   # footprint boxes _affine_patch_keys takes at a time
 
 
 @dataclass(frozen=True)
@@ -131,18 +135,35 @@ def superlevel_fraction(g, E, r: float) -> MeasureReport:
 _CALIBRATION_CACHE: dict = {}
 
 
-def _pack_keys(idx: np.ndarray) -> np.ndarray:
-    """One int64 key per row of integer box indices, by shift-and-or."""
-    d = idx.shape[1]
+def _key_layout(d: int) -> tuple:
+    """(bits, off): box index j of d sits in an int64 key as index + off,
+    shifted left by bits (d - 1 - j)."""
     bits = 63 // d
-    off = 1 << (bits - 1)
+    return bits, 1 << (bits - 1)
+
+
+def _check_key_range(first: np.ndarray, last: np.ndarray, d: int) -> None:
+    """The key range guard: every index from ``first`` to ``last`` fits its field."""
+    _, off = _key_layout(d)
     # two one-sided tests: np.abs(INT64_MIN), where a cast of a float past
     # int64 lands, is INT64_MIN again and would pass
-    if np.any(idx >= off - 1) or np.any(idx <= 1 - off):
+    if np.any(last >= off - 1) or np.any(first <= 1 - off):
         raise NumericalFailure("box-count guard: image extends too far for this box size")
-    key = idx[:, 0] + off
+
+
+def _key_field(idx: np.ndarray, j: int, d: int) -> np.ndarray:
+    """Box index j of d in its field of the key; a key is the OR of its d fields."""
+    bits, off = _key_layout(d)
+    return (idx + off) << (bits * (d - 1 - j))
+
+
+def _pack_keys(idx: np.ndarray) -> np.ndarray:
+    """One int64 key per row of integer box indices."""
+    d = idx.shape[1]
+    _check_key_range(idx, idx, d)
+    key = _key_field(idx[:, 0], 0, d)
     for j in range(1, d):
-        key = (key << bits) | (idx[:, j] + off)
+        key |= _key_field(idx[:, j], j, d)
     return key
 
 
@@ -150,9 +171,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys, byte for byte np.unique(keys), by sort and neighbour compare.
 
     numpy 2's plain np.unique on int64 takes a hash-table path several
-    times slower than a sort; the patch and cloud keys go through here
-    instead.  _mass_from_parts keeps np.unique with return_index, which
-    takes numpy's mergesort path rather than the hash path.
+    times slower than a sort; the cloud keys go through here instead.
     """
     keys = np.sort(keys)
     keep = np.ones(keys.shape, dtype=bool)
@@ -162,8 +181,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 def _unpack_keys(keys: np.ndarray, d: int) -> np.ndarray:
     """Rows of integer box indices back from _pack_keys's keys."""
-    bits = 63 // d
-    off = 1 << (bits - 1)
+    bits, off = _key_layout(d)
     mask = (1 << bits) - 1
     return np.stack([((keys >> (bits * (d - 1 - j))) & mask) - off for j in range(d)], axis=1)
 
@@ -188,45 +206,57 @@ def _direction_factor(cols: np.ndarray) -> float:
     return total
 
 
-def _spans(lo: np.ndarray, hi: np.ndarray, what: str):
-    """(counts, values): the integer runs floor(lo) .. floor(hi), end to end.
+def _spans(lo: np.ndarray, hi: np.ndarray, what: str, d: int, done: int = 0):
+    """(first, counts): per row, the integer run floor(lo) .. floor(hi).
 
-    ``lo`` and ``hi`` are per-column bounds in box units.  The guard runs
-    before the runs are allocated, on a float total that neither wraps nor
-    passes non-finite bounds; ``what`` names the stage in its message.
+    ``lo`` and ``hi`` are per-row bounds in box units.  The guard runs
+    before any run is expanded, on a float total plus the ``done`` boxes
+    counted before, which neither wraps nor passes non-finite bounds;
+    ``what`` names the stage in its message.  Then the run ends meet the
+    range guard of a d-dimensional key.
     """
     first, last = np.floor(lo), np.floor(hi)
-    if not float(np.sum(last - first + 1)) <= _MAX_RASTER_BOXES:
+    if not done + float(np.sum(last - first + 1)) <= _MAX_RASTER_BOXES:
         raise NumericalFailure(f"box-count raster guard: {what} too large")
-    first = first.astype(np.int64)
-    counts = last.astype(np.int64) - first + 1
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return counts, first.repeat(counts) + (np.arange(int(counts.sum())) - np.repeat(starts, counts))
+    first, last = first.astype(np.int64), last.astype(np.int64)
+    _check_key_range(first, last, d)
+    return first, last - first + 1
+
+
+def _runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs first .. first + counts - 1, end to end."""
+    return (first - (np.cumsum(counts) - counts)).repeat(counts) + np.arange(int(counts.sum()))
 
 
 def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
                        s: float) -> Optional[np.ndarray]:
-    """Integer keys of every box of side s touched by {cols @ t + off : t in tbox}.
+    """Sorted int64 keys of every box of side s touched by {cols @ t + off : t in tbox}.
 
     Column scanline: project the patch onto its two (or one, for curves)
     dominant image coordinates, rasterize the footprint exactly per
     column, and span the remaining coordinates by their exact affine
-    range over each column.  Exact except at footprint-boundary columns.
-    Returns None for patches of rank below n (they carry no n-measure).
+    range over each footprint box.  Exact except at footprint-boundary
+    columns.  The footprint boxes are taken _RASTER_BLOCK at a time, and
+    each block's keys are built one coordinate field at a time, so the
+    work arrays are bounded by the block and only the keys grow with the
+    patch.  The runs are disjoint, so the keys are distinct without a
+    dedup pass.  Returns None for patches of rank below n (they carry no
+    n-measure).
     """
     m, n = cols.shape
     if vol_matrix(cols) <= 1e-14:
         return None
-    # idx holds one index column per coordinate of fp + rest; lo and hi
-    # hold each footprint coordinate's extent over the same rows
+    # the footprint's columns: index us and extent [xa, xb] in fp[0]; a
+    # column holds counts footprint boxes, for a surface the boxes
+    # base + r in fp[1] over its footprint rows r
     if n == 2:
         fp = list(max(combinations(range(m), 2), key=lambda pq: abs(
             cols[pq[0], 0] * cols[pq[1], 1] - cols[pq[0], 1] * cols[pq[1], 0])))
         corners_t = np.array([[tbox[0, 0], tbox[1, 0]], [tbox[0, 1], tbox[1, 0]],
                               [tbox[0, 1], tbox[1, 1]], [tbox[0, 0], tbox[1, 1]]])
         quad = (corners_t @ cols.T + off)[:, fp]
-        _, us = _spans(quad[:, 0].min(keepdims=True) / s, quad[:, 0].max(keepdims=True) / s,
-                       "footprint")
+        us = _runs(*_spans(quad[:, 0].min(keepdims=True) / s,
+                           quad[:, 0].max(keepdims=True) / s, "footprint", m))
         xa = us * s
         xb = xa + s
         vmin = np.full(us.shape, np.inf)
@@ -248,38 +278,63 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
         keep = vmax >= vmin
         if not np.any(keep):
             return None
-        counts, v = _spans(vmin[keep] / s, vmax[keep] / s, "footprint")
-        idx = [us[keep].repeat(counts), v]
-        lo = [xa[keep].repeat(counts), v * s]
-        hi = [xb[keep].repeat(counts), v * s + s]
+        us, xa, xb = us[keep], xa[keep], xb[keep]
+        first, counts = _spans(vmin[keep] / s, vmax[keep] / s, "footprint", m)
+        base = first - (np.cumsum(counts) - counts)
     else:
         fp = [int(np.argmax(np.abs(cols[:, 0])))]
         ends = np.array([tbox[0, 0], tbox[0, 1]])[:, None] * cols[:, 0][None, :] + off
         lo_x, hi_x = ends[:, fp].min(axis=0), ends[:, fp].max(axis=0)
-        _, us = _spans(lo_x / s, hi_x / s, "footprint")
-        idx, lo, hi = [us], [np.clip(us * s, lo_x, hi_x)], [np.clip(us * s + s, lo_x, hi_x)]
+        us = _runs(*_spans(lo_x / s, hi_x / s, "footprint", m))
+        xa, xb = np.clip(us * s, lo_x, hi_x), np.clip(us * s + s, lo_x, hi_x)
+        counts = np.ones(us.shape, dtype=np.int64)
+    stops = np.cumsum(counts)
+    total = int(stops[-1])
+    head = _key_field(us, fp[0], m)
 
     rest = [c for c in range(m) if c not in fp]
     if rest:
         zc = cols[rest, :] @ np.linalg.inv(cols[fp, :])
         z0 = off[rest] - zc @ off[fp]
-        for r in range(len(rest)):
+    blocks = []
+    done = 0
+    for a in range(0, total, _RASTER_BLOCK):
+        b = min(a + _RASTER_BLOCK, total)
+        # the columns holding footprint rows a .. b - 1, and how many of them each holds
+        ca, cb = np.searchsorted(stops, [a, b - 1], side="right")
+        c = slice(ca, cb + 1)
+        rows = np.minimum(stops[c], b) - np.maximum(stops[c] - counts[c], a)
+        key = head[c].repeat(rows)
+        lo, hi = [xa[c].repeat(rows)], [xb[c].repeat(rows)]
+        if n == 2:
+            v = base[c].repeat(rows) + np.arange(a, b)
+            key |= _key_field(v, fp[1], m)
+            lo.append(v * s)
+            hi.append(v * s + s)
+        for r, coord in enumerate(rest):
             z_min = z_max = z0[r]
-            for c, lo_d, hi_d in zip(zc[r], lo, hi):
-                z_min = z_min + np.minimum(c * lo_d, c * hi_d)
-                z_max = z_max + np.maximum(c * lo_d, c * hi_d)
-            counts, w = _spans(z_min / s, z_max / s, "column spans")
-            idx = [col.repeat(counts) for col in idx] + [w]
+            for zc_d, lo_d, hi_d in zip(zc[r], lo, hi):
+                z_min = z_min + np.minimum(zc_d * lo_d, zc_d * hi_d)
+                z_max = z_max + np.maximum(zc_d * lo_d, zc_d * hi_d)
+            w_first, spans = _spans(z_min / s, z_max / s, "column spans", m, done)
+            key = key.repeat(spans)
+            key |= _key_field(_runs(w_first, spans), coord, m)
             if r + 1 < len(rest):
-                lo = [col.repeat(counts) for col in lo]
-                hi = [col.repeat(counts) for col in hi]
+                lo = [x.repeat(spans) for x in lo]
+                hi = [x.repeat(spans) for x in hi]
+        done += key.size
+        blocks.append(key)
+    keys = np.concatenate(blocks)
+    keys.sort()
+    return keys
 
-    order = np.argsort(fp + rest)
-    return _distinct(_pack_keys(np.stack([idx[i] for i in order], axis=1)))
+
+_NO_BOXES = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
 
 
 def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndarray):
-    """(keys, weights) of the occupied boxes of pam(window), for a box ``window``.
+    """(keys, weights, counts) of the occupied boxes of pam(window), for a box ``window``:
+    each cell's keys in turn, and per cell its weight and its number of keys.
 
     When the map has at most 200,000 cells and the window is a box in t
     (PiecewiseAffineMap._segment_windows, the rule of the exact integrals
@@ -301,8 +356,8 @@ def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndar
         A_ref, off_ref, _dev = pam.affine_ref
         keys = _affine_patch_keys(A_ref, off_ref, window, box_size)
         if keys is None:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0))
-        return keys, np.full(keys.shape, 1.0 / _direction_factor(A_ref))
+            return _NO_BOXES
+        return keys, np.array([1.0 / _direction_factor(A_ref)]), np.array([keys.size])
 
     # per axis, the live segments in the window: (t-interval, slope, value at its start)
     axes = []
@@ -313,7 +368,7 @@ def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndar
 
     factors: dict = {}
     keys_parts = []
-    weights_parts = []
+    weights = []
     for cell in product(*axes):
         tbox = np.array([t for t, _, _ in cell])
         cols = np.stack([slope for _, slope, _ in cell], axis=1)
@@ -325,20 +380,35 @@ def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndar
         if fkey not in factors:
             factors[fkey] = _direction_factor(cols)
         keys_parts.append(keys)
-        weights_parts.append(np.full(keys.shape, 1.0 / factors[fkey]))
+        weights.append(1.0 / factors[fkey])
 
     if not keys_parts:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0))
-    return np.concatenate(keys_parts), np.concatenate(weights_parts)
+        return _NO_BOXES
+    return (np.concatenate(keys_parts), np.array(weights),
+            np.array([part.size for part in keys_parts]))
 
 
 def _mass_from_parts(parts, n: int, box_size: float) -> float:
-    keys = np.concatenate([p[0] for p in parts]) if parts else np.zeros(0, dtype=np.int64)
-    weights = np.concatenate([p[1] for p in parts]) if parts else np.zeros(0)
+    """box_size^n times the sum, over the distinct keys of ``parts`` in
+    increasing order, of the weight of the first cell holding the key.
+
+    A stable argsort finds each key's first occurrence, as np.unique with
+    return_index does, so np.sum adds the same weights in the same order
+    as it would over a weight per key.
+    """
+    if not parts:
+        return 0.0
+    keys = np.concatenate([p[0] for p in parts])
     if keys.size == 0:
         return 0.0
-    _, first = np.unique(keys, return_index=True)
-    return float(np.sum(weights[first]) * box_size ** n)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    del keys  # the sorted keys go before the gathers below
+    cells = np.searchsorted(np.cumsum(np.concatenate([p[2] for p in parts])), order[head],
+                            side="right")
+    return float(np.sum(np.concatenate([p[1] for p in parts])[cells]) * box_size ** n)
 
 
 def _calibration(n: int, m: int, box_size: float) -> float:

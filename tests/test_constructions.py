@@ -139,21 +139,25 @@ class TestZigzag:
         assert eval_peak - built <= 8 * 3 / co._NODE_STRIDE * k + chunk_buffers + query
 
     def test_palette_bytes_per_segment(self):
-        # 8 bytes of breakpoint and 1 of label a segment, and 8 m of node values
-        # once evaluated; the (K, m) slope rows took 8 m more before either
+        # 8 bytes of breakpoint and 1 of label a segment, and 8 m / C of
+        # checkpoints once evaluated, which peaks higher only by the fixed chunk
+        # buffers; the (K, m) slope rows took 8 m more before either
         a = np.array([0.5, 0.0, 0.2])
         tracemalloc.start()
         try:
             z = co.zigzag_curve(a, 2.0 * a, 4.5e-6, (0.0, 1.0))
             built, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             z.eval_many(np.linspace(0.0, 1.0, 7))
-            evaluated, _ = tracemalloc.get_traced_memory()
+            evaluated, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         k = z.segment_count
         assert k > 190_000
         assert built <= 9 * k + 16_384
-        assert evaluated <= (9 + 8 * 3) * k + 16_384
+        kept = (9 + 8 * 3 / co._NODE_STRIDE) * k
+        assert evaluated <= kept + 16_384
+        assert peak <= kept + 3 * 8 * co._NODE_CHUNK + 32_768
 
 
 def reference_zigzag(a_vec, u, eps, interval):
@@ -347,6 +351,23 @@ class TestNodeLookup:
         assert all_nodes(curve).tobytes() == want.tobytes()
         some = r.integers(0, k + 1, 300)  # any order, repeats allowed
         assert curve._nodes(some).tobytes() == want[some].tobytes()
+
+    def test_lookup_work_arrays_are_chunked(self):
+        # 200,000 points on a 10-segment curve peaked at 88 bytes a point, eval_many's
+        # own (Q,) and (Q, m) arrays; one (C, Q, m) lookup block took 504
+        r = np.random.default_rng(0)
+        curve = co.CoordinateCurve(np.linspace(0.0, 1.0, 11), r.standard_normal((10, 3)),
+                                   np.zeros(3))
+        ts = r.uniform(0.0, 1.0, 200_000)
+        curve.eval_many(ts[:1])  # the checkpoints
+        tracemalloc.start()
+        try:
+            curve.eval_many(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the allowance: one chunk's block, segment indices and widths, C rows each
+        assert peak <= 96 * ts.size + C * co._QUERY_CHUNK * (8 * 3 + 40)
 
 
 class TestCoordinateCurve:

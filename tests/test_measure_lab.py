@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -636,6 +637,35 @@ def patch_cases(draw):
     return cols, off, tbox, draw(st.floats(0.01, 0.1))
 
 
+@st.composite
+def boxcount_parts(draw):
+    """(parts, n, s): windows of cells with overlapping sorted distinct keys, and
+    one distinct weight a cell, in _pa_boxcount_parts's (keys, weights, counts) form."""
+    cells = draw(st.lists(st.integers(0, 4), max_size=3))
+    weights = iter(draw(st.lists(st.floats(1e-3, 1e3), min_size=sum(cells),
+                                 max_size=sum(cells), unique=True)))
+    parts = []
+    for count in cells:
+        keys = [np.array(sorted(draw(st.sets(st.integers(-30, 30), min_size=1, max_size=40))),
+                         dtype=np.int64) for _ in range(count)]
+        parts.append((np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64),
+                      np.array([next(weights) for _ in range(count)]),
+                      np.array([k.size for k in keys], dtype=np.int64)))
+    return parts, draw(st.integers(1, 2)), draw(st.floats(1e-3, 0.5))
+
+
+def reference_mass_from_parts(parts, n, box_size):
+    """_mass_from_parts over a weight per key, by np.unique with return_index."""
+    if not parts:
+        return 0.0
+    keys = np.concatenate([p[0] for p in parts])
+    if keys.size == 0:
+        return 0.0
+    weights = np.concatenate([np.repeat(p[1], p[2]) for p in parts])
+    _, first = np.unique(keys, return_index=True)
+    return float(np.sum(weights[first]) * box_size ** n)
+
+
 class TestKeyKernels:
     @settings(max_examples=300)
     @given(calibration_cases())
@@ -675,6 +705,43 @@ class TestKeyKernels:
         if got is not None:
             assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(patch_cases(), st.integers(1, 7))
+    def test_patch_keys_in_small_blocks_match_the_reference(self, case, block):
+        # blocks of a few footprint boxes split columns and runs at every offset
+        with mock.patch.object(ml, "_RASTER_BLOCK", block):
+            got = ml._affine_patch_keys(*case)
+        want = reference_affine_patch_keys(*case)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxcount_parts())
+    def test_mass_matches_a_weight_per_key(self, case):
+        assert ml._mass_from_parts(*case) == reference_mass_from_parts(*case)
+
+    def test_boxcount_peak_bytes_per_key(self):
+        # a tilted unit square at s = 2e-3 has 436,158 distinct keys; its box
+        # count peaked at 33.0 bytes a key (the window's keys, their joined
+        # copy, the stable argsort and the sorted keys), where a weight per key,
+        # an (N, 3) index stack and a dedup pass inside the patch took 94.0
+        q, _ = np.linalg.qr(np.random.default_rng(20230614).standard_normal((3, 3)))
+        e = np.array([0.0, 1.0])
+        pam = co.pa_from_axis_slopes(UNIT, [e, e], [q.T[0:1], q.T[1:2]], [np.zeros(3)] * 2,
+                                     np.zeros(3), ns.euclidean(2), ns.euclidean(3))
+        s = 2e-3
+        distinct = np.unique(ml._pa_boxcount_parts(pam, s, UNIT)[0]).size
+        assert distinct > 400_000
+        tracemalloc.start()
+        try:
+            ml.boxcount_image_measure(pam, UNIT, 3, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the allowance covers one block's work arrays, about 60 bytes a footprint box
+        assert peak <= 40 * distinct + 128 * ml._RASTER_BLOCK
+
     @pytest.mark.parametrize("cols, off, tbox, s", [
         (np.array([[1.0], [0.0]]), np.zeros(2), np.array([[0.0, 1.0]]), 1e-13),
         (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3), UNIT, 1e-12),
@@ -707,6 +774,16 @@ class TestKeyKernels:
         # reaches the rest guard at the real limit; a lowered limit does here
         cols = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         monkeypatch.setattr(ml, "_MAX_RASTER_BOXES", 51 * 51)  # the footprint at s = 0.02
+        with pytest.raises(NumericalFailure, match="column spans too large"):
+            ml._affine_patch_keys(cols, np.zeros(3), UNIT, 0.02)
+
+    def test_rest_guard_counts_every_block(self, monkeypatch):
+        # the same patch in blocks of 64 footprint boxes: a block holds at most
+        # 3 * 64 keys, under the lowered limit; only the running total is over it
+        cols = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert ml._affine_patch_keys(cols, np.zeros(3), UNIT, 0.02).size > 51 * 51
+        monkeypatch.setattr(ml, "_RASTER_BLOCK", 64)
+        monkeypatch.setattr(ml, "_MAX_RASTER_BOXES", 51 * 51)
         with pytest.raises(NumericalFailure, match="column spans too large"):
             ml._affine_patch_keys(cols, np.zeros(3), UNIT, 0.02)
 
