@@ -143,10 +143,15 @@ def _key_layout(d: int) -> tuple:
 
 
 def _check_key_range(first: np.ndarray, last: np.ndarray, d: int) -> None:
-    """The key range guard: every index from ``first`` to ``last`` fits its field."""
+    """The key range guard: every index from ``first`` to ``last`` fits its field.
+
+    Needs first <= last row by row, so each end is tested on one side
+    only; run ends are tested as floats, before a cast that could wrap
+    one end past int64 and not the other.
+    """
     _, off = _key_layout(d)
-    # two one-sided tests: np.abs(INT64_MIN), where a cast of a float past
-    # int64 lands, is INT64_MIN again and would pass
+    # one-sided tests, not np.abs: np.abs(INT64_MIN), where a cast of a
+    # float past int64 lands, is INT64_MIN again and would pass
     if np.any(last >= off - 1) or np.any(first <= 1 - off):
         raise NumericalFailure("box-count guard: image extends too far for this box size")
 
@@ -213,13 +218,13 @@ def _spans(lo: np.ndarray, hi: np.ndarray, what: str, d: int, done: int = 0):
     before any run is expanded, on a float total plus the ``done`` boxes
     counted before, which neither wraps nor passes non-finite bounds;
     ``what`` names the stage in its message.  Then the run ends meet the
-    range guard of a d-dimensional key.
+    range guard of a d-dimensional key, still as floats.
     """
     first, last = np.floor(lo), np.floor(hi)
     if not done + float(np.sum(last - first + 1)) <= _MAX_RASTER_BOXES:
         raise NumericalFailure(f"box-count raster guard: {what} too large")
-    first, last = first.astype(np.int64), last.astype(np.int64)
     _check_key_range(first, last, d)
+    first, last = first.astype(np.int64), last.astype(np.int64)
     return first, last - first + 1
 
 
@@ -428,7 +433,8 @@ def _calibration(n: int, m: int, box_size: float) -> float:
     last = math.floor(inv)
     if (last + 1) ** n > _MAX_RASTER_BOXES:
         raise NumericalFailure("box-count raster guard: footprint too large")
-    if last >= (1 << (63 // m - 1)) - 1:
+    _, off = _key_layout(m)
+    if last >= off - 1:
         raise NumericalFailure("box-count guard: image extends too far for this box size")
     return float((last + 1) ** n) * box_size ** n
 

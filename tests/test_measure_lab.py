@@ -768,6 +768,15 @@ class TestKeyKernels:
                 NumericalFailure, match="image extends too far"):
             ml._affine_patch_keys(cols, np.array([0.0, 0.0, 1e30]), UNIT, 1e-3)
 
+    def test_a_run_straddling_int64_is_refused(self):
+        # the footprint run 2^63 - 1024 .. 2^63 is 1025 boxes, under the box
+        # limit; cast to int64 its last end wraps to INT64_MIN and its first
+        # does not, so the range guard must read the ends before the cast
+        cols = np.array([[1024.0], [0.0]])
+        with pytest.raises(NumericalFailure, match="image extends too far"):
+            ml._affine_patch_keys(cols, np.array([2.0 ** 63 - 1024, 0.0]),
+                                  np.array([[0.0, 1.0]]), 1.0)
+
     def test_rest_guard_names_the_column_spans(self, monkeypatch):
         # a rest coordinate spans at most 3 boxes per footprint box (the
         # footprint has the largest minor), so only a footprint of 40M boxes
