@@ -41,7 +41,7 @@ from .seeding import rng_for
 _MAX_SEGMENTS = 2_000_000
 _NODE_STRIDE = 16       # C: a curve caches its running step sums at every C-th node
 _NODE_CHUNK = 1 << 15   # segments a checkpoint pass takes at a time, a multiple of C
-_QUERY_CHUNK = 1 << 12  # nodes a lookup takes at a time: about 4 MB of work arrays at m = 3
+_QUERY_CHUNK = 1 << 12  # nodes a lookup, or queries eval_many, takes at a time: about 4 MB at m = 3
 # all zigzags of one inflate_on_set: at 8 + 1 bytes a segment before evaluation and
 # 8 m / _NODE_STRIDE more after it, about 0.17 GB for m = 3
 _MAX_GRID_SEGMENTS = 8 * _MAX_SEGMENTS
@@ -317,10 +317,16 @@ class CoordinateCurve:
                        0, self.segment_count - 1)
 
     def eval_many(self, ts) -> np.ndarray:
+        """Values at ``ts`` (Q,), shape (Q, m): the slope term is added into the
+        node values in place, _QUERY_CHUNK queries at a time."""
         ts = np.asarray(ts, dtype=float)
         idx = self.segment_index(ts)
-        return (self._nodes(idx)
-                + self.rows[self.labels[idx]] * (ts - self.breakpoints[idx])[:, None])
+        out = self._nodes(idx)
+        for a in range(0, idx.shape[0], _QUERY_CHUNK):
+            i = idx[a:a + _QUERY_CHUNK]
+            out[a:a + _QUERY_CHUNK] += (self.rows[self.labels[i]]
+                                        * (ts[a:a + _QUERY_CHUNK] - self.breakpoints[i])[:, None])
+        return out
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .seeding import rng_for
 _MAX_CLOUD_POINTS = 60_000_000
 # boxes one patch's raster may enumerate: its keys take 8 bytes a box, 0.96 GB
 # at the limit and twice that while its blocks are joined, and the distinct-box
-# sum then holds about 32 bytes a key
+# sum then holds about 16 bytes a key
 _MAX_RASTER_BOXES = 120_000_000
 _RASTER_BLOCK = 1 << 16   # footprint boxes _affine_patch_keys takes at a time
 
@@ -329,9 +329,14 @@ def _affine_patch_keys(cols: np.ndarray, off: np.ndarray, tbox: np.ndarray,
                 hi = [x.repeat(spans) for x in hi]
         done += key.size
         blocks.append(key)
-    keys = np.concatenate(blocks)
+    keys = _joined(blocks)
     keys.sort()
     return keys
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays end to end; a lone array itself, since np.concatenate would copy it."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 _NO_BOXES = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
@@ -389,7 +394,7 @@ def _pa_boxcount_parts(pam: PiecewiseAffineMap, box_size: float, window: np.ndar
 
     if not keys_parts:
         return _NO_BOXES
-    return (np.concatenate(keys_parts), np.array(weights),
+    return (_joined(keys_parts), np.array(weights),
             np.array([part.size for part in keys_parts]))
 
 
@@ -399,21 +404,34 @@ def _mass_from_parts(parts, n: int, box_size: float) -> float:
 
     A stable argsort finds each key's first occurrence, as np.unique with
     return_index does, so np.sum adds the same weights in the same order
-    as it would over a weight per key.
+    as it would over a weight per key.  The sorted keys are gathered
+    _RASTER_BLOCK at a time, and the weights of the run heads overwrite
+    the argsort's own buffer as it is read, so the sum holds about 16
+    bytes a key beside the parts.  The parts are left as they are.
     """
     if not parts:
         return 0.0
-    keys = np.concatenate([p[0] for p in parts])
+    keys = _joined([p[0] for p in parts])
     if keys.size == 0:
         return 0.0
+    stops = np.cumsum(np.concatenate([p[2] for p in parts]))
+    weights = np.concatenate([p[1] for p in parts])
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    head = np.ones(keys.shape, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    del keys  # the sorted keys go before the gathers below
-    cells = np.searchsorted(np.cumsum(np.concatenate([p[2] for p in parts])), order[head],
-                            side="right")
-    return float(np.sum(np.concatenate([p[1] for p in parts])[cells]) * box_size ** n)
+    # heads never outnumber the keys read, so the writes stay behind the reads
+    heads = order.view(np.float64)
+    done = 0
+    last = None
+    for a in range(0, keys.size, _RASTER_BLOCK):
+        at = order[a:a + _RASTER_BLOCK]
+        run = keys[at]
+        head = np.empty(run.shape, dtype=bool)
+        head[0] = last is None or run[0] != last
+        np.not_equal(run[1:], run[:-1], out=head[1:])
+        last = run[-1]
+        cells = np.searchsorted(stops, at[head], side="right")
+        heads[done:done + cells.size] = weights[cells]
+        done += cells.size
+    return float(np.sum(heads[:done]) * box_size ** n)
 
 
 def _calibration(n: int, m: int, box_size: float) -> float:
@@ -473,6 +491,8 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     n = E.dim
     _check_boxcount(n, m, box_size)
     if isinstance(g, (PiecewiseAffineMap, GluedMap)):
+        dim = g.m if isinstance(g, PiecewiseAffineMap) else g.spec.codomain_norm.dim
+        _check_codomain(dim, m)
         parts = [_pa_boxcount_parts(pam, box_size, window)
                  for pam, windows in _affine_pieces(g, E, "box counting")
                  for window in windows]
@@ -482,7 +502,7 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
         fbatch = _as_batch(g, n)
         boxes = E.cell_boxes  # none for an empty GridSubset, whose image has measure 0
         raw = 0.0 if len(boxes) == 0 else _cloud_boxcount(
-            fbatch, boxes, n, box_size, lip_hint if lip_hint is not None else
+            fbatch, boxes, n, m, box_size, lip_hint if lip_hint is not None else
             _sampled_lipschitz(fbatch, E, ns.euclidean(n), ns.euclidean(m), seed))
         method = "cloud"
     cal = _calibration(n, m, box_size)
@@ -497,9 +517,15 @@ def boxcount_image_measure(g, E, m: int, box_size: float, lip_hint: Optional[flo
     )
 
 
-def _cloud_boxcount(fbatch: Callable, boxes: np.ndarray, n: int, box_size: float,
+def _check_codomain(dim: int, m: int) -> None:
+    if dim != m:
+        raise PreconditionError(f"box count in R^{m} of a map into R^{dim}")
+
+
+def _cloud_boxcount(fbatch: Callable, boxes: np.ndarray, n: int, m: int, box_size: float,
                     lip: float) -> float:
-    """Plain sample-cloud box count over a union of boxes, for maps without affine structure."""
+    """Plain sample-cloud box count over a union of boxes, for maps without affine
+    structure; every image batch must have m columns."""
     spacing = box_size / (2.0 * max(lip, 1e-9))
     grids = [[np.linspace(lo, hi, max(int(math.ceil((hi - lo) / spacing)) + 1, 2))
               for lo, hi in box] for box in boxes]
@@ -507,20 +533,23 @@ def _cloud_boxcount(fbatch: Callable, boxes: np.ndarray, n: int, box_size: float
     if total_pts > _MAX_CLOUD_POINTS:
         raise NumericalFailure(f"box-count cloud guard: {total_pts} sample points")
     seen = []
+
+    def add(pts):
+        img = fbatch(pts)
+        _check_codomain(img.shape[1], m)
+        seen.append(_distinct(_box_keys(img, box_size)))
+
     for axes in grids:
         if n == 1:
-            img = fbatch(axes[0][:, None])
-            seen.append(_distinct(_box_keys(img, box_size)))
+            add(axes[0][:, None])
             continue
         rest = np.meshgrid(*axes[1:], indexing="ij")
         rest = np.stack([g.ravel() for g in rest], axis=1)
         rows = max(1, 2_000_000 // max(1, rest.shape[0]))
         for start in range(0, len(axes[0]), rows):
             block = axes[0][start:start + rows]
-            pts = np.concatenate(
-                [np.repeat(block, rest.shape[0])[:, None],
-                 np.tile(rest, (block.shape[0], 1))], axis=1)
-            seen.append(_distinct(_box_keys(fbatch(pts), box_size)))
+            add(np.concatenate([np.repeat(block, rest.shape[0])[:, None],
+                                np.tile(rest, (block.shape[0], 1))], axis=1))
     count = _distinct(np.concatenate(seen)).size
     return count * box_size ** n
 

@@ -354,7 +354,8 @@ class TestNodeLookup:
 
     def test_lookup_work_arrays_are_chunked(self):
         # 200,000 points on a 10-segment curve peaked at 88 bytes a point, eval_many's
-        # own (Q,) and (Q, m) arrays; one (C, Q, m) lookup block took 504
+        # own (Q,) and (Q, m) arrays, and at 44 once the slope term went into the
+        # node values in place; one (C, Q, m) lookup block took 504
         r = np.random.default_rng(0)
         curve = co.CoordinateCurve(np.linspace(0.0, 1.0, 11), r.standard_normal((10, 3)),
                                    np.zeros(3))
@@ -367,7 +368,7 @@ class TestNodeLookup:
         finally:
             tracemalloc.stop()
         # the allowance: one chunk's block, segment indices and widths, C rows each
-        assert peak <= 96 * ts.size + C * co._QUERY_CHUNK * (8 * 3 + 40)
+        assert peak <= 48 * ts.size + C * co._QUERY_CHUNK * (8 * 3 + 40)
 
 
 class TestCoordinateCurve:

@@ -341,6 +341,29 @@ class TestBoxcount:
         with pytest.raises(PreconditionError):
             ml.boxcount_image_measure(lambda xs: xs, np.zeros((3, 2)), 3, 1e-2)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_a_count_outside_the_codomain_is_refused(self, m):
+        # R^3 keys were read as R^m ones: the flat square read 1.0 at any m
+        cores = (np.array([[0.1, 0.4], [0.1, 0.4]]),)
+        to_r3 = lambda xs: np.concatenate([xs, np.zeros((len(xs), 1))], axis=1)  # noqa: E731
+        glued = co.glue_patches(co.PatchSpec(cores, (0.05,), (flat_square(cores[0]),), to_r3,
+                                             0.1, ns.euclidean(2), ns.euclidean(3)), 1.0)
+        for g in (flat_square(UNIT), glued):
+            with pytest.raises(PreconditionError, match=f"in R\\^{m} of a map into R\\^3"):
+                ml.boxcount_image_measure(g, UNIT, m, 5e-2)
+        for hint in (1.0, None):  # the column count of the cloud's images tells
+            with pytest.raises(PreconditionError, match=f"in R\\^{m} of a map into R\\^3"):
+                ml.boxcount_image_measure(to_r3, UNIT, m, 5e-2, lip_hint=hint)
+
+    def test_a_map_into_r5_is_not_counted_in_r3(self):
+        # the desk-scale bound m <= 4 holds for the m asked, not for the map
+        e = np.eye(5)
+        pam = co.pa_from_axis_slopes(UNIT, [UNIT[0], UNIT[1]], [e[0:1], e[1:2]],
+                                     [np.zeros(5)] * 2, np.zeros(5),
+                                     ns.euclidean(2), ns.euclidean(5))
+        with pytest.raises(PreconditionError, match="map into R\\^5"):
+            ml.boxcount_image_measure(pam, UNIT, 3, 5e-2)
+
     def test_area_formula_on_injective_fixture(self, rng):
         pam = graph_fixture(rng)
         jac = ml.jacobian_integral(pam, UNIT).value
@@ -666,6 +689,18 @@ def reference_mass_from_parts(parts, n, box_size):
     return float(np.sum(weights[first]) * box_size ** n)
 
 
+def boxcount_peak(pam, s):
+    """(distinct keys, tracemalloc peak) of pam's box count on UNIT at box size s."""
+    distinct = np.unique(ml._pa_boxcount_parts(pam, s, UNIT)[0]).size
+    tracemalloc.start()
+    try:
+        ml.boxcount_image_measure(pam, UNIT, 3, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return distinct, peak
+
+
 class TestKeyKernels:
     @settings(max_examples=300)
     @given(calibration_cases())
@@ -721,26 +756,35 @@ class TestKeyKernels:
     def test_mass_matches_a_weight_per_key(self, case):
         assert ml._mass_from_parts(*case) == reference_mass_from_parts(*case)
 
+    @settings(max_examples=300, deadline=None)
+    @given(boxcount_parts())
+    def test_mass_leaves_the_parts_as_they_were(self, case):
+        # the trace counts the keys of the parts after the call
+        parts, n, s = case
+        before = [[a.tobytes() for a in p] for p in parts]
+        assert ml._mass_from_parts(parts, n, s) == reference_mass_from_parts(parts, n, s)
+        assert [[a.tobytes() for a in p] for p in parts] == before
+
     def test_boxcount_peak_bytes_per_key(self):
-        # a tilted unit square at s = 2e-3 has 436,158 distinct keys; its box
+        # at s = 1e-3 a tilted unit square has 1,738,164 distinct keys; its box
         # count peaked at 33.0 bytes a key (the window's keys, their joined
-        # copy, the stable argsort and the sorted keys), where a weight per key,
-        # an (N, 3) index stack and a dedup pass inside the patch took 94.0
+        # copy, the stable argsort and the sorted keys), now at 17.2 (the keys
+        # and the argsort)
         q, _ = np.linalg.qr(np.random.default_rng(20230614).standard_normal((3, 3)))
         e = np.array([0.0, 1.0])
         pam = co.pa_from_axis_slopes(UNIT, [e, e], [q.T[0:1], q.T[1:2]], [np.zeros(3)] * 2,
                                      np.zeros(3), ns.euclidean(2), ns.euclidean(3))
-        s = 2e-3
-        distinct = np.unique(ml._pa_boxcount_parts(pam, s, UNIT)[0]).size
-        assert distinct > 400_000
-        tracemalloc.start()
-        try:
-            ml.boxcount_image_measure(pam, UNIT, 3, s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        distinct, peak = boxcount_peak(pam, 1e-3)
+        assert distinct > 1_700_000
         # the allowance covers one block's work arrays, about 60 bytes a footprint box
-        assert peak <= 40 * distinct + 128 * ml._RASTER_BLOCK
+        assert peak <= 20 * distinct + 128 * ml._RASTER_BLOCK
+
+    def test_joined_cells_peak_bytes_per_key(self):
+        # the 3 x 3 graph surface joins nine cells' keys, 1,475,760 for
+        # 1,470,522 distinct at s = 1e-3: 33.1 bytes a key, now 17.5
+        distinct, peak = boxcount_peak(graph_fixture(np.random.default_rng(20230614)), 1e-3)
+        assert distinct > 1_400_000
+        assert peak <= 20 * distinct + 128 * ml._RASTER_BLOCK
 
     @pytest.mark.parametrize("cols, off, tbox, s", [
         (np.array([[1.0], [0.0]]), np.zeros(2), np.array([[0.0, 1.0]]), 1e-13),
